@@ -8,11 +8,12 @@ only approximate code in the package lives in the quadrature diagnostics.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import _halves
 
 __all__ = [
     "SignsumError",
@@ -91,7 +92,8 @@ def max_vector_length() -> int:
 
 
 def worker_count() -> int:
-    """Number of enumeration workers, default 1 (serial)."""
+    """The SIGNSUM_THREADS setting, default 1.  Parsed but unused: the
+    half-table kernel leaves nothing to split across threads."""
     return _positive_int_env(_THREADS_ENV, 1)
 
 
@@ -380,94 +382,27 @@ def signed_sum_sign(alpha: AlphaVector, eps: SignVector) -> int:
     return (total > 0) - (total < 0)
 
 
-def _gray_walk(vals):
-    """Yield (mask, total) over every sign mask of ``vals``.
-
-    Starts from the all-plus assignment and flips one coordinate per step
-    (Gray order), so each update costs one addition.  Mask bit k set means
-    entry k is subtracted.
-    """
-    total = sum(vals)
-    mask = 0
-    yield 0, total
-    for t in range(1, 1 << len(vals)):
-        b = (t & -t).bit_length() - 1
-        bit = 1 << b
-        mask ^= bit
-        if mask & bit:
-            total -= 2 * vals[b]
-        else:
-            total += 2 * vals[b]
-        yield mask, total
-
-
-def _product_walk(ratios):
-    """Yield (mask, x, y) over all sign masks of the log arguments.
-
-    The signed sum of logs equals log(x/y) where x collects numerators on
-    +1 coordinates and denominators on -1 coordinates, and y the reverse.
-    """
-    nums = [r.numerator for r in ratios]
-    dens = [r.denominator for r in ratios]
-    n = len(ratios)
-    stack = [(0, 0, 1, 1)]
-    while stack:
-        pos, mask, x, y = stack.pop()
-        if pos == n:
-            yield mask, x, y
-            continue
-        stack.append((pos + 1, mask | (1 << pos), x * dens[pos], y * nums[pos]))
-        stack.append((pos + 1, mask, x * nums[pos], y * dens[pos]))
-
-
 def _survey(alpha: AlphaVector):
-    """Scan all signed sums with coordinate 1 fixed to +1.
+    """Half-table pass over all signed sums with coordinate 1 fixed to +1.
 
     Returns (zero_masks, gap): the full-length bitmasks of vanishing sums
-    (bit 0 clear, one representative per negation class), and the closest
-    nonzero approach to zero.  The gap is min |sum| as a Fraction in the
-    plain realization; in the log realization it is the smallest product
-    ratio above 1, so the actual minimum is its logarithm.
+    (bit 0 clear, one representative per negation class), ascending, and
+    the closest nonzero approach to zero.  The gap is min |sum| as a
+    Fraction in the plain realization; in the log realization it is the
+    smallest product ratio above 1, so the actual minimum is its logarithm.
     """
-    m = alpha.m
-    zeros = []
-    if alpha.is_log:
-        best = None  # (x, y) with x > y minimizing x/y
-        first = alpha.components[0].ratio
-        n0, d0 = first.numerator, first.denominator
-        for mask, x, y in _product_walk([c.ratio for c in alpha.components[1:]]):
-            x, y = x * n0, y * d0
-            if x == y:
-                zeros.append(mask << 1)
-                continue
-            if x < y:
-                x, y = y, x
-            if best is None or x * best[1] < best[0] * y:
-                best = (x, y)
-        gap = Fraction(best[0], best[1])
-    else:
-        den = math.lcm(*[c.ratio.denominator for c in alpha.components])
-        ints = [int(c.ratio * den) for c in alpha.components]
-        a0, rest = ints[0], ints[1:]
-        best = None
-        for mask, total in _gray_walk(rest):
-            s = a0 + total
-            if s == 0:
-                zeros.append(mask << 1)
-                continue
-            s = -s if s < 0 else s
-            if best is None or s < best:
-                best = s
-        gap = Fraction(best, den)
-    zeros.sort()
-    return zeros, gap
+    values, den = _halves.coordinates(alpha.ratios(), alpha.is_log)
+    zeros, gap = _halves.pinned(values, 0, alpha.is_log).nearest()
+    return zeros, gap if alpha.is_log else Fraction(gap, den)
 
 
 def check_generic(alpha: AlphaVector) -> GenericityReport:
-    """Exhaustively test for vanishing signed sums, up to global negation.
+    """Test every signed sum for vanishing, up to global negation.
 
-    Coordinate 1 is fixed to +1, covering all 2^m sign vectors in 2^(m-1)
-    tests.  The result is cached on the vector.
+    Coordinate 1 is fixed to +1, covering all 2^m sign vectors.  The
+    other coordinates split into two half tables of about 2^((m-1)/2)
+    sums each, and a vanishing sum is a collision between them.  The
+    result is cached on the vector.
     """
     if alpha._report is None:
         zeros, gap = _survey(alpha)

@@ -13,8 +13,6 @@ make N and the parity invariants of the vector rather than of the pair.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,11 +26,9 @@ from .core import (
     check_generic,
     minimum_gap,
     require_generic,
-    worker_count,
     zero_sum_masks,
-    _gray_walk,
-    _product_walk,
 )
+from . import _halves
 
 __all__ = [
     "SolutionSet",
@@ -51,10 +47,6 @@ __all__ = [
     "wall_crossing_check",
     "orient_pair",
 ]
-
-# Chunked scans only pay off past this many masks per worker.
-_PARALLEL_THRESHOLD = 1 << 12
-
 
 @dataclass(frozen=True)
 class SolutionSet:
@@ -87,149 +79,40 @@ def _rest_positions(m: int, i0: int, j0: int) -> list[int]:
     return [pos for pos in range(m) if pos != i0 and pos != j0]
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    step = -(-total // workers)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _effective_workers(total: int) -> int:
-    w = worker_count()
-    if w <= 1 or total < 2 * _PARALLEL_THRESHOLD:
-        return 1
-    return min(w, total // _PARALLEL_THRESHOLD)
-
-
-def _scan_rational(alpha, i0, j0, materialize, h1):
-    den = math.lcm(*[c.ratio.denominator for c in alpha.components])
-    ints = [int(c.ratio * den) for c in alpha.components]
-    rest = [ints[pos] for pos in _rest_positions(alpha.m, i0, j0)]
-    lo_bound = abs(ints[i0] - ints[j0])
-    hi_bound = ints[i0] + ints[j0]
-    m2 = len(rest)
-    total = 1 << m2
-
-    def run(t_lo, t_hi):
-        mask = t_lo ^ (t_lo >> 1)
-        s = sum(-v if (mask >> k) & 1 else v for k, v in enumerate(rest))
-        count = signed = ext = 0
-        masks = [] if materialize else None
-        t = t_lo
-        while t < t_hi:
-            if t != t_lo:
-                b = (t & -t).bit_length() - 1
-                bit = 1 << b
-                mask ^= bit
-                if mask & bit:
-                    s -= 2 * rest[b]
-                else:
-                    s += 2 * rest[b]
-            if lo_bound < s < hi_bound:
-                prod = -1 if mask.bit_count() & 1 else 1
-                count += 1
-                signed += prod
-                if h1 is not None:
-                    ext += -prod if (mask >> h1) & 1 else prod
-                if masks is not None:
-                    masks.append(mask)
-            elif s == lo_bound or s == hi_bound:
-                raise InternalCheckError(
-                    "boundary equality on a generic vector"
-                )
-            t += 1
-        return count, signed, ext, masks
-
-    return _merge_chunks(run, total, materialize)
-
-
-def _scan_log(alpha, i0, j0, materialize, h1):
-    ratios = alpha.ratios()
-    rest_pos = _rest_positions(alpha.m, i0, j0)
-    nums = [ratios[p].numerator for p in rest_pos]
-    dens = [ratios[p].denominator for p in rest_pos]
-    ui, uj = ratios[i0], ratios[j0]
-    lo = max(ui, uj) / min(ui, uj)
-    hi = ui * uj
-    lo_n, lo_d = lo.numerator, lo.denominator
-    hi_n, hi_d = hi.numerator, hi.denominator
-    m2 = len(rest_pos)
-    total = 1 << m2
-    full = total - 1
-
-    # Subset-product tables: one big-integer multiply per entry.  The
-    # denominator table is skipped when every argument is an integer.
-    pn = [1] * total
-    for s in range(1, total):
-        low = (s & -s).bit_length() - 1
-        pn[s] = pn[s & (s - 1)] * nums[low]
-    if all(d == 1 for d in dens):
-        pd = None
-    else:
-        pd = [1] * total
-        for s in range(1, total):
-            low = (s & -s).bit_length() - 1
-            pd[s] = pd[s & (s - 1)] * dens[low]
-
-    def run(lo_mask, hi_mask):
-        count = signed = ext = 0
-        masks = [] if materialize else None
-        for mask in range(lo_mask, hi_mask):
-            comp = full ^ mask
-            if pd is None:
-                x = pn[comp]
-                y = pn[mask]
-            else:
-                x = pn[comp] * pd[mask]
-                y = pd[comp] * pn[mask]
-            # membership: lo < x/y < hi, decided by cross-multiplication
-            a = x * lo_d
-            b = y * lo_n
-            if a > b:
-                c = x * hi_d
-                d = y * hi_n
-                if c < d:
-                    prod = -1 if mask.bit_count() & 1 else 1
-                    count += 1
-                    signed += prod
-                    if h1 is not None:
-                        ext += -prod if (mask >> h1) & 1 else prod
-                    if masks is not None:
-                        masks.append(mask)
-                elif c == d:
-                    raise InternalCheckError(
-                        "boundary equality on a generic vector"
-                    )
-            elif a == b:
-                raise InternalCheckError("boundary equality on a generic vector")
-        return count, signed, ext, masks
-
-    return _merge_chunks(run, total, materialize)
-
-
-def _merge_chunks(run, total, materialize):
-    workers = _effective_workers(total)
-    if workers == 1:
-        count, signed, ext, masks = run(0, total)
-    else:
-        bounds = _chunk_bounds(total, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: run(*b), bounds))
-        count = sum(p[0] for p in parts)
-        signed = sum(p[1] for p in parts)
-        ext = sum(p[2] for p in parts)
-        masks = None
-        if materialize:
-            masks = [m for p in parts for m in p[3]]
-    if masks is not None:
-        masks = tuple(sorted(masks))
-    return ScanResult(count, signed, ext, masks)
-
-
 def _scan(alpha, pair, materialize=False, h1=None) -> ScanResult:
+    """Count, signed count and extended count of one pair's solutions.
+
+    The m-2 free coordinates split into two half tables; each entry of
+    the first meets the window in one run of the sorted second, found by
+    bisection, so the scan costs about 2^((m-2)/2) steps instead of
+    2^(m-2).  A full sum on either bound would mean a vanishing signed
+    sum of the whole vector, impossible once it is generic.
+    """
     i0, j0 = _pair_positions(alpha, pair)
     require_generic(alpha)
+    rest = _rest_positions(alpha.m, i0, j0)
+    values, _ = _halves.coordinates(alpha.ratios(), alpha.is_log)
+    vi, vj = values[i0], values[j0]
     if alpha.is_log:
-        return _scan_log(alpha, i0, j0, materialize, h1)
-    return _scan_rational(alpha, i0, j0, materialize, h1)
+        lo, hi = max(vi, vj) / min(vi, vj), vi * vj
+    else:
+        lo, hi = abs(vi - vj), vi + vj
+    tables = _halves.HalfTables(
+        [values[p] for p in rest],
+        [1 << k for k in range(len(rest))],
+        is_log=alpha.is_log,
+    )
+    full = (1 << len(rest)) - 1
+    chars = [0, full] if h1 is None else [0, full, full ^ (1 << h1)]
+    totals, masks, touched = tables.window(lo, hi, chars, materialize)
+    if touched:
+        raise InternalCheckError("boundary equality on a generic vector")
+    return ScanResult(
+        totals[0],
+        totals[1],
+        totals[2] if h1 is not None else 0,
+        tuple(sorted(masks)) if materialize else None,
+    )
 
 
 def enumerate_solutions(alpha: AlphaVector, pair: PairSelection) -> SolutionSet:
@@ -259,36 +142,19 @@ def parity(alpha: AlphaVector, pair: PairSelection) -> int:
     return _scan(alpha, pair).count & 1
 
 
-def _half_sign_terms(alpha: AlphaVector, fixed_pos: int):
-    """Yield (full_mask, sign) over sign vectors with ``fixed_pos`` at +1.
+def _sign_sum(alpha: AlphaVector, fixed_pos: int, char: int) -> int:
+    """Sum of sgn(<e,a>) (-1)^popcount(mask(e) & char) over the sign
+    vectors e with ``fixed_pos`` at +1.
 
-    full_mask is an m-bit mask with the fixed bit clear; sign is the exact
-    sign of the signed sum.  Exactly 2^(m-1) terms.
+    Masks are m-bit with the fixed bit clear.  Half tables give the sum
+    as sum over A of p_A (W(> -s_A) - W(< -s_A)), W the weight prefix
+    sums of the sorted second half.
     """
-    m = alpha.m
-    free = [pos for pos in range(m) if pos != fixed_pos]
-    if alpha.is_log:
-        fixed = alpha.components[fixed_pos].ratio
-        n0, d0 = fixed.numerator, fixed.denominator
-        for mask, x, y in _product_walk([alpha.components[p].ratio for p in free]):
-            x, y = x * n0, y * d0
-            full = 0
-            for k, pos in enumerate(free):
-                if (mask >> k) & 1:
-                    full |= 1 << pos
-            yield full, (x > y) - (x < y)
-    else:
-        den = math.lcm(*[c.ratio.denominator for c in alpha.components])
-        ints = [int(c.ratio * den) for c in alpha.components]
-        base = ints[fixed_pos]
-        rest = [ints[p] for p in free]
-        for mask, total in _gray_walk(rest):
-            s = base + total
-            full = 0
-            for k, pos in enumerate(free):
-                if (mask >> k) & 1:
-                    full |= 1 << pos
-            yield full, (s > 0) - (s < 0)
+    values, _ = _halves.coordinates(alpha.ratios(), alpha.is_log)
+    total, touched = _halves.pinned(values, fixed_pos, alpha.is_log).sign_sum(char)
+    if touched:
+        raise InternalCheckError("generic vector produced a zero signed sum")
+    return total
 
 
 def closed_form_g(alpha: AlphaVector) -> int:
@@ -302,10 +168,7 @@ def closed_form_g(alpha: AlphaVector) -> int:
     require_generic(alpha)
     if alpha.m % 2 == 0:
         return 0
-    total = 0
-    for full, sign in _half_sign_terms(alpha, 0):
-        prod = -1 if full.bit_count() & 1 else 1
-        total += sign * prod
+    total = _sign_sum(alpha, 0, (1 << alpha.m) - 1)
     # the fixed-coordinate half contributes exactly half of the full sum
     if total % 2:
         raise InternalCheckError("closed-form half sum must be even")
@@ -328,7 +191,7 @@ def count_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> int:
     pair coordinate to +1."""
     require_generic(alpha)
     small, _ = orient_pair(alpha, pair)
-    total = sum(sign for _, sign in _half_sign_terms(alpha, small))
+    total = _sign_sum(alpha, small, 0)
     if total % 2:
         raise InternalCheckError("count sign sum must be even")
     return total // 2
@@ -341,11 +204,9 @@ def signed_count_even_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> i
         raise PreconditionError("this route requires even length")
     require_generic(alpha)
     _, large = orient_pair(alpha, pair)
-    total = 0
-    for full, sign in _half_sign_terms(alpha, 0):
-        prod = -1 if full.bit_count() & 1 else 1
-        ej = -1 if (full >> large) & 1 else 1
-        total += ej * sign * prod
+    # e_j times the sign product is the sign product without e_j; when j
+    # is the fixed coordinate its bit never occurs in a mask
+    total = _sign_sum(alpha, 0, ((1 << alpha.m) - 1) ^ (1 << large))
     # e and -e contribute equally when m is even, so this is half the sum
     if total % 2:
         raise InternalCheckError("signed-count sign sum must be even")

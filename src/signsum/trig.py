@@ -18,15 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
+from . import _halves
 from .core import (
     AlphaVector,
     DegenerateVectorError,
     InternalCheckError,
     PreconditionError,
     SignVector,
-    _gray_walk,
     max_vector_length,
     minimum_gap,
     require_generic,
@@ -73,8 +71,9 @@ class BetaApproximation:
     components, ``q`` the power-of-two scale, and ``bound`` a positive
     rational no larger than the smallest |signed sum| of the original
     vector (exact in the plain realization, a certified lower bound in
-    the log realization).  Closeness, order preservation, and exhaustive
-    sign preservation are verified at the construction sites.
+    the log realization).  Closeness and order preservation are verified
+    at the construction sites; closeness implies sign preservation (see
+    ``approximate_beta``).
     """
 
     beta: tuple[int, ...]
@@ -121,52 +120,10 @@ def _order_preserved(keys, betas) -> bool:
     return True
 
 
-def _signs_preserved_plain(vals, betas) -> bool:
-    den = math.lcm(*(v.denominator for v in vals))
-    ints = [int(v * den) for v in vals]
-    for (_, ta), (_, tb) in zip(_gray_walk(ints), _gray_walk(list(betas))):
-        if (ta > 0) - (ta < 0) != (tb > 0) - (tb < 0):
-            return False
-    return True
-
-
-def _signs_preserved_log(ratios, betas) -> bool:
-    """Compare every signed-sum sign of log components against the ints.
-
-    The sign of a signed sum of logs is the sign of log(x/y) for the
-    cross-multiplied products x and y, decided in big integers.  Subset
-    products are tabulated once; the beta side rides a Gray-code walk.
-    """
-    m = len(ratios)
-    nums = [r.numerator for r in ratios]
-    dens = [r.denominator for r in ratios]
-    pn = [1] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        pn[mask] = pn[mask ^ low] * nums[low.bit_length() - 1]
-    pd = None
-    if any(d != 1 for d in dens):
-        pd = [1] * (1 << m)
-        for mask in range(1, 1 << m):
-            low = mask & -mask
-            pd[mask] = pd[mask ^ low] * dens[low.bit_length() - 1]
-    full = (1 << m) - 1
-    for mask, tb in _gray_walk(list(betas)):
-        comp = full ^ mask
-        if pd is None:
-            x, y = pn[comp], pn[mask]
-        else:
-            x, y = pn[comp] * pd[mask], pn[mask] * pd[comp]
-        sa = (x > y) - (x < y)
-        if sa == 0:
-            raise InternalCheckError("generic vector produced a zero signed sum")
-        if sa != (tb > 0) - (tb < 0):
-            return False
-    return True
-
-
 def _log_enclosure(ratio: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure of log(ratio) at ``prec`` bits."""
+    import mpmath  # only the log realization needs it; kept off import time
+
     ctx = mpmath.ctx_iv.MPIntervalContext()
     ctx.prec = prec
     z = ctx.log(ctx.mpf(ratio.numerator) / ctx.mpf(ratio.denominator))
@@ -239,11 +196,7 @@ def _approximate_plain(alpha: AlphaVector) -> BetaApproximation:
                 ok = False
                 break
             betas.append(b)
-        if (
-            ok
-            and _order_preserved(vals, betas)
-            and _signs_preserved_plain(vals, betas)
-        ):
+        if ok and _order_preserved(vals, betas):
             return BetaApproximation(tuple(betas), Fraction(q), bound)
         q <<= 1
     raise InternalCheckError("scale search exceeded the safety cap")
@@ -270,7 +223,6 @@ def _approximate_log(alpha: AlphaVector) -> BetaApproximation:
             min(betas) >= 1
             and _order_preserved(ratios, betas)
             and _log_closeness(ratios, betas, q, target)
-            and _signs_preserved_log(ratios, betas)
         ):
             return BetaApproximation(tuple(betas), Fraction(q), bound)
         q <<= 1
@@ -281,10 +233,13 @@ def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
     """Integer approximation preserving order, ties, and every sum sign.
 
     Doubles q starting from 1 and takes beta_k as the nearest integer to
-    q*alpha_k, accepting the first q for which the closeness bound, the
-    component ordering with its ties, and all 2^m signed-sum signs check
-    out exactly.  Termination is guaranteed for generic input because
-    every defect shrinks like 1/q while the gap stays fixed.
+    q*alpha_k, accepting the first q for which the closeness bound and
+    the component ordering with its ties check out exactly.  Closeness
+    |beta_k/q - alpha_k| < bound/m for every k preserves all 2^m
+    signed-sum signs: by the triangle inequality a signed sum moves by
+    less than m * bound/m = bound, and bound is at most its distance from
+    zero.  Termination is guaranteed for generic input because every
+    defect shrinks like 1/q while the gap stays fixed.
     """
     require_generic(alpha)
     if alpha.is_log:
@@ -292,12 +247,23 @@ def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
     return _approximate_plain(alpha)
 
 
+def _gray_rank(mask: int) -> int:
+    """Position of ``mask`` in the binary reflected Gray order."""
+    rank = 0
+    while mask:
+        rank ^= mask
+        mask >>= 1
+    return rank
+
+
 def integer_beta(values) -> BetaApproximation:
     """Wrap raw positive integers as their own approximation at q = 1.
 
     The kernel evaluators need every signed sum nonzero; that is checked
-    exhaustively here and the exact smallest |signed sum| becomes the
-    bound.
+    over all sign vectors with the first component at +1, by half tables,
+    and the exact smallest |signed sum| becomes the bound.  A degenerate
+    vector is reported with the vanishing sum that comes first in Gray
+    order.
     """
     bs = tuple(int(v) for v in values)
     if not bs:
@@ -306,19 +272,13 @@ def integer_beta(values) -> BetaApproximation:
         raise PreconditionError("components must be positive integers")
     if len(bs) > max_vector_length():
         raise PreconditionError("length exceeds the configured cap")
-    best = None
-    for mask, total in _gray_walk(list(bs)):
-        if mask & 1:
-            continue  # one representative per negation class
-        if total == 0:
-            raise DegenerateVectorError(
-                "integer vector has a vanishing signed sum",
-                SignVector(len(bs), mask),
-            )
-        a = -total if total < 0 else total
-        if best is None or a < best:
-            best = a
-    return BetaApproximation(bs, Fraction(1), Fraction(best))
+    zeros, gap = _halves.pinned(bs, 0).nearest()
+    if zeros:
+        raise DegenerateVectorError(
+            "integer vector has a vanishing signed sum",
+            SignVector(len(bs), min(zeros, key=_gray_rank)),
+        )
+    return BetaApproximation(bs, Fraction(1), Fraction(gap))
 
 
 class ExponentialSum:
@@ -404,14 +364,12 @@ def _check_window_forms(betas, value: int) -> None:
     if len(betas) > _WINDOW_CHECK_MAX:
         return
     last = betas[-1]
-    narrow = wide = 0
-    for mask, total in _gray_walk(list(betas[:-1])):
-        t = -total if total < 0 else total
-        prod = -1 if mask.bit_count() & 1 else 1
-        if t <= last - 1:
-            narrow += prod
-        if t <= last:
-            wide += prod
+    rest = len(betas) - 1
+    tables = _halves.HalfTables(betas[:-1], [1 << k for k in range(rest)])
+    full = (1 << rest) - 1
+    # integer partial sums: |t| <= w - 1 is -w < t < w
+    (narrow,), _, _ = tables.window(-last, last, [full])
+    (wide,), _, _ = tables.window(-last - 1, last + 1, [full])
     for name, s in (("narrow", narrow), ("wide", wide)):
         if s % 2:
             raise InternalCheckError(f"{name} window sum must be even")

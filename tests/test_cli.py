@@ -156,18 +156,47 @@ def test_run_reports_unknown_flag_as_parse_error():
     assert result.exit_code == 2
 
 
-def cli_bytes(argv, env_extra=None):
+# the directory holding the signsum package under test, for child processes
+SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(invariants.__file__)))
+
+
+def child_env(env_extra=None):
     env = dict(os.environ)
     env.pop("SIGNSUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SOURCE_ROOT, env.get("PYTHONPATH")) if p
+    )
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def cli_bytes(argv, env_extra=None):
     proc = subprocess.run(
         [sys.executable, "-m", "signsum", *argv],
         capture_output=True,
-        env=env,
+        env=child_env(env_extra),
         timeout=120,
     )
     return proc.returncode, proc.stdout
+
+
+def test_cli_import_skips_mpmath_and_thread_pool():
+    """mpmath is imported only by log-realization approx-beta, and no
+    thread pool is imported at all."""
+    probe = (
+        "import sys, signsum.cli; "
+        "print([m for m in ('mpmath', 'concurrent.futures') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # 15 odd components keep every signed sum odd, hence generic, while
