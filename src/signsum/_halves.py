@@ -27,7 +27,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, repeat
+from functools import partial
+from itertools import accumulate, groupby, repeat
+from operator import add
 
 
 def coordinates(ratios, is_log: bool):
@@ -42,33 +44,37 @@ def coordinates(ratios, is_log: bool):
     return [r.numerator * (den // r.denominator) for r in ratios], den
 
 
-def _plain_table(values, bits, base, width):
-    """(sums, masks) of every sign choice over ``values``, ascending by sum.
+def _table(moves, base, width):
+    """(keys, masks) of every sign choice over one half, ascending by key.
 
-    An entry is packed as sum * 2^width + mask, so sorting the packed
-    integers sorts by sum.  Each doubling step appends the "-v" run to
-    the "+v" run; both are ascending, so the sort is a linear merge.
+    An entry is packed as key * 2^width + mask, so sorting the packed
+    integers sorts by key.  ``moves`` holds, per coordinate, the pair of
+    increasing maps that take a packed entry to its plus and its minus
+    successor.  Each doubling step appends the minus run to the plus
+    run; both are ascending, so the sort is a linear merge.
     """
-    low = (1 << width) - 1
     cur = [base << width]
-    for v, bit in zip(values, bits):
-        shift = v << width
-        cur = [e + shift for e in cur] + [e - shift + bit for e in cur]
+    for plus, minus in moves:
+        cur = [*map(plus, cur), *map(minus, cur)]
         cur.sort()
+    low = (1 << width) - 1
     return [e >> width for e in cur], [e & low for e in cur]
 
 
-def _log_table(ratios, bits, base, width):
-    """(x, masks) of every sign choice over log ``ratios``, ascending by x."""
+def _plain_moves(value, bit, width):
+    """Add or subtract ``value``; subtracting sets ``bit``."""
+    step = value << width
+    return partial(add, step), partial(add, bit - step)
+
+
+def _log_moves(ratio, bit, width):
+    """Multiply x by the numerator or, setting ``bit``, the denominator."""
     low = (1 << width) - 1
-    cur = [base << width]
-    for r, bit in zip(ratios, bits):
-        n, d = r.numerator, r.denominator
-        plus = [(((e >> width) * n) << width) | (e & low) for e in cur]
-        minus = [(((e >> width) * d) << width) | (e & low) | bit for e in cur]
-        cur = plus + minus
-        cur.sort()
-    return [e >> width for e in cur], [e & low for e in cur]
+
+    def scale(factor, flag):
+        return lambda e: ((e >> width) * factor) << width | (e & low) | flag
+
+    return scale(ratio.numerator, 0), scale(ratio.denominator, bit)
 
 
 _SIGNS = (1, -1)
@@ -94,8 +100,9 @@ class HalfTables:
                 x0, p = fixed.numerator, fixed.numerator * fixed.denominator
             for r in values:
                 p *= r.numerator * r.denominator
-            xa, self.a_masks = _log_table(values[:half], bits[:half], x0, width)
-            xb, self.b_masks = _log_table(values[half:], bits[half:], 1, width)
+            moves = [_log_moves(r, bit, width) for r, bit in zip(values, bits)]
+            xa, self.a_masks = _table(moves[:half], x0, width)
+            xb, self.b_masks = _table(moves[half:], 1, width)
             # full sum a + b = log(x_a^2 x_b^2 / P); B keys are doubled so
             # that an inexact threshold can sit strictly between two keys
             self.p = p
@@ -104,14 +111,10 @@ class HalfTables:
             self._zero = Fraction(1)
         else:
             base = 0 if fixed is None else fixed
-            self.a_keys, self.a_masks = _plain_table(
-                values[:half], bits[:half], base, width
-            )
-            self.b_keys, self.b_masks = _plain_table(
-                values[half:], bits[half:], 0, width
-            )
+            moves = [_plain_moves(v, bit, width) for v, bit in zip(values, bits)]
+            self.a_keys, self.a_masks = _table(moves[:half], base, width)
+            self.b_keys, self.b_masks = _table(moves[half:], 0, width)
             self._zero = 0
-        self._key_set = set(self.b_keys)
 
     def _thresholds(self, bound):
         """Per A entry, the B key t at which the full sum meets ``bound``.
@@ -133,14 +136,12 @@ class HalfTables:
     def _runs(self, bound):
         """(thresholds, lt, gt, touched): per A entry, B[:lt] is below the
         bound, B[lt:gt] on it and B[gt:] above it.  ``touched`` tells
-        whether any full sum meets the bound; the second bisection runs
-        only then."""
+        whether any full sum meets the bound."""
         ts = self._thresholds(bound)
         keys = self.b_keys
         lt = list(map(bisect_left, repeat(keys), ts))
-        touched = not self._key_set.isdisjoint(ts)
-        gt = list(map(bisect_right, repeat(keys), ts)) if touched else lt
-        return ts, lt, gt, touched
+        gt = list(map(bisect_right, repeat(keys), ts))
+        return ts, lt, gt, lt != gt
 
     def _weights(self, char):
         """A weights and B prefix sums of (-1)^popcount(mask & char)."""
@@ -192,21 +193,38 @@ class HalfTables:
         total = sum(w * (top - prefix[g] - prefix[l]) for w, l, g in zip(wa, lt, gt))
         return total, touched
 
-    def nearest(self):
-        """(zeros, gap): the vanishing full sums and the closest other one.
+    def zero_groups(self):
+        """The vanishing full sums as (a_masks, b_masks) groups.
 
-        ``zeros`` holds the masks of the vanishing sums, ascending.  Plain:
-        ``gap`` is the smallest nonzero |sum| as an integer.  Log: it is
-        the smallest ratio above 1 among exp(|sum|), as a Fraction.  The
+        Every A mask of a group vanishes with every B mask of it, and each
+        vanishing sum lies in exactly one group.  A entries of equal key
+        are adjacent and share one run of B, so listing the groups costs
+        O(2^(n/2)) however many sums vanish.
+        """
+        _, lt, gt, _ = self._runs(self._zero)
+        bm = self.b_masks
+        groups = []
+        rows = zip(self.a_masks, lt, gt)
+        for (l, g), run in groupby(rows, key=lambda row: row[1:]):
+            if l < g:
+                groups.append(([a for a, _, _ in run], bm[l:g]))
+        return groups
+
+    def zeros(self):
+        """The masks of the vanishing full sums, ascending."""
+        return sorted(a | b for am, bm in self.zero_groups() for a in am for b in bm)
+
+    def gap(self):
+        """The closest approach of a nonvanishing full sum to zero.
+
+        Plain: the smallest nonzero |sum| as an integer.  Log: the
+        smallest ratio above 1 among exp(|sum|), as a Fraction.  The
         nearest nonzero sums of an A entry are the B keys just outside
         its run on the zero bound.
         """
         ts, lt, gt, _ = self._runs(self._zero)
-        keys, bm = self.b_keys, self.b_masks
+        keys = self.b_keys
         n = len(keys)
-        zeros = sorted(
-            a | b for a, l, g in zip(self.a_masks, lt, gt) for b in bm[l:g]
-        )
         if self.is_log:
             # a * key = 2 x_a^2 x_b^2, the full ratio times 2P
             two_p = 2 * self.p
@@ -221,16 +239,17 @@ class HalfTables:
                 gaps.append(Fraction(above, two_p))
             if below is not None:
                 gaps.append(Fraction(two_p, below))
-            return zeros, min(gaps)
+            return min(gaps)
         above = min((keys[g] - t for t, g in zip(ts, gt) if g < n), default=None)
         below = min((t - keys[l - 1] for t, l in zip(ts, lt) if l), default=None)
-        return zeros, min(d for d in (above, below) if d is not None)
+        return min(d for d in (above, below) if d is not None)
 
 
 def pinned(values, fixed_pos, is_log=False) -> HalfTables:
     """Half tables over every coordinate of ``values`` but ``fixed_pos``,
     which is pinned to plus: one sign vector per negation class.  Mask
-    bit k marks coordinate k as minus."""
+    bit k marks coordinate k as minus, so every mask bit of A lies below
+    every mask bit of B."""
     free = [k for k in range(len(values)) if k != fixed_pos]
     return HalfTables(
         [values[k] for k in free],

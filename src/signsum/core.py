@@ -392,8 +392,9 @@ def _survey(alpha: AlphaVector):
     smallest product ratio above 1, so the actual minimum is its logarithm.
     """
     values, den = _halves.coordinates(alpha.ratios(), alpha.is_log)
-    zeros, gap = _halves.pinned(values, 0, alpha.is_log).nearest()
-    return zeros, gap if alpha.is_log else Fraction(gap, den)
+    tables = _halves.pinned(values, 0, alpha.is_log)
+    gap = tables.gap()
+    return tables.zeros(), gap if alpha.is_log else Fraction(gap, den)
 
 
 def check_generic(alpha: AlphaVector) -> GenericityReport:

@@ -248,12 +248,36 @@ def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
 
 
 def _gray_rank(mask: int) -> int:
-    """Position of ``mask`` in the binary reflected Gray order."""
-    rank = 0
-    while mask:
-        rank ^= mask
-        mask >>= 1
-    return rank
+    """Position of ``mask`` in the binary reflected Gray order.
+
+    Bit i of the rank is the parity of the mask's bits i and above; the
+    shifts double, so a mask of b bits takes about log2(b) steps.
+    """
+    shift = 1
+    while mask >> shift:
+        mask ^= mask >> shift
+        shift <<= 1
+    return mask
+
+
+def _first_in_gray_order(groups) -> int:
+    """The vanishing mask of smallest Gray rank, from ``zero_groups``.
+
+    The rank is linear over GF(2), so rank(a | b) = rank(a) ^ rank(b) for
+    the disjoint half masks.  Every bit of b lies at or above B's lowest
+    bit L and every bit of a below it, so rank(a) < 2^L, while each bit
+    of rank(b) below L repeats bit L (the parity of b).  The order of
+    rank(a | b) is thus set first by rank(b), then by rank(a) ^ rank(b):
+    a group's first mask takes its b of smallest rank, then the a that
+    minimizes the XOR, without listing the group's pairs.
+    """
+    firsts = []
+    for a_masks, b_masks in groups:
+        b = min(b_masks, key=_gray_rank)
+        rb = _gray_rank(b)
+        a = min(a_masks, key=lambda a: _gray_rank(a) ^ rb)
+        firsts.append(a | b)
+    return min(firsts, key=_gray_rank)
 
 
 def integer_beta(values) -> BetaApproximation:
@@ -272,13 +296,14 @@ def integer_beta(values) -> BetaApproximation:
         raise PreconditionError("components must be positive integers")
     if len(bs) > max_vector_length():
         raise PreconditionError("length exceeds the configured cap")
-    zeros, gap = _halves.pinned(bs, 0).nearest()
-    if zeros:
+    tables = _halves.pinned(bs, 0)
+    groups = tables.zero_groups()
+    if groups:
         raise DegenerateVectorError(
             "integer vector has a vanishing signed sum",
-            SignVector(len(bs), min(zeros, key=_gray_rank)),
+            SignVector(len(bs), _first_in_gray_order(groups)),
         )
-    return BetaApproximation(bs, Fraction(1), Fraction(gap))
+    return BetaApproximation(bs, Fraction(1), Fraction(tables.gap()))
 
 
 class ExponentialSum:

@@ -199,8 +199,9 @@ def test_cli_import_skips_mpmath_and_thread_pool():
     assert proc.stdout.strip() == "[]"
 
 
-# 15 odd components keep every signed sum odd, hence generic, while
-# 2^13 masks push the scan over the parallel threshold
+# 15 odd components keep every signed sum odd, hence generic.  The
+# thread-count tests below check that output is byte-identical for any
+# SIGNSUM_THREADS value, which is still parsed but no longer used
 WIDE = ",".join(str(2 * k + 1) for k in range(15))
 
 

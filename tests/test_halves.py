@@ -655,3 +655,18 @@ def test_compute_at_m30(alpha):
     result = run(["compute", "--alpha", alpha, "--pair", "3,30"])
     assert result.exit_code == 0 and result.error is None
     assert set(result.outputs) == {"N", "count", "parity"}
+
+
+@pytest.mark.parametrize(
+    "values", [[1] * 30, list(range(1, 25)), list(range(1, 29))],
+    ids=["ones30", "1..24", "1..28"],
+)
+def test_integer_beta_degenerate_at_large_m(values):
+    # C(29,15) vanishing sums for the ones: the witness must come without
+    # listing them; the walk stops at its first zero, so it stays cheap
+    with pytest.raises(DegenerateVectorError) as exc:
+        integer_beta(values)
+    with pytest.raises(DegenerateVectorError) as walk:
+        integer_beta_walk(values)
+    assert exc.value.witness.bits == walk.value.witness.bits
+
