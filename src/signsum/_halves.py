@@ -210,10 +210,6 @@ class HalfTables:
                 groups.append(([a for a, _, _ in run], bm[l:g]))
         return groups
 
-    def zeros(self):
-        """The masks of the vanishing full sums, ascending."""
-        return sorted(a | b for am, bm in self.zero_groups() for a in am for b in bm)
-
     def gap(self):
         """The closest approach of a nonvanishing full sum to zero.
 
@@ -243,6 +239,21 @@ class HalfTables:
         above = min((keys[g] - t for t, g in zip(ts, gt) if g < n), default=None)
         below = min((t - keys[l - 1] for t, l in zip(ts, lt) if l), default=None)
         return min(d for d in (above, below) if d is not None)
+
+
+def first_zero(groups):
+    """The smallest vanishing mask among ``zero_groups``, or None.
+
+    Every mask bit of A lies below every mask bit of B (as in ``pinned``),
+    so a full mask orders by its B part first and a group's smallest mask
+    joins the smallest mask of each side.
+    """
+    return min((min(am) | min(bm) for am, bm in groups), default=None)
+
+
+def zero_masks(groups):
+    """Every vanishing mask among ``zero_groups``, ascending."""
+    return sorted(a | b for am, bm in groups for a in am for b in bm)
 
 
 def pinned(values, fixed_pos, is_log=False) -> HalfTables:

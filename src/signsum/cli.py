@@ -119,20 +119,23 @@ def _cmd_compute(args):
     }
 
     def execute():
-        outputs = {
-            "N": invariants.signed_count(alpha, pair),
-            "count": invariants.count_solutions(alpha, pair),
-            "parity": invariants.parity(alpha, pair),
-        }
-        if args.solutions:
-            sols = invariants.enumerate_solutions(alpha, pair)
-            outputs["solutions"] = _sign_rows(sols.solutions)
-            outputs["coordinates"] = [
+        # one scan, materialized only when the rows are asked for
+        if not args.solutions:
+            row = invariants.pair_invariants(alpha, pair)
+            return {"N": row.signed, "count": row.count, "parity": row.parity}
+        sols = invariants.enumerate_solutions(alpha, pair)
+        count = len(sols.solutions)
+        return {
+            "N": sols.signed,
+            "count": count,
+            "parity": count & 1,
+            "solutions": _sign_rows(sols.solutions),
+            "coordinates": [
                 alpha.original_index(p)
                 for p in range(alpha.m)
                 if p not in (pair.i - 1, pair.j - 1)
-            ]
-        return outputs
+            ],
+        }
 
     return inputs, execute
 

@@ -259,7 +259,7 @@ class AlphaVector:
     deleting coordinates; None means the identity labelling.
     """
 
-    __slots__ = ("components", "index_map", "_report", "_zero_masks", "_min_gap")
+    __slots__ = ("components", "index_map", "_report", "_zero_groups", "_min_gap")
 
     def __init__(self, components, index_map=None):
         comps = tuple(components)
@@ -284,7 +284,7 @@ class AlphaVector:
         if self.index_map is not None and len(self.index_map) != len(comps):
             raise PreconditionError("index map length mismatch")
         self._report = None
-        self._zero_masks = None
+        self._zero_groups = None
         self._min_gap = None
 
     @property
@@ -385,16 +385,17 @@ def signed_sum_sign(alpha: AlphaVector, eps: SignVector) -> int:
 def _survey(alpha: AlphaVector):
     """Half-table pass over all signed sums with coordinate 1 fixed to +1.
 
-    Returns (zero_masks, gap): the full-length bitmasks of vanishing sums
-    (bit 0 clear, one representative per negation class), ascending, and
-    the closest nonzero approach to zero.  The gap is min |sum| as a
-    Fraction in the plain realization; in the log realization it is the
-    smallest product ratio above 1, so the actual minimum is its logarithm.
+    Returns (zero_groups, gap): the vanishing sums as the kernel's
+    ``zero_groups`` over full-length bitmasks (bit 0 clear, one
+    representative per negation class), and the closest nonzero approach
+    to zero.  The gap is min |sum| as a Fraction in the plain realization;
+    in the log realization it is the smallest product ratio above 1, so
+    the actual minimum is its logarithm.
     """
     values, den = _halves.coordinates(alpha.ratios(), alpha.is_log)
     tables = _halves.pinned(values, 0, alpha.is_log)
     gap = tables.gap()
-    return tables.zeros(), gap if alpha.is_log else Fraction(gap, den)
+    return tables.zero_groups(), gap if alpha.is_log else Fraction(gap, den)
 
 
 def check_generic(alpha: AlphaVector) -> GenericityReport:
@@ -403,14 +404,15 @@ def check_generic(alpha: AlphaVector) -> GenericityReport:
     Coordinate 1 is fixed to +1, covering all 2^m sign vectors.  The
     other coordinates split into two half tables of about 2^((m-1)/2)
     sums each, and a vanishing sum is a collision between them.  The
-    result is cached on the vector.
+    witness is the smallest vanishing mask, found without listing the
+    others.  The result is cached on the vector.
     """
     if alpha._report is None:
-        zeros, gap = _survey(alpha)
-        alpha._zero_masks = tuple(zeros)
+        groups, gap = _survey(alpha)
+        alpha._zero_groups = groups
         alpha._min_gap = gap
-        if zeros:
-            witness = SignVector(alpha.m, zeros[0], alpha.index_map)
+        if groups:
+            witness = SignVector(alpha.m, _halves.first_zero(groups), alpha.index_map)
             alpha._report = GenericityReport(False, witness)
         else:
             alpha._report = GenericityReport(True, None)
@@ -436,9 +438,13 @@ def minimum_gap(alpha: AlphaVector) -> Fraction:
 
 
 def zero_sum_masks(alpha: AlphaVector) -> tuple[int, ...]:
-    """Bitmasks of vanishing signed sums, one per negation class, sorted."""
+    """Bitmasks of vanishing signed sums, one per negation class, sorted.
+
+    Listed from the survey's cached zero groups on each call, so the cost
+    is the number of vanishing sums; the genericity test never lists them.
+    """
     check_generic(alpha)
-    return alpha._zero_masks
+    return tuple(_halves.zero_masks(alpha._zero_groups))
 
 
 def delete_pair(alpha: AlphaVector, pair: PairSelection) -> AlphaVector:

@@ -36,6 +36,7 @@ __all__ = [
     "InvariantReport",
     "WallCrossing",
     "enumerate_solutions",
+    "pair_invariants",
     "count_solutions",
     "signed_count",
     "parity",
@@ -50,11 +51,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Materialized solution set for one pair, sorted ascending by bitmask."""
+    """Materialized solution set for one pair, sorted ascending by bitmask,
+    with its signed count from the same scan."""
 
     pair: PairSelection
     solutions: tuple[SignVector, ...]
     source: AlphaVector
+    signed: int
 
     def masks(self) -> tuple[int, ...]:
         return tuple(sv.bits for sv in self.solutions)
@@ -125,7 +128,13 @@ def enumerate_solutions(alpha: AlphaVector, pair: PairSelection) -> SolutionSet:
     sols = tuple(
         SignVector(alpha.m - 2, mask, cmap) for mask in result.masks
     )
-    return SolutionSet(pair, sols, alpha)
+    return SolutionSet(pair, sols, alpha, result.signed)
+
+
+def pair_invariants(alpha: AlphaVector, pair: PairSelection) -> PairInvariants:
+    """Count, parity and signed count of one pair from a single scan."""
+    scan = _scan(alpha, pair)
+    return PairInvariants(pair, scan.count, scan.count & 1, scan.signed)
 
 
 def count_solutions(alpha: AlphaVector, pair: PairSelection) -> int:
@@ -269,9 +278,7 @@ def verify_invariance(alpha: AlphaVector) -> InvariantReport:
     rows = []
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            pair = PairSelection(i, j)
-            scan = _scan(alpha, pair)
-            rows.append(PairInvariants(pair, scan.count, scan.count & 1, scan.signed))
+            rows.append(pair_invariants(alpha, PairSelection(i, j)))
 
     violations = []
     parities = {row.parity for row in rows}

@@ -136,6 +136,17 @@ def _distinct(*indices) -> None:
         raise PreconditionError("indices must be pairwise distinct")
 
 
+def _count_split_rhs(alpha: AlphaVector, ai: Scalar, r: int, s: int) -> int:
+    """Right side of both count splits: the counts of the pair (a_i, new
+    value) on the two shortenings of component r by component s."""
+    total = 0
+    for sign in ("-", "+"):
+        shortened = shorten(alpha, r, s, sign)
+        pair = pair_for_values(shortened.base, ai, shortened.new_scalar)
+        total += count_solutions(shortened.base, pair)
+    return total
+
+
 def verify_count_split(alpha: AlphaVector, i: int, j: int, k: int) -> bool:
     """Count split across one shortening of component j by component k.
 
@@ -156,14 +167,7 @@ def verify_count_split(alpha: AlphaVector, i: int, j: int, k: int) -> bool:
         raise PreconditionError("need a_k <= a_j - a_i")
 
     lhs = count_solutions(alpha, PairSelection(i, j))
-    g_minus = shorten(alpha, j, k, "-")
-    g_plus = shorten(alpha, j, k, "+")
-    rhs = count_solutions(
-        g_minus.base, pair_for_values(g_minus.base, ai, g_minus.new_scalar)
-    ) + count_solutions(
-        g_plus.base, pair_for_values(g_plus.base, ai, g_plus.new_scalar)
-    )
-    return lhs == rhs
+    return lhs == _count_split_rhs(alpha, ai, j, k)
 
 
 def verify_signed_split_even(alpha: AlphaVector, i: int, j: int, k: int) -> bool:
@@ -230,14 +234,7 @@ def verify_count_split_general(
         raise PreconditionError("need |a_r - a_s| >= a_i")
 
     lhs = count_solutions(alpha, PairSelection(i, j))
-    g_minus = shorten(alpha, r, s, "-")
-    g_plus = shorten(alpha, r, s, "+")
-    rhs = count_solutions(
-        g_minus.base, pair_for_values(g_minus.base, ai, g_minus.new_scalar)
-    ) + count_solutions(
-        g_plus.base, pair_for_values(g_plus.base, ai, g_plus.new_scalar)
-    )
-    return lhs == rhs
+    return lhs == _count_split_rhs(alpha, ai, r, s)
 
 
 def verify_signed_split_odd(

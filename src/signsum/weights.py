@@ -3,9 +3,11 @@
 A weight function assigns a rational to each sign vector on m-2 coordinates.
 The admissibility condition asks that for every full sign vector e, the
 quantity e_i * f(-e_j * e restricted away from the pair) does not depend on
-the ordered index pair (i, j).  This module generates that constraint
-system literally, solves it by exact elimination, and checks candidate
-weights exhaustively.
+the ordered index pair (i, j).  Each constraint ties two table entries up
+to sign, x_a = +-x_b, or pins one to zero.  This module emits them as one
+chain of rows per sign vector, solves the system as a signed union-find
+(one basis vector per component without a sign conflict), and checks
+candidate weights exhaustively.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ __all__ = [
     "weighted_count",
 ]
 
-# 2^(m-2) unknowns; the generator enumerates 2^m sign vectors against all
-# ordered index pairs, so the cap keeps the system practical.
+# 2^(m-2) unknowns; the generator walks 2^(m-1) sign vectors against all
+# m(m-1) ordered index pairs, so its cost grows about 2.5x per step of m.
 WEIGHTS_MAX_M = 12
 
 
@@ -60,7 +62,7 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Deduplicated pairwise constraints between signed table entries.
+    """Deduplicated constraints between signed table entries.
 
     Rows are canonical tuples: ("eq", a, b, r) meaning x_a = r * x_b with
     a < b and r in {+1, -1}, and ("zero", a) meaning x_a = 0.
@@ -78,102 +80,131 @@ def _check_m(m: int) -> None:
         )
 
 
-def _argument_mask(eps_mask: int, m: int, i0: int, j0: int) -> int:
-    """Bitmask of the weight argument -e_j * (e with the pair deleted).
+def _argument_masks(m: int, i0: int, j0: int, count: int) -> list[int]:
+    """Bitmask of the weight argument -e_j * (e with the pair deleted), for
+    every sign vector mask e below ``count``.
 
-    A deleted coordinate lands at -1 exactly when its sign agrees with e_j,
-    which in mask terms means its bit equals bit j0.
+    Deleting bits i0 and j0 keeps the bits below the pair, shifts the bits
+    between them down by one and those above by two.  A kept coordinate
+    lands at -1 exactly when its sign agrees with e_j, so the sliced mask
+    is complemented when e_j's bit is clear.
     """
-    ej_bit = (eps_mask >> j0) & 1
-    mask = 0
-    out = 0
-    for pos in range(m):
-        if pos == i0 or pos == j0:
-            continue
-        if ((eps_mask >> pos) & 1) == ej_bit:
-            mask |= 1 << out
-        out += 1
-    return mask
+    lo, hi = sorted((i0, j0))
+    below = (1 << lo) - 1
+    between = (1 << hi) - (1 << (lo + 1))
+    flip = ((1 << (m - 2)) - 1, 0)
+    return [
+        ((e & below) | ((e & between) >> 1) | ((e >> (hi + 1)) << (hi - 1)))
+        ^ flip[(e >> j0) & 1]
+        for e in range(count)
+    ]
 
 
 def _ordered_pairs(m: int):
     return [(i0, j0) for i0 in range(m) for j0 in range(m) if i0 != j0]
 
 
-def build_constraints(m: int) -> ConstraintSystem:
-    """Emit the equality of the pair quantity across every ordered pair of
-    index pairs, for every sign vector, then deduplicate."""
-    _check_m(m)
-    pairs = _ordered_pairs(m)
-    rows = set()
-    for eps_mask in range(1 << m):
-        terms = set()
-        for i0, j0 in pairs:
-            s = -1 if (eps_mask >> i0) & 1 else 1
-            terms.add((s, _argument_mask(eps_mask, m, i0, j0)))
-        uniq = sorted(terms)
-        for a_idx in range(len(uniq)):
-            s1, m1 = uniq[a_idx]
-            for b_idx in range(a_idx + 1, len(uniq)):
-                s2, m2 = uniq[b_idx]
-                if m1 == m2:
-                    # distinct terms on the same entry force it to zero
-                    rows.add(("zero", m1))
-                else:
-                    a, b = (m1, m2) if m1 < m2 else (m2, m1)
-                    rows.add(("eq", a, b, s1 * s2))
-    return ConstraintSystem(m, 1 << (m - 2), tuple(sorted(rows)))
+def _chain_rows(n: int, term_sets) -> tuple[tuple, ...]:
+    """Rows tying every term of each set to the set's first term.
 
-
-def _nullspace(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
-    """Exact nullspace by incremental elimination with first-column pivots.
-
-    Rows stay at most 2-sparse, so each insertion touches a handful of
-    entries.  Every pivot row's lead is its smallest column, which makes
-    descending back-substitution well founded.
+    A term is a key: an n-bit entry mask, then a low bit set for a minus
+    sign.  All terms of a set must be equal, which a chain of rows from the
+    smallest term (by mask, plus before minus) to each other term says as
+    well as all pairs of terms do.  An entry that occurs with both signs is
+    forced to zero: by a zero row when it is the first term's entry, by an
+    odd cycle of two eq rows through the first term otherwise.
     """
-    one = Fraction(1)
-    pivots: dict[int, dict[int, Fraction]] = {}
+    eq, zero = set(), set()
+    for keys in term_sets:
+        first = min(keys)
+        a, minus = first >> 1, first & 1
+        if not minus and first | 1 in keys:
+            zero.add(a)
+        # eq row (a, b, r) packed as a, then b, then a bit set for r = -1
+        head = a << (n + 1)
+        eq.update([head | (k ^ minus) for k in keys if k >> 1 != a])
+    low = (1 << n) - 1
+    rows = [("eq", c >> (n + 1), (c >> 1) & low, -1 if c & 1 else 1) for c in eq]
+    rows += [("zero", a) for a in zero]
+    return tuple(sorted(rows))
 
-    def insert(row: dict[int, Fraction]) -> None:
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                factor = row[lead]
-                pivots[lead] = {c: v / factor for c, v in row.items()}
-                return
-            factor = row.pop(lead)
-            for c, v in prow.items():
-                if c == lead:
-                    continue
-                nv = row.get(c, 0) - factor * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
 
-    for item in system.rows:
-        if item[0] == "zero":
-            insert({item[1]: one})
-        else:
-            _, a, b, r = item
-            insert({a: one, b: Fraction(-r)})
+def build_constraints(m: int) -> ConstraintSystem:
+    """Chain rows for the pair quantity of every sign vector.
 
+    For one sign vector e the ordered pair (i, j) contributes the term
+    e_i * x_a, a the argument mask, and all of e's terms must be equal.
+    Negating e negates every term and leaves its constraints as they are,
+    so only the masks with the top bit clear are walked.
+    """
+    _check_m(m)
+    n = m - 2
+    half = 1 << (m - 1)
+    columns = [
+        [(x << 1) | ((e >> i0) & 1) for e, x in enumerate(_argument_masks(m, i0, j0, half))]
+        for i0, j0 in _ordered_pairs(m)
+    ]
+    return ConstraintSystem(m, 1 << n, _chain_rows(n, map(set, zip(*columns))))
+
+
+def _nullspace(system: ConstraintSystem) -> list[tuple[int, ...]]:
+    """Nullspace as a signed union-find over the table entries.
+
+    Every row ties two entries up to sign or pins one to zero, so each
+    connected component of the rows carries one degree of freedom, unless
+    a zero row or an eq row closing a cycle with the wrong sign kills it.
+    ``sign[a]`` gives x_a = sign[a] * x_parent(a); path compression keeps
+    it relative to the root (Galler and Fischer 1964; Tarjan 1975).  Each
+    surviving component gives one basis vector, +-1 on its members with
+    its smallest member at 1, ordered by the component's largest member:
+    the column that elimination with first-column pivots leaves free, so
+    the basis is the one elimination gives.
+    """
     n = system.unknowns
-    free_cols = [c for c in range(n) if c not in pivots]
+    parent = list(range(n))
+    sign = [1] * n
+    dead = [False] * n
+
+    def find(a: int) -> int:
+        path = []
+        while parent[a] != a:
+            path.append(a)
+            a = parent[a]
+        acc = 1
+        for node in reversed(path):
+            acc *= sign[node]
+            sign[node] = acc
+            parent[node] = a
+        return a
+
+    for row in system.rows:
+        if row[0] == "zero":
+            dead[find(row[1])] = True
+            continue
+        _, a, b, r = row
+        ra, rb = find(a), find(b)
+        # roots keep sign 1, so sign[a] is x_a / x_ra after find
+        rel = sign[a] * r * sign[b]
+        if ra == rb:
+            if rel != 1:
+                dead[ra] = True
+        else:
+            parent[ra] = rb
+            sign[ra] = rel
+            dead[rb] = dead[rb] or dead[ra]
+
+    members: dict[int, list[int]] = {}
+    for node in range(n):
+        root = find(node)
+        if not dead[root]:
+            members.setdefault(root, []).append(node)
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = one
-        for p in sorted(pivots, reverse=True):
-            acc = Fraction(0)
-            for c, v in pivots[p].items():
-                if c != p:
-                    acc -= v * vec[c]
-            vec[p] = acc
-        lead_val = next(v for v in vec if v)
-        basis.append(tuple(v / lead_val for v in vec))
+    for group in sorted(members.values(), key=lambda g: g[-1]):
+        vec = [0] * n
+        lead = sign[group[0]]
+        for node in group:
+            vec[node] = sign[node] * lead
+        basis.append(tuple(vec))
     return basis
 
 
@@ -193,18 +224,20 @@ def check_condition_star(f: WeightFunction):
     m = f.m
     _check_m(m)
     pairs = _ordered_pairs(m)
-    for eps_mask in range(1 << m):
-        ref = None
-        ref_pair = None
-        for i0, j0 in pairs:
-            s = -1 if (eps_mask >> i0) & 1 else 1
-            q = s * f.table[_argument_mask(eps_mask, m, i0, j0)]
-            if ref is None:
-                ref = q
-                ref_pair = (i0 + 1, j0 + 1)
-            elif q != ref:
-                eps = SignVector(m, eps_mask)
-                return False, (eps, ref_pair, (i0 + 1, j0 + 1))
+    table = f.table
+    columns = [
+        [
+            -table[x] if (e >> i0) & 1 else table[x]
+            for e, x in enumerate(_argument_masks(m, i0, j0, 1 << m))
+        ]
+        for i0, j0 in pairs
+    ]
+    ref_pair = (pairs[0][0] + 1, pairs[0][1] + 1)
+    for eps_mask, quantities in enumerate(zip(*columns)):
+        ref = quantities[0]
+        for (i0, j0), q in zip(pairs, quantities):
+            if q != ref:
+                return False, (SignVector(m, eps_mask), ref_pair, (i0 + 1, j0 + 1))
     return True, None
 
 

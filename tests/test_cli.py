@@ -144,7 +144,8 @@ def test_internal_error_maps_to_four(monkeypatch, validator):
     def boom(*a, **k):
         raise InternalCheckError("forced failure")
 
-    monkeypatch.setattr(invariants, "signed_count", boom)
+    # the function compute's single scan goes through
+    monkeypatch.setattr(invariants, "pair_invariants", boom)
     result, payload = roundtrip(["compute", "--alpha", "2,3,4", "--pair", "1,2"])
     assert result.exit_code == 4
     assert payload["error"] == {"type": "internal", "message": "forced failure"}

@@ -670,3 +670,20 @@ def test_integer_beta_degenerate_at_large_m(values):
         integer_beta_walk(values)
     assert exc.value.witness.bits == walk.value.witness.bits
 
+
+
+def test_survey_witness_is_first_zero_without_the_list():
+    alpha = rational_vector([1] * 24)
+    # 1.35M vanishing sums; the genericity test takes the first from the
+    # zero groups, the sorted list is built only on request
+    witness = check_generic(alpha).witness.bits
+    assert witness == zero_sum_masks(alpha)[0]
+
+
+def test_verify_thirty_ones_is_degenerate():
+    # C(29,15) ~ 77.6M vanishing sums, none of them listed
+    result = run(["verify", "--alpha", ",".join(["1"] * 30)])
+    assert result.exit_code == 3
+    assert result.error["type"] == "degenerate"
+    witness = result.error["witness"]
+    assert len(witness) == 30 and sum(witness) == 0
