@@ -6,169 +6,116 @@ lies strictly between the pair's difference and its sum, together with
 the product-weighted (signed) variant.  Everything upstream of the
 quadrature diagnostics is exact rational or integer arithmetic, in both
 the plain realization and the logarithmic one used for prime vectors.
+
+Public names are resolved on first access (PEP 562), so importing the
+package, or one command-line subcommand, loads only the modules it uses.
 """
 
-from .core import (
-    AlphaVector,
-    DegenerateVectorError,
-    GenericityReport,
-    InternalCheckError,
-    PairSelection,
-    ParseError,
-    PreconditionError,
-    Scalar,
-    SignVector,
-    SignsumError,
-    check_generic,
-    compare_scalars,
-    delete_pair,
-    format_scalar,
-    log_vector,
-    max_vector_length,
-    minimum_gap,
-    parse_scalar,
-    parse_vector,
-    rational_vector,
-    require_generic,
-    scalar_abs_diff,
-    scalar_add,
-    signed_sum_sign,
-    worker_count,
-    zero_sum_masks,
-)
-from .invariants import (
-    InvariantReport,
-    PairInvariants,
-    SolutionSet,
-    WallCrossing,
-    closed_form_g,
-    count_solutions,
-    count_via_sign_sum,
-    enumerate_solutions,
-    extended_signed_count,
-    orient_pair,
-    pair_invariants,
-    parity,
-    signed_count,
-    signed_count_even_via_sign_sum,
-    verify_invariance,
-    wall_crossing_check,
-)
-from .weights import (
-    WeightFunction,
-    check_condition_star,
-    parity_product_weight,
-    solve_weight_space,
-    weighted_count,
-)
-from .shortening import (
-    ShortenedVector,
-    pair_for_values,
-    shorten,
-    verify_count_split,
-    verify_count_split_general,
-    verify_signed_split_even,
-    verify_signed_split_odd,
-)
-from .trig import (
-    BetaApproximation,
-    ExponentialSum,
-    QuadratureResult,
-    approximate_beta,
-    exact_formula_value,
-    integer_beta,
-    integral_N_even,
-    integral_N_odd,
-    integral_count,
-    kernel_pairing,
-    kernel_pairing_quadrature,
-    quadrature_check,
-    rademacher,
-    rademacher_product_identity_check,
-)
-from .primes import (
-    PrimeExample,
-    PrimeReport,
-    mobius_sum,
-    prime_alpha,
-    verify_prime_example,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaVector",
-    "BetaApproximation",
-    "DegenerateVectorError",
-    "ExponentialSum",
-    "GenericityReport",
-    "InternalCheckError",
-    "InvariantReport",
-    "PairInvariants",
-    "PairSelection",
-    "ParseError",
-    "PreconditionError",
-    "PrimeExample",
-    "PrimeReport",
-    "QuadratureResult",
-    "Scalar",
-    "ShortenedVector",
-    "SignVector",
-    "SignsumError",
-    "SolutionSet",
-    "WallCrossing",
-    "WeightFunction",
-    "approximate_beta",
-    "check_condition_star",
-    "check_generic",
-    "closed_form_g",
-    "compare_scalars",
-    "count_solutions",
-    "count_via_sign_sum",
-    "delete_pair",
-    "enumerate_solutions",
-    "exact_formula_value",
-    "extended_signed_count",
-    "format_scalar",
-    "integer_beta",
-    "integral_N_even",
-    "integral_N_odd",
-    "integral_count",
-    "kernel_pairing",
-    "kernel_pairing_quadrature",
-    "log_vector",
-    "max_vector_length",
-    "minimum_gap",
-    "mobius_sum",
-    "orient_pair",
-    "pair_invariants",
-    "pair_for_values",
-    "parity",
-    "parity_product_weight",
-    "parse_scalar",
-    "parse_vector",
-    "prime_alpha",
-    "quadrature_check",
-    "rademacher",
-    "rademacher_product_identity_check",
-    "rational_vector",
-    "require_generic",
-    "scalar_abs_diff",
-    "scalar_add",
-    "shorten",
-    "signed_count",
-    "signed_count_even_via_sign_sum",
-    "signed_sum_sign",
-    "solve_weight_space",
-    "verify_count_split",
-    "verify_count_split_general",
-    "verify_invariance",
-    "verify_prime_example",
-    "verify_signed_split_even",
-    "verify_signed_split_odd",
-    "wall_crossing_check",
-    "weighted_count",
-    "worker_count",
-    "zero_sum_masks",
-    "__version__",
-]
+# defining module of every public name
+_SOURCES = {
+    "core": (
+        "AlphaVector",
+        "DegenerateVectorError",
+        "GenericityReport",
+        "InternalCheckError",
+        "PairSelection",
+        "ParseError",
+        "PreconditionError",
+        "Scalar",
+        "SignVector",
+        "SignsumError",
+        "check_generic",
+        "compare_scalars",
+        "delete_pair",
+        "format_scalar",
+        "log_vector",
+        "max_vector_length",
+        "minimum_gap",
+        "parse_scalar",
+        "parse_vector",
+        "rational_vector",
+        "require_generic",
+        "scalar_abs_diff",
+        "scalar_add",
+        "signed_sum_sign",
+        "zero_sum_masks",
+    ),
+    "invariants": (
+        "InvariantReport",
+        "PairInvariants",
+        "SolutionSet",
+        "WallCrossing",
+        "closed_form_g",
+        "count_solutions",
+        "count_via_sign_sum",
+        "enumerate_solutions",
+        "extended_signed_count",
+        "orient_pair",
+        "pair_invariants",
+        "parity",
+        "signed_count",
+        "signed_count_even_via_sign_sum",
+        "verify_invariance",
+        "wall_crossing_check",
+    ),
+    "weights": (
+        "WeightFunction",
+        "check_condition_star",
+        "parity_product_weight",
+        "solve_weight_space",
+        "weighted_count",
+    ),
+    "shortening": (
+        "ShortenedVector",
+        "pair_for_values",
+        "shorten",
+        "verify_count_split",
+        "verify_count_split_general",
+        "verify_signed_split_even",
+        "verify_signed_split_odd",
+    ),
+    "trig": (
+        "BetaApproximation",
+        "ExponentialSum",
+        "QuadratureResult",
+        "approximate_beta",
+        "exact_formula_value",
+        "integer_beta",
+        "integral_N_even",
+        "integral_N_odd",
+        "integral_count",
+        "kernel_pairing",
+        "kernel_pairing_quadrature",
+        "quadrature_check",
+        "rademacher",
+        "rademacher_product_identity_check",
+    ),
+    "primes": (
+        "PrimeExample",
+        "PrimeReport",
+        "mobius_sum",
+        "prime_alpha",
+        "verify_prime_example",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

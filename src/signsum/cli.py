@@ -5,8 +5,7 @@ the envelope in ``cli_schema.json``: command echo, normalized inputs,
 operation outputs, error, exit code.  Exit codes: 0 success, 2 malformed
 input, 3 precondition violation (including a degenerate vector, with the
 witness sign vector in the error object), 4 failed internal assertion.
-Output bytes are deterministic for identical inputs, worker count
-included.
+Output bytes are deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .core import (
     format_scalar,
     parse_vector,
 )
-from . import invariants, primes, shortening, trig, weights
 
 __all__ = ["CommandResult", "run", "main"]
 
@@ -109,6 +107,10 @@ def _sign_rows(sign_vectors) -> list[list[int]]:
     return [list(sv.signs()) for sv in sign_vectors]
 
 
+# Each handler's execute() imports the operation modules it calls, so a
+# cold process compiles and runs only its own subcommand's modules.
+
+
 def _cmd_compute(args):
     alpha = parse_vector(args.alpha)
     pair = _parse_pair(args.pair)
@@ -119,6 +121,8 @@ def _cmd_compute(args):
     }
 
     def execute():
+        from . import invariants
+
         # one scan, materialized only when the rows are asked for
         if not args.solutions:
             row = invariants.pair_invariants(alpha, pair)
@@ -145,6 +149,8 @@ def _cmd_verify(args):
     inputs = {"alpha": _format_vector(alpha)}
 
     def execute():
+        from . import invariants
+
         report = invariants.verify_invariance(alpha)
         return {
             "m": report.m,
@@ -182,6 +188,8 @@ def _cmd_closed_form(args):
         inputs["pair"] = [pair.i, pair.j]
 
     def execute():
+        from . import invariants
+
         outputs = {"g": invariants.closed_form_g(alpha)}
         if pair is not None:
             outputs["count_via_sign_sum"] = invariants.count_via_sign_sum(
@@ -200,6 +208,8 @@ def _cmd_weights(args):
     inputs = {"m": args.m}
 
     def execute():
+        from . import weights
+
         dimension, basis = weights.solve_weight_space(args.m)
         return {
             "m": args.m,
@@ -220,6 +230,8 @@ def _cmd_shorten(args):
     }
 
     def execute():
+        from . import shortening
+
         shortened = shortening.shorten(alpha, args.j, args.k, args.sign)
         base = shortened.base
         return {
@@ -255,6 +267,8 @@ def _cmd_verify_shortening(args):
     }
 
     def execute():
+        from . import shortening
+
         if args.identity == "count-split":
             holds = shortening.verify_count_split(alpha, *indices)
             return {"identity": args.identity, "holds": holds}
@@ -284,6 +298,8 @@ def _cmd_integral(args):
         inputs["tolerance"] = args.tol
 
     def execute():
+        from . import trig
+
         beta = trig.integer_beta(beta_list)
         exact = trig.exact_formula_value(beta, args.formula, args.pair_index)
         outputs = {"formula": args.formula, "exact": exact}
@@ -304,6 +320,8 @@ def _cmd_approx_beta(args):
     inputs = {"alpha": _format_vector(alpha)}
 
     def execute():
+        from . import trig
+
         approx = trig.approximate_beta(alpha)
         return {
             "m": approx.m,
@@ -320,6 +338,8 @@ def _cmd_primes(args):
     inputs = {"n": args.n, "pair": [pair.i, pair.j], "method": args.method}
 
     def execute():
+        from . import invariants, primes
+
         direct = via_mobius = None
         if args.method in ("direct", "both"):
             example = primes.prime_alpha(args.n)
@@ -355,6 +375,8 @@ def _cmd_wall_cross(args):
         inputs["delta"] = str(delta)
 
     def execute():
+        from . import invariants
+
         crossing = invariants.wall_crossing_check(alpha, args.l, pair, delta)
         return {
             "jump_N": crossing.jump_signed,
@@ -376,6 +398,8 @@ def _cmd_rademacher(args):
     inputs = {"i": args.i, "t": str(t)}
 
     def execute():
+        from . import trig
+
         return {"value": trig.rademacher(args.i, t)}
 
     return inputs, execute

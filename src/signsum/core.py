@@ -27,7 +27,6 @@ __all__ = [
     "PairSelection",
     "GenericityReport",
     "max_vector_length",
-    "worker_count",
     "parse_scalar",
     "parse_vector",
     "format_scalar",
@@ -70,7 +69,6 @@ class InternalCheckError(SignsumError):
 
 
 _MAX_M_ENV = "SIGNSUM_MAX_M"
-_THREADS_ENV = "SIGNSUM_THREADS"
 
 
 def _positive_int_env(name: str, default: int) -> int:
@@ -89,12 +87,6 @@ def _positive_int_env(name: str, default: int) -> int:
 def max_vector_length() -> int:
     """Configured cap on vector length, default 30."""
     return _positive_int_env(_MAX_M_ENV, 30)
-
-
-def worker_count() -> int:
-    """The SIGNSUM_THREADS setting, default 1.  Parsed but unused: the
-    half-table kernel leaves nothing to split across threads."""
-    return _positive_int_env(_THREADS_ENV, 1)
 
 
 @dataclass(frozen=True)
@@ -205,6 +197,17 @@ class SignVector:
             elif s != 1:
                 raise ParseError(f"sign entries must be +1 or -1, got {s!r}")
         return cls(len(signs), bits, coordinate_map)
+
+    @classmethod
+    def _bounded(cls, length: int, bits: int, coordinate_map: tuple[int, ...] | None):
+        """A row over the coordinates of a validated vector.  Its length is
+        within the cap and its mask in range by construction, so no check
+        runs, and building a solution row costs no environment read."""
+        sv = object.__new__(cls)
+        object.__setattr__(sv, "length", length)
+        object.__setattr__(sv, "bits", bits)
+        object.__setattr__(sv, "coordinate_map", coordinate_map)
+        return sv
 
     def sign(self, pos: int) -> int:
         """Sign at 0-based position ``pos``."""

@@ -125,9 +125,8 @@ def enumerate_solutions(alpha: AlphaVector, pair: PairSelection) -> SolutionSet:
     cmap = tuple(
         alpha.original_index(pos) for pos in _rest_positions(alpha.m, i0, j0)
     )
-    sols = tuple(
-        SignVector(alpha.m - 2, mask, cmap) for mask in result.masks
-    )
+    n = len(cmap)
+    sols = tuple(SignVector._bounded(n, mask, cmap) for mask in result.masks)
     return SolutionSet(pair, sols, alpha, result.signed)
 
 

@@ -21,7 +21,6 @@ from .core import (
     PreconditionError,
     SignVector,
 )
-from .invariants import enumerate_solutions
 
 __all__ = [
     "WeightFunction",
@@ -255,6 +254,10 @@ def weighted_count(
     alpha: AlphaVector, pair: PairSelection, f: WeightFunction
 ) -> Fraction:
     """Sum of f over the solution set of the pair."""
+    # the only user of the scan kernel here; importing it on demand keeps
+    # it out of a process that only solves for the weight space
+    from .invariants import enumerate_solutions
+
     if f.m != alpha.m:
         raise PreconditionError("weight length does not match the vector")
     sols = enumerate_solutions(alpha, pair)

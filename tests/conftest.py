@@ -7,12 +7,26 @@ bit tricks) so that it shares no code path with the library it checks.
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import signsum
 from signsum import rational_vector
+
+# the directory holding the signsum package under test, for child processes
+SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(signsum.__file__)))
+
+
+def child_env():
+    """This environment with the package under test first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SOURCE_ROOT, env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def brute_force_pair(values, i0, j0):

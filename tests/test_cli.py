@@ -1,7 +1,6 @@
 """Envelope shape, exit codes, schema conformance, byte determinism."""
 
 import json
-import os
 import subprocess
 import sys
 from importlib import resources
@@ -11,6 +10,8 @@ import pytest
 
 from signsum import InternalCheckError, invariants
 from signsum.cli import run
+
+from conftest import child_env
 
 
 @pytest.fixture(scope="module")
@@ -157,37 +158,30 @@ def test_run_reports_unknown_flag_as_parse_error():
     assert result.exit_code == 2
 
 
-# the directory holding the signsum package under test, for child processes
-SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(invariants.__file__)))
-
-
-def child_env(env_extra=None):
-    env = dict(os.environ)
-    env.pop("SIGNSUM_THREADS", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SOURCE_ROOT, env.get("PYTHONPATH")) if p
-    )
-    if env_extra:
-        env.update(env_extra)
-    return env
-
-
-def cli_bytes(argv, env_extra=None):
+def cli_bytes(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "signsum", *argv],
         capture_output=True,
-        env=child_env(env_extra),
+        env=child_env(),
         timeout=120,
     )
     return proc.returncode, proc.stdout
 
 
+# modules that only some subcommands run
+OPERATION_MODULES = ("invariants", "trig", "weights", "shortening", "primes")
+
+
 def test_cli_import_skips_mpmath_and_thread_pool():
-    """mpmath is imported only by log-realization approx-beta, and no
-    thread pool is imported at all."""
+    """mpmath is imported only by log-realization approx-beta, no thread
+    pool is imported at all, and no operation module is imported before a
+    subcommand runs it."""
+    unwanted = ("mpmath", "concurrent.futures") + tuple(
+        f"signsum.{name}" for name in OPERATION_MODULES
+    )
     probe = (
         "import sys, signsum.cli; "
-        "print([m for m in ('mpmath', 'concurrent.futures') if m in sys.modules])"
+        f"print([m for m in {unwanted!r} if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -200,9 +194,60 @@ def test_cli_import_skips_mpmath_and_thread_pool():
     assert proc.stdout.strip() == "[]"
 
 
-# 15 odd components keep every signed sum odd, hence generic.  The
-# thread-count tests below check that output is byte-identical for any
-# SIGNSUM_THREADS value, which is still parsed but no longer used
+# Runs ``python -m signsum ARG...`` in this process and, at exit, writes
+# the loaded signsum modules to stderr as the last line.
+MODULE_PROBE = """
+import atexit, json, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\n" + json.dumps(sorted(
+    m for m in sys.modules if m == "signsum" or m.startswith("signsum.")))))
+runpy.run_module("signsum", run_name="__main__", alter_sys=True)
+"""
+
+ALWAYS_LOADED = {"signsum", "signsum.cli", "signsum.core", "signsum._halves"}
+
+# one request per subcommand and the operation modules it runs
+COLD_REQUESTS = [
+    (["compute", "--alpha", "4,6,7,9,11", "--pair", "1,2", "--solutions"],
+     {"invariants"}),
+    (["verify", "--alpha", "2,3,4,8"], {"invariants"}),
+    (["closed-form", "--alpha", "2,3,4,8", "--pair", "1,2"], {"invariants"}),
+    (["weights", "--m", "5"], {"weights"}),
+    (["shorten", "--alpha", "4,6,7,9,11", "--j", "2", "--k", "4", "--sign", "-"],
+     {"shortening", "invariants"}),
+    (["verify-shortening", "--alpha", "2,3,4,8", "--identity", "count-split",
+      "--indices", "3,4,2"], {"shortening", "invariants"}),
+    (["integral", "--beta", "2,3,4,8", "--formula", "result"], {"trig"}),
+    (["approx-beta", "--alpha", "7/2,9/4,5"], {"trig"}),
+    (["primes", "--n", "5"], {"primes", "invariants"}),
+    (["wall-cross", "--alpha", "2,3,4,8", "--l", "3", "--pair", "1,2"],
+     {"invariants"}),
+    (["rademacher", "--i", "3", "--t", "5/16"], {"trig"}),
+]
+
+
+def test_cold_requests_cover_every_subcommand():
+    from signsum.cli import _COMMANDS
+
+    assert sorted(argv[0] for argv, _ in COLD_REQUESTS) == sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv,operations", COLD_REQUESTS, ids=[argv[0] for argv, _ in COLD_REQUESTS]
+)
+def test_cold_process_loads_only_its_modules(argv, operations):
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, *argv],
+        capture_output=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (run(argv).to_json() + "\n").encode()
+    loaded = set(json.loads(proc.stderr.decode().rsplit("\n", 1)[1]))
+    assert loaded == ALWAYS_LOADED | {f"signsum.{name}" for name in operations}
+
+
+# 15 odd components keep every signed sum odd, hence generic
 WIDE = ",".join(str(2 * k + 1) for k in range(15))
 
 
@@ -218,23 +263,13 @@ def test_byte_determinism_same_invocation():
     assert cli_bytes(argv) == cli_bytes(argv)
 
 
-def test_byte_determinism_across_thread_counts():
-    argv = ["compute", "--alpha", WIDE, "--pair", "1,2", "--solutions"]
-    one = cli_bytes(argv, {"SIGNSUM_THREADS": "1"})
-    four = cli_bytes(argv, {"SIGNSUM_THREADS": "4"})
-    assert one == four
-    assert one[0] == 0
-
-
-def test_thread_count_matches_serial_result():
+def test_cli_matches_library_result():
     from signsum import PairSelection, rational_vector, signed_count
 
     vals = [2 * k + 1 for k in range(15)]
     v = rational_vector(vals)
     expected = signed_count(v, PairSelection(1, 2))
-    code, out = cli_bytes(
-        ["compute", "--alpha", WIDE, "--pair", "1,2"], {"SIGNSUM_THREADS": "4"}
-    )
+    code, out = cli_bytes(["compute", "--alpha", WIDE, "--pair", "1,2"])
     assert code == 0
     assert json.loads(out)["outputs"]["N"] == expected
 

@@ -18,6 +18,7 @@ from signsum import (
     check_generic,
     compare_scalars,
     delete_pair,
+    enumerate_solutions,
     format_scalar,
     log_vector,
     max_vector_length,
@@ -29,9 +30,10 @@ from signsum import (
     scalar_abs_diff,
     scalar_add,
     signed_sum_sign,
-    worker_count,
     zero_sum_masks,
 )
+
+from signsum import core
 
 from conftest import is_generic_values, random_generic_values
 
@@ -158,6 +160,30 @@ class TestSignVector:
         with pytest.raises(PreconditionError):
             SignVector(2, 4)
 
+    def test_cap_checked_on_outside_input(self, monkeypatch):
+        monkeypatch.setenv("SIGNSUM_MAX_M", "4")
+        with pytest.raises(PreconditionError):
+            SignVector(5, 0)
+        with pytest.raises(PreconditionError):
+            SignVector.from_signs([1] * 5)
+
+    def test_solution_rows_skip_the_cap_read(self, monkeypatch):
+        """Rows of a validated vector equal checked sign vectors, and
+        building them does not read the cap once per row."""
+        v = rational_vector([201, 199] + [2 * k + 1 for k in range(9)])
+        reads = []
+
+        def counted():
+            reads.append(1)
+            return 30
+
+        monkeypatch.setattr(core, "max_vector_length", counted)
+        rows = enumerate_solutions(v, PairSelection(1, 2)).solutions
+        assert len(rows) > 100 and len(reads) < len(rows)
+        for sv in rows:
+            same = SignVector(sv.length, sv.bits, sv.coordinate_map)
+            assert sv == same and hash(sv) == hash(same)
+
 
 class TestPairSelection:
     def test_normalizes_order(self):
@@ -191,11 +217,6 @@ class TestAlphaVector:
         monkeypatch.setenv("SIGNSUM_MAX_M", "0")
         with pytest.raises(ParseError):
             max_vector_length()
-
-    def test_worker_count_env(self, monkeypatch):
-        assert worker_count() >= 1
-        monkeypatch.setenv("SIGNSUM_THREADS", "4")
-        assert worker_count() == 4
 
     def test_original_index_identity(self):
         v = rational_vector([2, 3, 4])

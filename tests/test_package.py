@@ -1,0 +1,68 @@
+"""The package namespace: every public name resolves on first access."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import signsum
+
+from conftest import child_env
+
+PUBLIC = [name for name in signsum.__all__ if name != "__version__"]
+
+
+def test_public_names_are_their_defining_modules_objects():
+    for name in PUBLIC:
+        value = getattr(signsum, name)
+        home = value.__module__
+        assert home.startswith("signsum."), name
+        assert value is getattr(importlib.import_module(home), name), name
+        assert signsum.__getattr__(name) is value, name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from signsum import *", namespace)
+    for name in PUBLIC:
+        assert namespace[name] is getattr(signsum, name)
+    assert namespace["__version__"] == signsum.__version__
+    assert set(signsum.__all__) <= set(dir(signsum))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        signsum.no_such_name
+    assert not hasattr(signsum, "worker_count")
+
+
+def test_names_load_their_module_on_first_access():
+    """In a fresh process the bare package loads no submodule, a name
+    loads its own module only, and submodules still import by name."""
+    probe = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('signsum.'))\n"
+        "import signsum\n"
+        "steps = [loaded()]\n"
+        "signsum.solve_weight_space\n"
+        "steps.append(loaded())\n"
+        "from signsum import invariants\n"
+        "steps.append(loaded())\n"
+        "print(json.dumps([steps, invariants.__name__]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps, name = json.loads(proc.stdout)
+    base = ["signsum._halves", "signsum.core"]
+    assert steps == [[], base + ["signsum.weights"],
+                     base + ["signsum.invariants", "signsum.weights"]]
+    assert name == "signsum.invariants"
