@@ -20,6 +20,18 @@ with P the product of every numerator and denominator in the table, so
 the entry's signed sum is log(x^2/P), increasing in x.  Keys, bounds and
 thresholds are integers in both realizations, and every decision is an
 exact integer comparison.
+
+A vector's tables are built once, over all of its coordinates, and every
+route reads them through ``restrict(mask)``: the entries whose mask has
+the given bits clear, i.e. the sums with those coordinates pinned to
+plus.  A restricted entry still carries the pinned coordinates, so a
+question about the sums over the other coordinates moves its bounds by
+the pinned plus values.  For a pair (i, j), the window |v_i - v_j| <
+s < v_i + v_j on the sum s over the rest becomes 2 max(v_i, v_j) < s +
+v_i + v_j < 2 (v_i + v_j) in the plain realization; in the log
+realization, where the bounds are ratios and sums multiply, both bounds
+are multiplied by r_i r_j, giving max(r_i, r_j)^2 and (r_i r_j)^2.  The
+survey and the sign sums pin one coordinate and keep the zero bound.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, compress, groupby, repeat
 from operator import add
 
 
@@ -80,29 +92,39 @@ def _log_moves(ratio, bit, width):
 _SIGNS = (1, -1)
 
 
-class HalfTables:
-    """The signed sums over ``values``, with ``fixed`` pinned to plus.
+def _parities(masks):
+    """(-1)^popcount(mask) per mask."""
+    return [_SIGNS[m.bit_count() & 1] for m in masks]
 
-    ``bits[k]`` is the mask bit that marks coordinate k as minus; the
-    mask of a full sum is the OR of its two halves' masks.  Values and
-    ``fixed`` come from ``coordinates``.  B, the second half, takes the
-    larger share of an odd split.
+
+def _kept(mask, masks, *columns):
+    """``masks`` and each column, keeping the entries whose mask has every
+    bit of ``mask`` clear; the order, and so the sorting, is kept."""
+    keep = [not m & mask for m in masks]
+    return [list(compress(col, keep)) for col in (masks, *columns)]
+
+
+class HalfTables:
+    """The signed sums over ``values``, one per sign mask.
+
+    Mask bit k marks coordinate k as minus.  A holds the first n // 2
+    coordinates and B the rest, so every mask bit of A lies below every
+    mask bit of B.  Values come from ``coordinates``.  ``restrict`` keeps
+    the sums with given coordinates at plus.
     """
 
-    def __init__(self, values, bits, fixed=None, is_log=False):
+    def __init__(self, values, is_log=False):
         self.is_log = is_log
-        values, bits = list(values), list(bits)
-        half = len(values) // 2
-        width = max((b.bit_length() for b in bits), default=0)
+        self.values = values = list(values)
+        n = len(values)
+        half = n // 2
         if is_log:
-            x0 = p = 1
-            if fixed is not None:
-                x0, p = fixed.numerator, fixed.numerator * fixed.denominator
+            p = 1
             for r in values:
                 p *= r.numerator * r.denominator
-            moves = [_log_moves(r, bit, width) for r, bit in zip(values, bits)]
-            xa, self.a_masks = _table(moves[:half], x0, width)
-            xb, self.b_masks = _table(moves[half:], 1, width)
+            moves = [_log_moves(r, 1 << k, n) for k, r in enumerate(values)]
+            xa, self.a_masks = _table(moves[:half], 1, n)
+            xb, self.b_masks = _table(moves[half:], 1, n)
             # full sum a + b = log(x_a^2 x_b^2 / P); B keys are doubled so
             # that an inexact threshold can sit strictly between two keys
             self.p = p
@@ -110,11 +132,55 @@ class HalfTables:
             self.b_keys = [2 * x * x for x in xb]
             self._zero = Fraction(1)
         else:
-            base = 0 if fixed is None else fixed
-            moves = [_plain_moves(v, bit, width) for v, bit in zip(values, bits)]
-            self.a_keys, self.a_masks = _table(moves[:half], base, width)
-            self.b_keys, self.b_masks = _table(moves[half:], 0, width)
+            moves = [_plain_moves(v, 1 << k, n) for k, v in enumerate(values)]
+            self.a_keys, self.a_masks = _table(moves[:half], 0, n)
+            self.b_keys, self.b_masks = _table(moves[half:], 0, n)
             self._zero = 0
+        self.a_signs = _parities(self.a_masks)
+        self.b_signs = _parities(self.b_masks)
+        self.a_bits = (1 << half) - 1
+        self.free = (1 << n) - 1
+
+    def restrict(self, mask):
+        """The tables of the sums with every coordinate in ``mask`` at plus.
+
+        A filtered copy: each half keeps the entries whose mask has those
+        bits clear, still sorted, with their keys, masks and parity signs
+        as they were, so a bound on the result is a bound on the whole
+        sum, pinned coordinates included.  A half that holds none of the
+        bits is shared, not copied.
+        """
+        view = object.__new__(HalfTables)
+        vars(view).update(vars(self))
+        view.free = self.free & ~mask
+        if mask & self.a_bits:
+            view.a_masks, view.a_keys, view.a_signs = _kept(
+                mask, self.a_masks, self.a_keys, self.a_signs
+            )
+        if mask & ~self.a_bits:
+            view.b_masks, view.b_keys, view.b_signs = _kept(
+                mask, self.b_masks, self.b_keys, self.b_signs
+            )
+        return view
+
+    def _swapped(self):
+        """The same sums with the roles of A and B exchanged.
+
+        The scans below run one bisection of B per entry of A, so they
+        iterate over the smaller half.  Log keys are x^2 in A and 2 x^2
+        in B, so they convert on the way.  A's mask bits no longer lie
+        below B's, which the order-free scans do not need.
+        """
+        view = object.__new__(HalfTables)
+        vars(view).update(vars(self))
+        view.a_masks, view.b_masks = self.b_masks, self.a_masks
+        view.a_signs, view.b_signs = self.b_signs, self.a_signs
+        if self.is_log:
+            view.a_keys = [k >> 1 for k in self.b_keys]
+            view.b_keys = [k << 1 for k in self.a_keys]
+        else:
+            view.a_keys, view.b_keys = self.b_keys, self.a_keys
+        return view
 
     def _thresholds(self, bound):
         """Per A entry, the B key t at which the full sum meets ``bound``.
@@ -144,15 +210,17 @@ class HalfTables:
         return ts, lt, gt, lt != gt
 
     def _weights(self, char):
-        """A weights and B prefix sums of (-1)^popcount(mask & char)."""
-        wa = [_SIGNS[(a & char).bit_count() & 1] for a in self.a_masks]
-        prefix = list(
-            accumulate(
-                (_SIGNS[(b & char).bit_count() & 1] for b in self.b_masks),
-                initial=0,
-            )
-        )
-        return wa, prefix
+        """A weights and B prefix sums of (-1)^popcount(mask & char).
+
+        A char that covers every free coordinate reads the stored parity
+        signs; any other is counted bit by bit.
+        """
+        if (char & self.free) == self.free:
+            wa, wb = self.a_signs, self.b_signs
+        else:
+            wa = [_SIGNS[(a & char).bit_count() & 1] for a in self.a_masks]
+            wb = (_SIGNS[(b & char).bit_count() & 1] for b in self.b_masks)
+        return wa, list(accumulate(wb, initial=0))
 
     def window(self, lo, hi, chars, materialize=False):
         """Weighted counts of the full sums strictly between lo < hi.
@@ -163,10 +231,16 @@ class HalfTables:
         inside the window, unordered, when ``materialize`` is set, else
         None.  ``touched`` tells whether some full sum equals lo or hi.
         """
+        if len(self.a_keys) > len(self.b_keys):
+            return self._swapped().window(lo, hi, chars, materialize)
         _, _, starts, lo_touched = self._runs(lo)
         _, ends, _, hi_touched = self._runs(hi)
         totals = []
         for c in chars:
+            if not c:
+                # lo < hi, so no run is reversed
+                totals.append(sum(ends) - sum(starts))
+                continue
             wa, prefix = self._weights(c)
             totals.append(
                 sum(w * (prefix[e] - prefix[s]) for w, s, e in zip(wa, starts, ends))
@@ -186,6 +260,8 @@ class HalfTables:
         (-1)^popcount(mask & char), as in ``window``, and whether some
         full sum vanishes.
         """
+        if len(self.a_keys) > len(self.b_keys):
+            return self._swapped().sign_sum(char)
         _, lt, gt, touched = self._runs(self._zero)
         wa, prefix = self._weights(char)
         top = prefix[-1]
@@ -244,9 +320,9 @@ class HalfTables:
 def first_zero(groups):
     """The smallest vanishing mask among ``zero_groups``, or None.
 
-    Every mask bit of A lies below every mask bit of B (as in ``pinned``),
-    so a full mask orders by its B part first and a group's smallest mask
-    joins the smallest mask of each side.
+    Every mask bit of A lies below every mask bit of B, so a full mask
+    orders by its B part first and a group's smallest mask joins the
+    smallest mask of each side.
     """
     return min((min(am) | min(bm) for am, bm in groups), default=None)
 
@@ -254,17 +330,3 @@ def first_zero(groups):
 def zero_masks(groups):
     """Every vanishing mask among ``zero_groups``, ascending."""
     return sorted(a | b for am, bm in groups for a in am for b in bm)
-
-
-def pinned(values, fixed_pos, is_log=False) -> HalfTables:
-    """Half tables over every coordinate of ``values`` but ``fixed_pos``,
-    which is pinned to plus: one sign vector per negation class.  Mask
-    bit k marks coordinate k as minus, so every mask bit of A lies below
-    every mask bit of B."""
-    free = [k for k in range(len(values)) if k != fixed_pos]
-    return HalfTables(
-        [values[k] for k in free],
-        [1 << k for k in free],
-        fixed=values[fixed_pos],
-        is_log=is_log,
-    )

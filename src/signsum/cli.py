@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
@@ -46,13 +46,12 @@ _COMMANDS = (
 )
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    command: str | None
-    inputs: dict | None
-    outputs: dict | None
-    error: dict | None
-    exit_code: int
+class CommandResult(
+    namedtuple("CommandResult", "command inputs outputs error exit_code")
+):
+    """One invocation's envelope: command, inputs, outputs, error, exit code."""
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         payload = {

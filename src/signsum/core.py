@@ -8,9 +8,10 @@ only approximate code in the package lives in the quadrature diagnostics.
 
 from __future__ import annotations
 
+import math
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import _halves
@@ -89,8 +90,7 @@ def max_vector_length() -> int:
     return _positive_int_env(_MAX_M_ENV, 30)
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(namedtuple("Scalar", "ratio is_log")):
     """A quantity realized as a rational or as the log of a rational.
 
     ``ratio`` is the rational itself in the plain realization and the log
@@ -100,14 +100,14 @@ class Scalar:
     ordering is the value ordering because log is increasing.
     """
 
-    ratio: Fraction
-    is_log: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.ratio, Fraction):
-            object.__setattr__(self, "ratio", Fraction(self.ratio))
-        if self.ratio <= 0:
+    def __new__(cls, ratio: Fraction, is_log: bool = False):
+        if not isinstance(ratio, Fraction):
+            ratio = Fraction(ratio)
+        if ratio <= 0:
             raise PreconditionError("scalar argument must be positive")
+        return tuple.__new__(cls, (ratio, is_log))
 
     def is_positive(self) -> bool:
         return self.ratio > 1 if self.is_log else self.ratio > 0
@@ -159,8 +159,7 @@ def scalar_abs_diff(a: Scalar, b: Scalar) -> Scalar:
     return Scalar(abs(a.ratio - b.ratio), False)
 
 
-@dataclass(frozen=True)
-class SignVector:
+class SignVector(namedtuple("SignVector", "length bits coordinate_map")):
     """An assignment of +1 or -1 to ``length`` coordinates, as a bitmask.
 
     Bit k set means coordinate k+1 carries -1, so the zero mask is the
@@ -168,24 +167,24 @@ class SignVector:
     of the coordinates when the vector lives on a pair-deleted index set.
     """
 
-    length: int
-    bits: int
-    coordinate_map: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __new__(
+        cls, length: int, bits: int, coordinate_map: tuple[int, ...] | None = None
+    ):
+        if length < 1:
             raise PreconditionError("sign vector needs at least one coordinate")
-        if self.length > max_vector_length():
+        if length > max_vector_length():
             raise PreconditionError(
-                f"sign vector length {self.length} exceeds the configured cap"
+                f"sign vector length {length} exceeds the configured cap"
             )
-        if not 0 <= self.bits < (1 << self.length):
+        if not 0 <= bits < (1 << length):
             raise PreconditionError("sign bitmask out of range for length")
-        if self.coordinate_map is not None:
-            cmap = tuple(self.coordinate_map)
-            if len(cmap) != self.length:
+        if coordinate_map is not None:
+            coordinate_map = tuple(coordinate_map)
+            if len(coordinate_map) != length:
                 raise PreconditionError("coordinate map length mismatch")
-            object.__setattr__(self, "coordinate_map", cmap)
+        return tuple.__new__(cls, (length, bits, coordinate_map))
 
     @classmethod
     def from_signs(cls, signs, coordinate_map=None) -> "SignVector":
@@ -203,11 +202,7 @@ class SignVector:
         """A row over the coordinates of a validated vector.  Its length is
         within the cap and its mask in range by construction, so no check
         runs, and building a solution row costs no environment read."""
-        sv = object.__new__(cls)
-        object.__setattr__(sv, "length", length)
-        object.__setattr__(sv, "bits", bits)
-        object.__setattr__(sv, "coordinate_map", coordinate_map)
-        return sv
+        return tuple.__new__(cls, (length, bits, coordinate_map))
 
     def sign(self, pos: int) -> int:
         """Sign at 0-based position ``pos``."""
@@ -226,29 +221,27 @@ class SignVector:
         return SignVector(self.length, self.bits ^ full, self.coordinate_map)
 
 
-@dataclass(frozen=True)
-class GenericityReport:
-    generic: bool
-    witness: SignVector | None
+class GenericityReport(namedtuple("GenericityReport", "generic witness")):
+    """Whether no signed sum vanishes; if one does, the smallest such
+    sign vector as ``witness``, else None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PairSelection:
+class PairSelection(namedtuple("PairSelection", "i j")):
     """An unordered index pair, normalized to 1 <= i < j."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = int(self.i), int(self.j)
+    def __new__(cls, i: int, j: int):
+        a, b = int(i), int(j)
         if a == b:
             raise PreconditionError("pair indices must differ")
         if a > b:
             a, b = b, a
         if a < 1:
             raise PreconditionError("pair indices are 1-based")
-        object.__setattr__(self, "i", a)
-        object.__setattr__(self, "j", b)
+        return tuple.__new__(cls, (a, b))
 
     def validate(self, m: int) -> None:
         if self.j > m:
@@ -262,7 +255,14 @@ class AlphaVector:
     deleting coordinates; None means the identity labelling.
     """
 
-    __slots__ = ("components", "index_map", "_report", "_zero_groups", "_min_gap")
+    __slots__ = (
+        "components",
+        "index_map",
+        "_report",
+        "_zero_groups",
+        "_min_gap",
+        "_tables",
+    )
 
     def __init__(self, components, index_map=None):
         comps = tuple(components)
@@ -289,6 +289,7 @@ class AlphaVector:
         self._report = None
         self._zero_groups = None
         self._min_gap = None
+        self._tables = None
 
     @property
     def m(self) -> int:
@@ -304,6 +305,16 @@ class AlphaVector:
 
     def ratios(self) -> list[Fraction]:
         return [c.ratio for c in self.components]
+
+    def half_tables(self) -> _halves.HalfTables:
+        """The signed sums over every coordinate as half tables, mask bit
+        k marking position k as minus.  Built on first use and kept, so
+        the survey, every pair scan and every sign sum of this vector
+        restrict one table."""
+        if self._tables is None:
+            values, _ = _halves.coordinates(self.ratios(), self.is_log)
+            self._tables = _halves.HalfTables(values, self.is_log)
+        return self._tables
 
     def __repr__(self):
         body = ",".join(format_scalar(c) for c in self.components)
@@ -395,10 +406,12 @@ def _survey(alpha: AlphaVector):
     in the log realization it is the smallest product ratio above 1, so
     the actual minimum is its logarithm.
     """
-    values, den = _halves.coordinates(alpha.ratios(), alpha.is_log)
-    tables = _halves.pinned(values, 0, alpha.is_log)
+    tables = alpha.half_tables().restrict(1)
     gap = tables.gap()
-    return tables.zero_groups(), gap if alpha.is_log else Fraction(gap, den)
+    if alpha.is_log:
+        return tables.zero_groups(), gap
+    den = math.lcm(*(r.denominator for r in alpha.ratios()))
+    return tables.zero_groups(), Fraction(gap, den)
 
 
 def check_generic(alpha: AlphaVector) -> GenericityReport:

@@ -13,7 +13,7 @@ make N and the parity invariants of the vector rather than of the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
@@ -28,7 +28,6 @@ from .core import (
     require_generic,
     zero_sum_masks,
 )
-from . import _halves
 
 __all__ = [
     "SolutionSet",
@@ -49,26 +48,22 @@ __all__ = [
     "orient_pair",
 ]
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(namedtuple("SolutionSet", "pair solutions source signed")):
     """Materialized solution set for one pair, sorted ascending by bitmask,
     with its signed count from the same scan."""
 
-    pair: PairSelection
-    solutions: tuple[SignVector, ...]
-    source: AlphaVector
-    signed: int
+    __slots__ = ()
 
     def masks(self) -> tuple[int, ...]:
         return tuple(sv.bits for sv in self.solutions)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    count: int
-    signed: int
-    extended: int
-    masks: tuple[int, ...] | None
+class ScanResult(namedtuple("ScanResult", "count signed extended masks")):
+    """One pair scan: the count, the signed count, the extended count
+    (0 when not asked for) and the sorted solution masks (None when not
+    materialized)."""
+
+    __slots__ = ()
 
 
 def _pair_positions(alpha: AlphaVector, pair: PairSelection) -> tuple[int, int]:
@@ -82,39 +77,51 @@ def _rest_positions(m: int, i0: int, j0: int) -> list[int]:
     return [pos for pos in range(m) if pos != i0 and pos != j0]
 
 
-def _scan(alpha, pair, materialize=False, h1=None) -> ScanResult:
+def _rest_masks(masks, i0: int, j0: int) -> list[int]:
+    """Full masks with bits i0 < j0 clear, as masks over the m-2 rest
+    positions, ascending.  Dropping two clear bits keeps the order."""
+    low = (1 << i0) - 1
+    mid = ((1 << (j0 - 1)) - 1) ^ low
+    high = -1 << (j0 - 1)
+    return sorted((x & low) | (x >> 1 & mid) | (x >> 2 & high) for x in masks)
+
+
+def _scan(alpha, pair, materialize=False, h0=None) -> ScanResult:
     """Count, signed count and extended count of one pair's solutions.
 
-    The m-2 free coordinates split into two half tables; each entry of
-    the first meets the window in one run of the sorted second, found by
-    bisection, so the scan costs about 2^((m-2)/2) steps instead of
-    2^(m-2).  A full sum on either bound would mean a vanishing signed
-    sum of the whole vector, impossible once it is generic.
+    The vector's half tables, restricted to the sums with both pair
+    coordinates at plus, hold each rest sum s as s + v_i + v_j, so the
+    window moves by that much (see ``_halves``).  Each entry of the
+    smaller restricted half meets the window in one run of the sorted
+    other, found by bisection, so the scan costs about 2^((m-2)/2)
+    bisections plus one O(2^(m/2)) filtering pass instead of 2^(m-2)
+    steps.
+    ``h0`` is the 0-based position of the extended count's extra sign.
+    A full sum on either bound would mean a vanishing signed sum of the
+    whole vector, impossible once it is generic.
     """
     i0, j0 = _pair_positions(alpha, pair)
     require_generic(alpha)
-    rest = _rest_positions(alpha.m, i0, j0)
-    values, _ = _halves.coordinates(alpha.ratios(), alpha.is_log)
-    vi, vj = values[i0], values[j0]
+    tables = alpha.half_tables()
+    vi, vj = tables.values[i0], tables.values[j0]
     if alpha.is_log:
-        lo, hi = max(vi, vj) / min(vi, vj), vi * vj
+        lo, hi = max(vi, vj) ** 2, (vi * vj) ** 2
     else:
-        lo, hi = abs(vi - vj), vi + vj
-    tables = _halves.HalfTables(
-        [values[p] for p in rest],
-        [1 << k for k in range(len(rest))],
-        is_log=alpha.is_log,
+        lo, hi = 2 * max(vi, vj), 2 * (vi + vj)
+    pinned = (1 << i0) | (1 << j0)
+    # the pair bits are clear in every entry, so the full mask counts the rest
+    full = (1 << alpha.m) - 1
+    chars = [0, full] if h0 is None else [0, full, full ^ (1 << h0)]
+    totals, masks, touched = tables.restrict(pinned).window(
+        lo, hi, chars, materialize
     )
-    full = (1 << len(rest)) - 1
-    chars = [0, full] if h1 is None else [0, full, full ^ (1 << h1)]
-    totals, masks, touched = tables.window(lo, hi, chars, materialize)
     if touched:
         raise InternalCheckError("boundary equality on a generic vector")
     return ScanResult(
         totals[0],
         totals[1],
-        totals[2] if h1 is not None else 0,
-        tuple(sorted(masks)) if materialize else None,
+        totals[2] if h0 is not None else 0,
+        tuple(_rest_masks(masks, i0, j0)) if materialize else None,
     )
 
 
@@ -158,8 +165,7 @@ def _sign_sum(alpha: AlphaVector, fixed_pos: int, char: int) -> int:
     as sum over A of p_A (W(> -s_A) - W(< -s_A)), W the weight prefix
     sums of the sorted second half.
     """
-    values, _ = _halves.coordinates(alpha.ratios(), alpha.is_log)
-    total, touched = _halves.pinned(values, fixed_pos, alpha.is_log).sign_sum(char)
+    total, touched = alpha.half_tables().restrict(1 << fixed_pos).sign_sum(char)
     if touched:
         raise InternalCheckError("generic vector produced a zero signed sum")
     return total
@@ -228,42 +234,36 @@ def extended_signed_count(
     component h; pair-independent for even m over pairs avoiding h."""
     if alpha.m < 4:
         raise PreconditionError("extended count requires at least 4 components")
-    i0, j0 = _pair_positions(alpha, pair)
+    _pair_positions(alpha, pair)
     if not 1 <= h <= alpha.m:
         raise PreconditionError("extra index out of range")
     if h in (pair.i, pair.j):
         raise PreconditionError("extra index must avoid the pair")
-    rest = _rest_positions(alpha.m, i0, j0)
-    h1 = rest.index(h - 1)
-    return _scan(alpha, pair, h1=h1).extended
+    return _scan(alpha, pair, h0=h - 1).extended
 
 
-@dataclass(frozen=True)
-class PairInvariants:
-    pair: PairSelection
-    count: int
-    parity: int
-    signed: int
+class PairInvariants(namedtuple("PairInvariants", "pair count parity signed")):
+    """One pair's solution count, its parity and its signed count N."""
+
+    __slots__ = ()
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(
+    namedtuple(
+        "InvariantReport",
+        "m rows parity_invariant parity n_invariant signed n_by_max_omitted"
+        " count_by_min_omitted abs_n_invariant violations",
+    )
+):
     """Per-pair table plus the cross-pair invariance flags.
 
-    Flags that do not apply to the parity of m are None.  Grouping maps are
-    keyed by component value (the larger or smaller of each pair).
+    ``rows`` lists the PairInvariants of every pair.  Flags that do not
+    apply to the parity of m are None.  Grouping maps (dicts) are keyed by
+    component value (the larger or smaller of each pair).  ``violations``
+    lists the laws found broken.
     """
 
-    m: int
-    rows: list[PairInvariants]
-    parity_invariant: bool
-    parity: int | None
-    n_invariant: bool | None
-    signed: int | None
-    n_by_max_omitted: dict[Scalar, int] | None
-    count_by_min_omitted: dict[Scalar, int]
-    abs_n_invariant: bool | None
-    violations: list[str] = field(default_factory=list)
+    __slots__ = ()
 
 
 def verify_invariance(alpha: AlphaVector) -> InvariantReport:
@@ -336,21 +336,19 @@ def verify_invariance(alpha: AlphaVector) -> InvariantReport:
     )
 
 
-@dataclass(frozen=True)
-class WallCrossing:
+class WallCrossing(
+    namedtuple(
+        "WallCrossing",
+        "pair perturbed delta jump_signed jump_count predicted_signed"
+        " predicted_count wall_masks",
+    )
+):
     """Measured and predicted jumps across a degeneracy wall.
 
     Jumps are value(a with a_l - delta) minus value(a with a_l + delta).
     """
 
-    pair: PairSelection
-    perturbed: int
-    delta: Fraction
-    jump_signed: int
-    jump_count: int
-    predicted_signed: int
-    predicted_count: int
-    wall_masks: tuple[int, ...]
+    __slots__ = ()
 
 
 def wall_crossing_check(

@@ -9,10 +9,9 @@ primorial.  Both routes are implemented and checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
-    AlphaVector,
     InternalCheckError,
     PairSelection,
     PreconditionError,
@@ -52,11 +51,10 @@ def _check_n(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class PrimeExample:
-    n: int
-    primes: tuple[int, ...]
-    alpha: AlphaVector
+class PrimeExample(namedtuple("PrimeExample", "n primes alpha")):
+    """The first n primes and their logs as a vector."""
+
+    __slots__ = ()
 
 
 def prime_alpha(n: int) -> PrimeExample:
@@ -113,19 +111,15 @@ def mobius_sum(n: int, i: int, j: int) -> int:
     return -total if n % 2 else total
 
 
-@dataclass(frozen=True)
-class PrimeReport:
+class PrimeReport(namedtuple("PrimeReport", "n primes rows common by_larger")):
     """Both routes for every pair, plus the cross-pair grouping.
 
-    ``common`` is the shared value for odd n; ``by_larger`` keys the value
-    by the larger prime of the pair for even n.
+    ``rows`` holds (i, j, direct, mobius) per pair.  ``common`` is the
+    shared value for odd n; ``by_larger`` keys the value by the larger
+    prime of the pair for even n.
     """
 
-    n: int
-    primes: tuple[int, ...]
-    rows: tuple[tuple[int, int, int, int], ...]  # (i, j, direct, mobius)
-    common: int | None
-    by_larger: dict[int, int] | None
+    __slots__ = ()
 
 
 def verify_prime_example(n: int) -> PrimeReport:

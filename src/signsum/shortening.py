@@ -14,7 +14,7 @@ the test suite confirms it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     AlphaVector,
@@ -29,7 +29,9 @@ from .core import (
     scalar_abs_diff,
     scalar_add,
 )
-from .invariants import closed_form_g, count_solutions, signed_count
+
+# The verifiers import what they need from ``invariants`` when they run,
+# so that ``shorten`` alone does not load the scan module.
 
 __all__ = [
     "ShortenedVector",
@@ -48,8 +50,9 @@ __all__ = [
 ORIENTATION_RESOLVED = "stated"
 
 
-@dataclass(frozen=True)
-class ShortenedVector:
+class ShortenedVector(
+    namedtuple("ShortenedVector", "base replaced_index deleted_index sign")
+):
     """Result of one shortening step.
 
     ``replaced_index`` and ``deleted_index`` are 1-based indices into the
@@ -57,10 +60,7 @@ class ShortenedVector:
     replaced slot retaining index j.
     """
 
-    base: AlphaVector
-    replaced_index: int
-    deleted_index: int
-    sign: str
+    __slots__ = ()
 
     @property
     def new_scalar(self) -> Scalar:
@@ -139,6 +139,8 @@ def _distinct(*indices) -> None:
 def _count_split_rhs(alpha: AlphaVector, ai: Scalar, r: int, s: int) -> int:
     """Right side of both count splits: the counts of the pair (a_i, new
     value) on the two shortenings of component r by component s."""
+    from .invariants import count_solutions
+
     total = 0
     for sign in ("-", "+"):
         shortened = shorten(alpha, r, s, sign)
@@ -166,6 +168,8 @@ def verify_count_split(alpha: AlphaVector, i: int, j: int, k: int) -> bool:
     if compare_scalars(scalar_add(ak, ai), aj) > 0:
         raise PreconditionError("need a_k <= a_j - a_i")
 
+    from .invariants import count_solutions
+
     lhs = count_solutions(alpha, PairSelection(i, j))
     return lhs == _count_split_rhs(alpha, ai, j, k)
 
@@ -188,6 +192,8 @@ def verify_signed_split_even(alpha: AlphaVector, i: int, j: int, k: int) -> bool
     ai, aj, ak = (alpha.components[t - 1] for t in (i, j, k))
     if compare_scalars(ai, aj) > 0:
         raise PreconditionError("need a_i <= a_j")
+
+    from .invariants import closed_form_g, signed_count
 
     lhs = signed_count(alpha, PairSelection(i, j))
     sgn = compare_scalars(aj, ak)
@@ -233,6 +239,8 @@ def verify_count_split_general(
     if compare_scalars(scalar_abs_diff(ar, as_), ai) < 0:
         raise PreconditionError("need |a_r - a_s| >= a_i")
 
+    from .invariants import count_solutions
+
     lhs = count_solutions(alpha, PairSelection(i, j))
     return lhs == _count_split_rhs(alpha, ai, r, s)
 
@@ -260,6 +268,8 @@ def verify_signed_split_odd(
     _distinct(i, j, k)
     require_generic(alpha)
     ai, aj, ak = (alpha.components[t - 1] for t in (i, j, k))
+    from .invariants import closed_form_g, signed_count
+
     lhs = closed_form_g(alpha)
 
     if compare_scalars(ai, aj) == 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import _halves
@@ -63,8 +63,7 @@ def rademacher(i: int, t) -> int:
     return 1 - 2 * digit
 
 
-@dataclass(frozen=True)
-class BetaApproximation:
+class BetaApproximation(namedtuple("BetaApproximation", "beta q bound")):
     """An integer stand-in for a positive vector at scale q.
 
     ``beta`` holds positive integers with beta_k/q close to the original
@@ -76,23 +75,20 @@ class BetaApproximation:
     ``approximate_beta``).
     """
 
-    beta: tuple[int, ...]
-    q: Fraction
-    bound: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        bs = tuple(int(b) for b in self.beta)
+    def __new__(cls, beta: tuple[int, ...], q: Fraction, bound: Fraction):
+        bs = tuple(int(b) for b in beta)
         if not bs:
             raise PreconditionError("approximation needs at least one component")
         if len(bs) > max_vector_length():
             raise PreconditionError("approximation exceeds the configured cap")
         if any(b < 1 for b in bs):
             raise PreconditionError("approximation components must be positive")
-        object.__setattr__(self, "beta", bs)
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "bound", Fraction(self.bound))
-        if self.q <= 0 or self.bound <= 0:
+        q, bound = Fraction(q), Fraction(bound)
+        if q <= 0 or bound <= 0:
             raise PreconditionError("scale and bound must be positive")
+        return tuple.__new__(cls, (bs, q, bound))
 
     @property
     def m(self) -> int:
@@ -296,7 +292,7 @@ def integer_beta(values) -> BetaApproximation:
         raise PreconditionError("components must be positive integers")
     if len(bs) > max_vector_length():
         raise PreconditionError("length exceeds the configured cap")
-    tables = _halves.pinned(bs, 0)
+    tables = _halves.HalfTables(bs).restrict(1)
     groups = tables.zero_groups()
     if groups:
         raise DegenerateVectorError(
@@ -389,12 +385,13 @@ def _check_window_forms(betas, value: int) -> None:
     if len(betas) > _WINDOW_CHECK_MAX:
         return
     last = betas[-1]
-    rest = len(betas) - 1
-    tables = _halves.HalfTables(betas[:-1], [1 << k for k in range(rest)])
-    full = (1 << rest) - 1
-    # integer partial sums: |t| <= w - 1 is -w < t < w
-    (narrow,), _, _ = tables.window(-last, last, [full])
-    (wide,), _, _ = tables.window(-last - 1, last + 1, [full])
+    n = len(betas)
+    # the sums with the last component at plus are t + B for the partial
+    # sums t; integer t: |t| <= w - 1 is -w < t < w, i.e. B - w < t + B < B + w
+    tables = _halves.HalfTables(betas).restrict(1 << (n - 1))
+    full = (1 << n) - 1
+    (narrow,), _, _ = tables.window(0, 2 * last, [full])
+    (wide,), _, _ = tables.window(-1, 2 * last + 1, [full])
     for name, s in (("narrow", narrow), ("wide", wide)):
         if s % 2:
             raise InternalCheckError(f"{name} window sum must be even")
@@ -487,11 +484,11 @@ _GL_WEIGHTS = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    numeric: float
-    exact: int
-    agree: bool
+class QuadratureResult(namedtuple("QuadratureResult", "numeric exact agree")):
+    """A numeric integral, the exact value it checks, and whether they
+    agree within the tolerance."""
+
+    __slots__ = ()
 
 
 def _cot_half(x: float) -> float:

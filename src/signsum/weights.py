@@ -12,7 +12,7 @@ candidate weights exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
@@ -38,20 +38,18 @@ __all__ = [
 WEIGHTS_MAX_M = 12
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(namedtuple("WeightFunction", "m table")):
     """Rational table indexed by the bitmask of a length m-2 sign vector."""
 
-    m: int
-    table: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 3:
+    def __new__(cls, m: int, table: tuple[Fraction, ...]):
+        if m < 3:
             raise PreconditionError("weight functions require m >= 3")
-        table = tuple(Fraction(v) for v in self.table)
-        if len(table) != 1 << (self.m - 2):
+        table = tuple(Fraction(v) for v in table)
+        if len(table) != 1 << (m - 2):
             raise PreconditionError("weight table must have 2^(m-2) entries")
-        object.__setattr__(self, "table", table)
+        return tuple.__new__(cls, (m, table))
 
     def value(self, sv: SignVector) -> Fraction:
         if sv.length != self.m - 2:
@@ -59,17 +57,14 @@ class WeightFunction:
         return self.table[sv.bits]
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(namedtuple("ConstraintSystem", "m unknowns rows")):
     """Deduplicated constraints between signed table entries.
 
     Rows are canonical tuples: ("eq", a, b, r) meaning x_a = r * x_b with
     a < b and r in {+1, -1}, and ("zero", a) meaning x_a = 0.
     """
 
-    m: int
-    unknowns: int
-    rows: tuple[tuple, ...]
+    __slots__ = ()
 
 
 def _check_m(m: int) -> None:

@@ -4,7 +4,9 @@ The functions under "Oracles" are the library's earlier 2^n walks, kept
 verbatim (only the thread pool of ``_merge_chunks`` is gone), so every
 route through the kernel is compared with an independent enumeration:
 pair scans, the genericity survey, the sign-sum closed forms,
-``integer_beta`` and the sign preservation of ``approximate_beta``.
+``integer_beta`` and the sign preservation of ``approximate_beta``.  The
+last section compares each vector's one cached, restricted table with
+the tables the library used to build per pair and per pinned coordinate.
 """
 
 import math
@@ -18,6 +20,7 @@ from signsum import (
     BetaApproximation,
     DegenerateVectorError,
     InternalCheckError,
+    PairInvariants,
     PairSelection,
     SignVector,
     approximate_beta,
@@ -31,15 +34,23 @@ from signsum import (
     log_vector,
     minimum_gap,
     orient_pair,
+    pair_invariants,
     parity,
     rational_vector,
     signed_count,
     signed_count_even_via_sign_sum,
     zero_sum_masks,
 )
-from signsum._halves import HalfTables, coordinates
+from signsum._halves import (
+    HalfTables,
+    _log_moves,
+    _plain_moves,
+    _table,
+    coordinates,
+    first_zero,
+)
 from signsum.cli import run
-from signsum.invariants import ScanResult, _rest_positions
+from signsum.invariants import ScanResult, _rest_positions, _sign_sum
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +584,7 @@ def test_window_counts_and_boundary_hits(values, lo, width, weighted):
     hi = lo + width
     n = len(values)
     char = (1 << n) - 1 if weighted else 0
-    tables = HalfTables(values, [1 << k for k in range(n)])
+    tables = HalfTables(values)
     (total,), masks, touched = tables.window(lo, hi, [char], materialize=True)
     inside, on_bound = [], False
     for mask, s in _gray_walk(values):
@@ -594,7 +605,7 @@ def test_window_counts_and_boundary_hits(values, lo, width, weighted):
 def test_log_window_counts_and_boundary_hits(ratios, lo, step):
     """The log window compares products exactly, bounds hit or not."""
     hi = lo * step
-    tables = HalfTables(ratios, [1 << k for k in range(len(ratios))], is_log=True)
+    tables = HalfTables(ratios, is_log=True)
     (count,), masks, touched = tables.window(lo, hi, [0], materialize=True)
     inside, on_bound = [], False
     for mask, x, y in _product_walk(ratios):
@@ -608,9 +619,7 @@ def test_log_window_counts_and_boundary_hits(ratios, lo, step):
 
 def test_log_boundary_hit_is_exact():
     # 2 * 3 / 5 = 6/5 sits exactly on the lower bound
-    tables = HalfTables(
-        [Fraction(2), Fraction(3), Fraction(5)], [1, 2, 4], is_log=True
-    )
+    tables = HalfTables([Fraction(2), Fraction(3), Fraction(5)], is_log=True)
     _, _, touched = tables.window(Fraction(6, 5), Fraction(100), [0])
     assert touched
     _, _, touched = tables.window(Fraction(6, 5) + Fraction(1, 10**30), Fraction(100), [0])
@@ -687,3 +696,223 @@ def test_verify_thirty_ones_is_degenerate():
     assert result.error["type"] == "degenerate"
     witness = result.error["witness"]
     assert len(witness) == 30 and sum(witness) == 0
+
+
+# ---------------------------------------------------------------------------
+# One cached table per vector against the tables the library used to build
+# for every call: the pinned survey and sign-sum tables and the per-pair
+# scan tables, their constructor copied as it was.  Mask bits are given per
+# coordinate, and ``fixed`` starts the first half at the pinned value.
+
+
+class _PerCallTables(HalfTables):
+    def __init__(self, values, bits, fixed=None, is_log=False):
+        self.is_log = is_log
+        values, bits = list(values), list(bits)
+        half = len(values) // 2
+        width = max((b.bit_length() for b in bits), default=0)
+        if is_log:
+            x0 = p = 1
+            if fixed is not None:
+                x0, p = fixed.numerator, fixed.numerator * fixed.denominator
+            for r in values:
+                p *= r.numerator * r.denominator
+            moves = [_log_moves(r, bit, width) for r, bit in zip(values, bits)]
+            xa, self.a_masks = _table(moves[:half], x0, width)
+            xb, self.b_masks = _table(moves[half:], 1, width)
+            self.p = p
+            self.a_keys = [x * x for x in xa]
+            self.b_keys = [2 * x * x for x in xb]
+            self._zero = Fraction(1)
+        else:
+            base = 0 if fixed is None else fixed
+            moves = [_plain_moves(v, bit, width) for v, bit in zip(values, bits)]
+            self.a_keys, self.a_masks = _table(moves[:half], base, width)
+            self.b_keys, self.b_masks = _table(moves[half:], 0, width)
+            self._zero = 0
+        self.a_signs = [-1 if a.bit_count() & 1 else 1 for a in self.a_masks]
+        self.b_signs = [-1 if b.bit_count() & 1 else 1 for b in self.b_masks]
+        self.free = sum(bits)
+
+
+def pinned(values, fixed_pos, is_log=False):
+    free = [k for k in range(len(values)) if k != fixed_pos]
+    return _PerCallTables(
+        [values[k] for k in free],
+        [1 << k for k in free],
+        fixed=values[fixed_pos],
+        is_log=is_log,
+    )
+
+
+def per_pair_scan(alpha, pair, h1=None):
+    """The pair scan on its own tables over the m-2 rest coordinates."""
+    i0, j0 = pair.i - 1, pair.j - 1
+    rest = _rest_positions(alpha.m, i0, j0)
+    values, _ = coordinates(alpha.ratios(), alpha.is_log)
+    vi, vj = values[i0], values[j0]
+    if alpha.is_log:
+        lo, hi = max(vi, vj) / min(vi, vj), vi * vj
+    else:
+        lo, hi = abs(vi - vj), vi + vj
+    tables = _PerCallTables(
+        [values[p] for p in rest],
+        [1 << k for k in range(len(rest))],
+        is_log=alpha.is_log,
+    )
+    full = (1 << len(rest)) - 1
+    chars = [0, full] if h1 is None else [0, full, full ^ (1 << h1)]
+    totals, masks, touched = tables.window(lo, hi, chars, True)
+    assert not touched
+    return ScanResult(
+        totals[0],
+        totals[1],
+        totals[2] if h1 is not None else 0,
+        tuple(sorted(masks)),
+    )
+
+
+def _pairs(m):
+    return [PairSelection(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+
+
+def _check_against_per_call_tables(alpha):
+    """Every pair, survey and sign sum of ``alpha`` against per-call tables.
+
+    The first m // 2 coordinates form the first half of the cached table,
+    so the pairs cover both pair bits in one half and one in each.
+    """
+    values, den = coordinates(alpha.ratios(), alpha.is_log)
+    survey = pinned(values, 0, alpha.is_log)
+    gap = survey.gap()
+    assert minimum_gap(alpha) == (gap if alpha.is_log else Fraction(gap, den))
+    report = check_generic(alpha)
+    expected_witness = first_zero(survey.zero_groups())
+    assert report.generic == (expected_witness is None)
+    if not report.generic:
+        assert report.witness.bits == expected_witness
+        return
+    full = (1 << alpha.m) - 1
+    for pos in range(alpha.m):
+        for char in {0, full, full ^ 1, full ^ (1 << (alpha.m - 1))}:
+            got = alpha.half_tables().restrict(1 << pos).sign_sum(char)
+            assert got == pinned(values, pos, alpha.is_log).sign_sum(char)
+            assert got[0] == _sign_sum(alpha, pos, char)
+    if alpha.m < 3:
+        return
+    for pair in _pairs(alpha.m):
+        i0, j0 = pair.i - 1, pair.j - 1
+        expected = per_pair_scan(alpha, pair)
+        row = pair_invariants(alpha, pair)
+        assert (row.count, row.parity, row.signed) == (
+            expected.count,
+            expected.count & 1,
+            expected.signed,
+        )
+        assert enumerate_solutions(alpha, pair).masks() == expected.masks
+        rest = _rest_positions(alpha.m, i0, j0)
+        for h1, pos in enumerate(rest):
+            if alpha.m >= 4:
+                assert extended_signed_count(alpha, pair, pos + 1) == (
+                    per_pair_scan(alpha, pair, h1).extended
+                )
+
+
+@settings(max_examples=120, deadline=None)
+@given(_vectors(1, 9))
+@example(rational_vector([3, 5, 7]))
+@example(rational_vector([3, 5, 7, 11]))
+@example(rational_vector([3, 5, 7, 11, 13]))
+@example(log_vector([2, 3, 5]))
+@example(log_vector([2, 3, 5, 7]))
+@example(log_vector(["7/2", "9/4", "5/3", 11, 13]))
+def test_cached_table_matches_per_call_tables(alpha):
+    _check_against_per_call_tables(alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=3, max_size=8),
+    st.sampled_from((1, 10**17)),
+    st.data(),
+)
+def test_cached_table_matches_per_call_tables_off_a_wall(values, scale, data):
+    """Plain vectors a delta < gap/2 from a degenerate one, small or
+    scaled to 18-digit numerators."""
+    wall = rational_vector([v * scale for v in values])
+    gap = minimum_gap(wall)
+    l0 = data.draw(st.integers(0, len(values) - 1))
+    frac = data.draw(
+        st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(499, 1000))
+    )
+    sign = data.draw(st.sampled_from((-1, 1)))
+    moved = list(wall.ratios())
+    moved[l0] += sign * frac * gap
+    assume(moved[l0] > 0)
+    _check_against_per_call_tables(rational_vector(moved))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(2, 12), min_size=3, max_size=7),
+    st.integers(0, 6),
+    st.integers(1, 10**6),
+    st.sampled_from((-1, 1)),
+)
+def test_log_cached_table_matches_per_call_tables_off_a_wall(ratios, l0, spread, sign):
+    """Log vectors whose l-th ratio moves by a factor f with f^2 below the
+    wall's gap ratio, i.e. by less than half the gap of the logs."""
+    wall = log_vector(ratios)
+    gap = minimum_gap(wall)
+    l0 %= len(ratios)
+    f = 1 + Fraction(1, math.ceil(2 / (gap - 1)) * (1 + spread) + 1)
+    assert f * f < gap
+    moved = list(wall.ratios())
+    moved[l0] = moved[l0] * f if sign > 0 else moved[l0] / f
+    assume(moved[l0] > 1)
+    _check_against_per_call_tables(log_vector(moved))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rational_vector([3, 5, 7, 11, 13, 17, 19]),
+        lambda: rational_vector([2, 3, 4, 8, Fraction(7, 3), 10**18 + 1]),
+        lambda: log_vector([2, 3, 5, 7, 11, 13, 17]),
+        lambda: log_vector(["7/2", "9/4", "5/3", 11, 13, 17]),
+    ],
+    ids=["plain-odd", "plain-even", "log-odd", "log-even"],
+)
+def test_routes_agree_whichever_builds_the_table_first(make):
+    """The closed forms and the pair scans read one cached table; their
+    results do not depend on which of them ran first, and no route
+    changes the cached table."""
+
+    def closed_forms(alpha):
+        return [closed_form_g(alpha)] + [
+            (count_via_sign_sum(alpha, p), signed_count_even_via_sign_sum(alpha, p))
+            if alpha.m % 2 == 0
+            else count_via_sign_sum(alpha, p)
+            for p in _pairs(alpha.m)
+        ]
+
+    def scans(alpha):
+        return [pair_invariants(alpha, p) for p in _pairs(alpha.m)]
+
+    forms_first = make()
+    before = closed_forms(forms_first)
+    table = forms_first.half_tables()
+    snapshot = {k: v[:] if isinstance(v, list) else v for k, v in vars(table).items()}
+    rows_after = scans(forms_first)
+
+    scans_first = make()
+    rows_before = scans(scans_first)
+    after = closed_forms(scans_first)
+
+    assert rows_after == rows_before and before == after
+    assert forms_first.half_tables() is table and vars(table) == snapshot
+    for row in rows_after:
+        expected = per_pair_scan(forms_first, row.pair)
+        assert row == PairInvariants(
+            row.pair, expected.count, expected.count & 1, expected.signed
+        )
