@@ -41,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress, groupby, repeat
-from operator import add
+from operator import add, eq
 
 
 def coordinates(ratios, is_log: bool):
@@ -233,8 +233,17 @@ class HalfTables:
         """
         if len(self.a_keys) > len(self.b_keys):
             return self._swapped().window(lo, hi, chars, materialize)
-        _, _, starts, lo_touched = self._runs(lo)
-        _, ends, _, hi_touched = self._runs(hi)
+        ts_lo, ts_hi = self._thresholds(lo), self._thresholds(hi)
+        keys = self.b_keys
+        starts = list(map(bisect_right, repeat(keys), ts_lo))
+        ends = list(map(bisect_left, repeat(keys), ts_hi))
+        # a bound is hit where the key just before a run, or just after
+        # it, equals the threshold; index -1 (s = 0) and the wrap of e = n
+        # to 0 read a key beyond the bound, which never matches
+        n = len(keys)
+        before = map(keys.__getitem__, [s - 1 for s in starts])
+        after = map(keys.__getitem__, [e - n for e in ends])
+        touched = any(map(eq, before, ts_lo)) or any(map(eq, after, ts_hi))
         totals = []
         for c in chars:
             if not c:
@@ -251,7 +260,7 @@ class HalfTables:
             masks = [
                 a | b for a, s, e in zip(self.a_masks, starts, ends) for b in bm[s:e]
             ]
-        return totals, masks, lo_touched or hi_touched
+        return totals, masks, touched
 
     def sign_sum(self, char):
         """Weighted total of the sign of every full sum.

@@ -453,6 +453,22 @@ def minimum_gap(alpha: AlphaVector) -> Fraction:
     return alpha._min_gap
 
 
+def _half_sign_sum(tables, char: int) -> int:
+    """A quarter of the sum of (-1)^popcount(mask(e) & char) sgn(<e,v>)
+    over all sign vectors e, read from a vector's unrestricted tables.
+
+    For a character of odd weight each term is even under e -> -e, so
+    the sum over the vectors with coordinate 1 at +1 is half of it.
+    Every closed form and kernel integral is plus or minus this number.
+    """
+    total, touched = tables.restrict(1).sign_sum(char)
+    if touched:
+        raise InternalCheckError("generic vector produced a zero signed sum")
+    if total % 2:
+        raise InternalCheckError("half sign sum must be even")
+    return total // 2
+
+
 def zero_sum_masks(alpha: AlphaVector) -> tuple[int, ...]:
     """Bitmasks of vanishing signed sums, one per negation class, sorted.
 

@@ -23,6 +23,7 @@ from .core import (
     PreconditionError,
     Scalar,
     SignVector,
+    _half_sign_sum,
     check_generic,
     minimum_gap,
     require_generic,
@@ -157,20 +158,6 @@ def parity(alpha: AlphaVector, pair: PairSelection) -> int:
     return _scan(alpha, pair).count & 1
 
 
-def _sign_sum(alpha: AlphaVector, fixed_pos: int, char: int) -> int:
-    """Sum of sgn(<e,a>) (-1)^popcount(mask(e) & char) over the sign
-    vectors e with ``fixed_pos`` at +1.
-
-    Masks are m-bit with the fixed bit clear.  Half tables give the sum
-    as sum over A of p_A (W(> -s_A) - W(< -s_A)), W the weight prefix
-    sums of the sorted second half.
-    """
-    total, touched = alpha.half_tables().restrict(1 << fixed_pos).sign_sum(char)
-    if touched:
-        raise InternalCheckError("generic vector produced a zero signed sum")
-    return total
-
-
 def closed_form_g(alpha: AlphaVector) -> int:
     """The sign-sum closed form: -(1/4) sum over all e of sgn(<e,a>) prod e.
 
@@ -182,11 +169,7 @@ def closed_form_g(alpha: AlphaVector) -> int:
     require_generic(alpha)
     if alpha.m % 2 == 0:
         return 0
-    total = _sign_sum(alpha, 0, (1 << alpha.m) - 1)
-    # the fixed-coordinate half contributes exactly half of the full sum
-    if total % 2:
-        raise InternalCheckError("closed-form half sum must be even")
-    return -total // 2
+    return -_half_sign_sum(alpha.half_tables(), (1 << alpha.m) - 1)
 
 
 def orient_pair(alpha: AlphaVector, pair: PairSelection) -> tuple[int, int]:
@@ -201,14 +184,11 @@ def orient_pair(alpha: AlphaVector, pair: PairSelection) -> tuple[int, int]:
 
 
 def count_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> int:
-    """Solution count as (1/2) sum of sgn(<e,a>) over e fixing the smaller
-    pair coordinate to +1."""
+    """Solution count as (1/4) sum of e_i sgn(<e,a>) over all e, with i the
+    smaller pair coordinate."""
     require_generic(alpha)
     small, _ = orient_pair(alpha, pair)
-    total = _sign_sum(alpha, small, 0)
-    if total % 2:
-        raise InternalCheckError("count sign sum must be even")
-    return total // 2
+    return _half_sign_sum(alpha.half_tables(), 1 << small)
 
 
 def signed_count_even_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> int:
@@ -218,13 +198,8 @@ def signed_count_even_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> i
         raise PreconditionError("this route requires even length")
     require_generic(alpha)
     _, large = orient_pair(alpha, pair)
-    # e_j times the sign product is the sign product without e_j; when j
-    # is the fixed coordinate its bit never occurs in a mask
-    total = _sign_sum(alpha, 0, ((1 << alpha.m) - 1) ^ (1 << large))
-    # e and -e contribute equally when m is even, so this is half the sum
-    if total % 2:
-        raise InternalCheckError("signed-count sign sum must be even")
-    return total // 2
+    # e_j times the sign product is the sign product without e_j
+    return _half_sign_sum(alpha.half_tables(), ((1 << alpha.m) - 1) ^ (1 << large))
 
 
 def extended_signed_count(

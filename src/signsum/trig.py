@@ -4,11 +4,13 @@ The three singular-kernel integral formulas recover the pair invariants
 from an integer vector beta that mimics alpha: same component ordering,
 same sign for every signed sum.  Such a beta always exists for generic
 alpha and is found here by a doubling search on the scale q.  Once beta
-is integral, each integrand expands into finitely many complex
-exponentials with integer frequencies, the kernel pairs e^{isx} to
-i*sgn(s), and the integral collapses to exact integer arithmetic.  The
-quadrature code at the bottom is a diagnostic only; it never feeds a
-result back into an exact path.
+is integral, the kernel pairs each oscillation e^{isx} of an integrand
+with i*sgn(s), so every formula is a weighted sign sum over the signed
+sums of beta: the same half-table sum as the closed forms, in exact
+integer arithmetic.  ``ExponentialSum`` writes out the expansion that
+this argument sums implicitly; no exact path calls it.  The quadrature
+code at the bottom is a diagnostic only; it never feeds a result back
+into an exact path.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     InternalCheckError,
     PreconditionError,
     SignVector,
+    _half_sign_sum,
     max_vector_length,
     minimum_gap,
     require_generic,
@@ -309,7 +312,9 @@ class ExponentialSum:
     (-i)^sin_count / 2^(sin_count + cos_count).  Coefficients stay
     integers because each sine contributes e^{ibx} - e^{-ibx} and each
     cosine e^{ibx} + e^{-ibx}, the 1/(2i) and 1/2 factors being folded
-    into the scale.
+    into the scale.  The dict holds up to 2^m frequencies, so this is a
+    reference for small frequency sums; the exact formulas read the
+    same signed total from half tables.
     """
 
     __slots__ = ("sin_count", "cos_count", "coeffs")
@@ -370,28 +375,24 @@ def kernel_pairing(s: int) -> int:
     return (s > 0) - (s < 0)
 
 
-_WINDOW_CHECK_MAX = 16
-
-
-def _check_window_forms(betas, value: int) -> None:
+def _check_window_forms(tables, value: int) -> None:
     """Cross-check the kernel value against the two window counts.
 
-    Splitting off the last component B turns the expansion into a count
+    Splitting off the last component B turns the sign sum into a count
     of sign vectors whose partial sum lies in a symmetric window, with
     two admissible widths B-1 and B.  No partial sum can land on the
     boundary (the full vector has no vanishing signed sum), so the two
-    counts agree with each other and with the kernel value.
+    counts agree with each other and with the kernel value.  ``tables``
+    are the unrestricted half tables of beta.
     """
-    if len(betas) > _WINDOW_CHECK_MAX:
-        return
-    last = betas[-1]
-    n = len(betas)
+    n = len(tables.values)
+    last = tables.values[-1]
     # the sums with the last component at plus are t + B for the partial
     # sums t; integer t: |t| <= w - 1 is -w < t < w, i.e. B - w < t + B < B + w
-    tables = _halves.HalfTables(betas).restrict(1 << (n - 1))
+    pinned = tables.restrict(1 << (n - 1))
     full = (1 << n) - 1
-    (narrow,), _, _ = tables.window(0, 2 * last, [full])
-    (wide,), _, _ = tables.window(-1, 2 * last + 1, [full])
+    (narrow,), _, _ = pinned.window(0, 2 * last, [full])
+    (wide,), _, _ = pinned.window(-1, 2 * last + 1, [full])
     for name, s in (("narrow", narrow), ("wide", wide)):
         if s % 2:
             raise InternalCheckError(f"{name} window sum must be even")
@@ -408,66 +409,106 @@ def _position(beta: BetaApproximation, k: int) -> int:
     return k - 1
 
 
-def _exact_int(val: Fraction, what: str) -> int:
-    if val.denominator != 1:
-        raise InternalCheckError(f"{what} must be an integer, got {val}")
-    return int(val)
+def _formula(
+    beta: BetaApproximation, formula: str, index: int | None
+) -> tuple[int, int]:
+    """(sines, prefactor) of a named kernel formula, preconditions checked.
+
+    ``sines`` is the mask of the components that enter as sin(b_k x);
+    the others enter as cos(b_k x).  "result" is the sine product.
+    "result1" drops its cotangent factor at the larger pair member j by
+    cot(b x) sin(b x) = cos(b x), which also removes its poles, and
+    "result2" its tangent factor at the smaller member i by
+    tan(b x) cos(b x) = sin(b x), leaving one sine against cosines.
+    """
+    m = beta.m
+    if formula == "result":
+        if m == 1:
+            raise PreconditionError("need at least 3 components")
+        return (1 << m) - 1, (-1 if ((m + 1) // 2) % 2 else 1) << (m - 2)
+    if formula not in ("result1", "result2"):
+        raise PreconditionError(f"unknown formula {formula!r}")
+    if index is None:
+        raise PreconditionError("this formula needs the pair index")
+    if formula == "result1":
+        if m % 2:
+            raise PreconditionError("odd length uses the plain variant")
+        if m < 4:
+            raise PreconditionError("need at least 4 components")
+    elif m < 3:
+        raise PreconditionError("need at least 3 components")
+    k0 = _position(beta, index)
+    others = [b for k, b in enumerate(beta.beta) if k != k0]
+    if formula == "result1":
+        if beta.beta[k0] < min(others):
+            raise PreconditionError("index must carry the larger member of a pair")
+        pref = (-1 if (m // 2 - 1) % 2 else 1) << (m - 2)
+        return ((1 << m) - 1) ^ (1 << k0), pref
+    if beta.beta[k0] > max(others):
+        raise PreconditionError("index must carry the smaller member of a pair")
+    return 1 << k0, 1 << (m - 2)
 
 
 def integral_N_odd(beta: BetaApproximation) -> int:
     """Signed solution count for odd length via the sine-product kernel."""
-    m = beta.m
-    if m < 3:
+    if beta.m < 3:
         raise PreconditionError("need at least 3 components")
-    if m % 2 == 0:
+    if beta.m % 2 == 0:
         raise PreconditionError("even length uses the cotangent variant")
-    es = ExponentialSum(beta.beta, ())
-    pref = (-1 if ((m + 1) // 2) % 2 else 1) * (1 << (m - 2))
-    value = _exact_int(pref * es.pairing_value(), "kernel value")
-    _check_window_forms(beta.beta, value)
-    return value
+    return exact_formula_value(beta, "result")
 
 
 def integral_N_even(beta: BetaApproximation, j: int) -> int:
     """Signed solution count for even length; j indexes the larger pair
-    member.  The extra cotangent factor at j is removed beforehand by
-    cot(b x) sin(b x) = cos(b x), which also removes its poles."""
-    m = beta.m
-    if m % 2:
-        raise PreconditionError("odd length uses the plain variant")
-    if m < 4:
-        raise PreconditionError("need at least 4 components")
-    j0 = _position(beta, j)
-    others = [b for k, b in enumerate(beta.beta) if k != j0]
-    if beta.beta[j0] < min(others):
-        raise PreconditionError("index must carry the larger member of a pair")
-    es = ExponentialSum(others, (beta.beta[j0],))
-    pref = (-1 if (m // 2 - 1) % 2 else 1) * (1 << (m - 2))
-    return _exact_int(pref * es.pairing_value(), "kernel value")
+    member, whose cotangent factor becomes a cosine."""
+    return exact_formula_value(beta, "result1", j)
 
 
 def integral_count(beta: BetaApproximation, i: int) -> int:
-    """Solution count; i indexes the smaller pair member.
+    """Solution count; i indexes the smaller pair member, whose tangent
+    factor becomes its one sine."""
+    return exact_formula_value(beta, "result2", i)
 
-    tan(b x) cos(b x) = sin(b x) removes the tangent at i before the
-    expansion, leaving one sine against a bed of cosines.
+
+def exact_formula_value(
+    beta: BetaApproximation, formula: str, index: int | None = None
+) -> int:
+    """Exact value of one named kernel formula.
+
+    ``formula`` picks the sine-product form ("result"), the even-length
+    variant with its cotangent factor ("result1", needs the index of the
+    larger pair member), or the count form ("result2", needs the index
+    of the smaller member).
+
+    With a sines and m - a cosines the integrand is (-i)^a / 2^m times
+    the sum over sign vectors e of prod_{sine k} e_k e^{i<e,beta>x}, and
+    the kernel pairs each e^{isx} with i*sgn(s).  For odd a that is
+    (-1)^((a-1)/2) / 2^m times the sign sum of the sines' character,
+    four times ``_half_sign_sum``, and the prefactor 2^(m-2) leaves
+    plus or minus that half.  For "result" on even length the sign sum
+    vanishes by pairwise cancellation, which is asserted on the whole
+    table.  One half table of beta serves the value and its checks.
     """
-    m = beta.m
-    if m < 3:
-        raise PreconditionError("need at least 3 components")
-    i0 = _position(beta, i)
-    others = [b for k, b in enumerate(beta.beta) if k != i0]
-    if beta.beta[i0] > max(others):
-        raise PreconditionError("index must carry the smaller member of a pair")
-    es = ExponentialSum((beta.beta[i0],), others)
-    pref = 1 << (m - 2)
-    return _exact_int(pref * es.pairing_value(), "kernel value")
+    sines, pref = _formula(beta, formula, index)
+    tables = _halves.HalfTables(beta.beta)
+    a = sines.bit_count()
+    if a % 2 == 0:
+        if tables.sign_sum(sines) != (0, False):
+            raise InternalCheckError("even-length sign sum must cancel")
+        value = 0
+    else:
+        half = _half_sign_sum(tables, sines)
+        value = half if (pref > 0) == (a % 4 == 1) else -half
+    if formula == "result":
+        _check_window_forms(tables, value)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Quadrature diagnostics.  Floating point is quarantined below this line.
 
 _ETA = 1e-4
+_EVALUATIONS = 3_000_000
 _GL_NODES = (
     -0.9061798459386640,
     -0.5384693101056831,
@@ -507,7 +548,9 @@ def _simpson_refine(f, a, b, fa, fm, fb, whole, tol, budget, depth):
     flm, frm = f(lm), f(rm)
     budget[0] -= 2
     if budget[0] < 0:
-        raise InternalCheckError("quadrature evaluation budget exhausted")
+        raise PreconditionError(
+            f"quadrature exceeds its {_EVALUATIONS:,}-evaluation budget"
+        )
     left = (mid - a) / 6 * (fa + 4 * flm + fm)
     right = (b - mid) / 6 * (fm + 4 * frm + fb)
     delta = left + right - whole
@@ -527,9 +570,14 @@ def _integrate(f, a: float, b: float, tol: float, max_freq: int) -> float:
     from aliasing a fast oscillation on a coarse grid.
     """
     segments = max(16, 4 * max_freq)
+    if 3 * segments > _EVALUATIONS:
+        raise PreconditionError(
+            f"quadrature needs {3 * segments:,} evaluations to start, over its"
+            f" {_EVALUATIONS:,}-evaluation budget"
+        )
     width = (b - a) / segments
     seg_tol = tol / segments
-    budget = [3_000_000]
+    budget = [_EVALUATIONS]
     total = 0.0
     for k in range(segments):
         sa = a + k * width
@@ -574,34 +622,6 @@ def _pv_integral(sin_freqs, cos_freqs, inner_tol: float) -> float:
     return body + tails
 
 
-def exact_formula_value(
-    beta: BetaApproximation, formula: str, index: int | None = None
-) -> int:
-    """Exact value of one named kernel formula.
-
-    ``formula`` picks the sine-product form ("result"), the even-length
-    variant with its cotangent factor ("result1", needs the index of the
-    larger pair member), or the count form ("result2", needs the index
-    of the smaller member).  For "result" on even length the value is 0
-    by pairwise cancellation, which is asserted on the expansion itself.
-    """
-    if formula == "result":
-        if beta.m % 2:
-            return integral_N_odd(beta)
-        es = ExponentialSum(beta.beta, ())
-        if es.signed_total() != 0:
-            raise InternalCheckError("even-length expansion must cancel")
-        _check_window_forms(beta.beta, 0)
-        return 0
-    if formula in ("result1", "result2"):
-        if index is None:
-            raise PreconditionError("this formula needs the pair index")
-        if formula == "result1":
-            return integral_N_even(beta, index)
-        return integral_count(beta, index)
-    raise PreconditionError(f"unknown formula {formula!r}")
-
-
 def quadrature_check(
     beta: BetaApproximation,
     formula: str,
@@ -617,21 +637,9 @@ def quadrature_check(
     if tolerance <= 0:
         raise PreconditionError("tolerance must be positive")
     exact = exact_formula_value(beta, formula, index)
-    m = beta.m
-    betas = beta.beta
-    if formula == "result":
-        sin_fs, cos_fs = list(betas), []
-        pref = (-1 if ((m + 1) // 2) % 2 else 1) * (1 << (m - 2))
-    elif formula == "result1":
-        j0 = index - 1
-        sin_fs = [b for k, b in enumerate(betas) if k != j0]
-        cos_fs = [betas[j0]]
-        pref = (-1 if (m // 2 - 1) % 2 else 1) * (1 << (m - 2))
-    else:
-        i0 = index - 1
-        sin_fs = [betas[i0]]
-        cos_fs = [b for k, b in enumerate(betas) if k != i0]
-        pref = 1 << (m - 2)
+    sines, pref = _formula(beta, formula, index)
+    sin_fs = [b for k, b in enumerate(beta.beta) if sines >> k & 1]
+    cos_fs = [b for k, b in enumerate(beta.beta) if not sines >> k & 1]
     two_pi = 2 * math.pi
     inner_tol = tolerance * two_pi / abs(pref) / 8
     numeric = pref * _pv_integral(sin_fs, cos_fs, inner_tol) / two_pi

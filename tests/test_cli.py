@@ -76,6 +76,12 @@ FAILING = [
     (["weights", "--m", "2"], 3, "precondition"),
     (["integral", "--beta", "2,3,4", "--formula", "result1"], 3, "precondition"),
     (["integral", "--beta", "1,2,3", "--formula", "result"], 3, "degenerate"),
+    (
+        ["integral", "--beta", "100003,100019,100043", "--formula", "result",
+         "--quadrature"],
+        3,
+        "precondition",
+    ),
     (["primes", "--n", "25"], 3, "precondition"),
     (
         ["verify-shortening", "--alpha", "2,3,4,8", "--identity", "count-split",
@@ -103,6 +109,26 @@ def test_failures_validate(argv, code, kind, validator):
     assert payload["outputs"] is None
     assert payload["error"]["type"] == kind
     validator.validate(payload)
+
+
+def test_quadrature_budget_refused_before_any_evaluation(monkeypatch):
+    from signsum import trig
+
+    calls = []
+    build = trig._build_integrand
+
+    def counting(sin_freqs, cos_freqs):
+        f = build(sin_freqs, cos_freqs)
+        return lambda x: calls.append(x) or f(x)
+
+    monkeypatch.setattr(trig, "_build_integrand", counting)
+    _, payload = roundtrip(
+        ["integral", "--beta", "100003,100019,100043", "--formula", "result",
+         "--quadrature"]
+    )
+    assert payload["exit_code"] == 3
+    assert "3,000,000-evaluation budget" in payload["error"]["message"]
+    assert calls == []
 
 
 def test_pinned_compute_outputs():

@@ -1,9 +1,12 @@
 """Integer approximation, kernel integrals, quadrature diagnostics."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from signsum import (
     BetaApproximation,
@@ -23,6 +26,7 @@ from signsum import (
     kernel_pairing_quadrature,
     log_vector,
     orient_pair,
+    pair_invariants,
     quadrature_check,
     rademacher,
     rademacher_product_identity_check,
@@ -246,8 +250,98 @@ class TestQuadrature:
 
 
 def test_window_forms_cross_check():
+    from signsum._halves import HalfTables
     from signsum.trig import _check_window_forms
 
-    _check_window_forms((2, 3, 4), 1)
+    _check_window_forms(HalfTables((2, 3, 4)), 1)
     with pytest.raises(InternalCheckError):
-        _check_window_forms((2, 3, 4), 2)
+        _check_window_forms(HalfTables((2, 3, 4)), 2)
+
+
+def _random_generic_beta(rng, m, lo, hi):
+    while True:
+        try:
+            return integer_beta([rng.randint(lo, hi) for _ in range(m)])
+        except DegenerateVectorError:
+            continue
+
+
+def test_window_forms_cross_check_at_m20():
+    from signsum._halves import HalfTables
+    from signsum.trig import _check_window_forms
+
+    tables = HalfTables(_random_generic_beta(random.Random(20), 20, 10**5, 10**6).beta)
+    _check_window_forms(tables, 0)  # even length: the kernel value is 0
+    with pytest.raises(InternalCheckError):
+        _check_window_forms(tables, 1)
+
+
+# ---------------------------------------------------------------------------
+# The exact formulas against the exponential expansion they replaced.
+
+
+def _expansion_value(betas, formula, index=None):
+    """The kernel value from ``ExponentialSum``, prefactors as first stated."""
+    m = len(betas)
+    if formula == "result":
+        es = ExponentialSum(betas, ())
+        if m % 2 == 0:
+            assert es.signed_total() == 0
+            return 0
+        pref = (-1 if ((m + 1) // 2) % 2 else 1) * (1 << (m - 2))
+    elif formula == "result1":
+        others = [b for k, b in enumerate(betas) if k != index - 1]
+        es = ExponentialSum(others, (betas[index - 1],))
+        pref = (-1 if (m // 2 - 1) % 2 else 1) * (1 << (m - 2))
+    else:
+        others = [b for k, b in enumerate(betas) if k != index - 1]
+        es = ExponentialSum((betas[index - 1],), others)
+        pref = 1 << (m - 2)
+    value = pref * es.pairing_value()
+    assert value.denominator == 1
+    return int(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=3, max_size=9), st.data())
+def test_exact_formulas_match_the_expansion(betas, data):
+    try:
+        beta = integer_beta(betas)
+    except DegenerateVectorError:
+        assume(False)
+    m = beta.m
+    assert exact_formula_value(beta, "result") == _expansion_value(betas, "result")
+    if m % 2:
+        assert integral_N_odd(beta) == _expansion_value(betas, "result")
+    k = data.draw(st.integers(1, m))
+    if betas[k - 1] <= max(b for p, b in enumerate(betas) if p != k - 1):
+        expected = _expansion_value(betas, "result2", k)
+        assert integral_count(beta, k) == expected
+        assert exact_formula_value(beta, "result2", k) == expected
+    if m % 2 == 0 and m >= 4:
+        if betas[k - 1] >= min(b for p, b in enumerate(betas) if p != k - 1):
+            expected = _expansion_value(betas, "result1", k)
+            assert integral_N_even(beta, k) == expected
+            assert exact_formula_value(beta, "result1", k) == expected
+
+
+@pytest.mark.parametrize("m", [29, 30])
+def test_integral_at_the_cap_matches_the_pair_scan(m):
+    from signsum.cli import run
+
+    ints = _random_generic_beta(random.Random(m), m, 10**8, 10**9 - 1).beta
+    beta_arg = ",".join(map(str, ints))
+    v = rational_vector(ints)
+    pair = PairSelection(1, 2)
+    row = pair_invariants(v, pair)
+    small, large = orient_pair(v, pair)
+    requests = [(["--formula", "result"], row.signed if m % 2 else 0)]
+    if m % 2 == 0:
+        requests += [
+            (["--formula", "result1", "--pair-index", str(large + 1)], row.signed),
+            (["--formula", "result2", "--pair-index", str(small + 1)], row.count),
+        ]
+    for argv, expected in requests:
+        result = run(["integral", "--beta", beta_arg, *argv])
+        assert result.exit_code == 0, result.error
+        assert result.outputs["exact"] == expected
