@@ -278,33 +278,28 @@ class HalfTables:
         total = sum(w * (top - prefix[g] - prefix[l]) for w, l, g in zip(wa, lt, gt))
         return total, touched
 
-    def zero_groups(self):
-        """The vanishing full sums as (a_masks, b_masks) groups.
+    def survey(self):
+        """(zero_groups, gap): the vanishing full sums and the closest
+        approach of a nonvanishing one to zero, from one pass.
 
-        Every A mask of a group vanishes with every B mask of it, and each
-        vanishing sum lies in exactly one group.  A entries of equal key
-        are adjacent and share one run of B, so listing the groups costs
-        O(2^(n/2)) however many sums vanish.
+        ``zero_groups`` lists the vanishing sums as (a_masks, b_masks)
+        groups: every A mask of a group vanishes with every B mask of it,
+        and each vanishing sum lies in exactly one group.  A entries of
+        equal key are adjacent and share one run of B, so listing the
+        groups costs O(2^(n/2)) however many sums vanish.
+
+        ``gap`` is, plain, the smallest nonzero |sum| as an integer; log,
+        the smallest ratio above 1 among exp(|sum|), as a Fraction.  The
+        nearest nonzero sums of an A entry are the B keys just outside
+        its run on the zero bound.
         """
-        _, lt, gt, _ = self._runs(self._zero)
-        bm = self.b_masks
+        ts, lt, gt, _ = self._runs(self._zero)
+        keys, bm = self.b_keys, self.b_masks
         groups = []
         rows = zip(self.a_masks, lt, gt)
         for (l, g), run in groupby(rows, key=lambda row: row[1:]):
             if l < g:
                 groups.append(([a for a, _, _ in run], bm[l:g]))
-        return groups
-
-    def gap(self):
-        """The closest approach of a nonvanishing full sum to zero.
-
-        Plain: the smallest nonzero |sum| as an integer.  Log: the
-        smallest ratio above 1 among exp(|sum|), as a Fraction.  The
-        nearest nonzero sums of an A entry are the B keys just outside
-        its run on the zero bound.
-        """
-        ts, lt, gt, _ = self._runs(self._zero)
-        keys = self.b_keys
         n = len(keys)
         if self.is_log:
             # a * key = 2 x_a^2 x_b^2, the full ratio times 2P
@@ -320,14 +315,14 @@ class HalfTables:
                 gaps.append(Fraction(above, two_p))
             if below is not None:
                 gaps.append(Fraction(two_p, below))
-            return min(gaps)
+            return groups, min(gaps)
         above = min((keys[g] - t for t, g in zip(ts, gt) if g < n), default=None)
         below = min((t - keys[l - 1] for t, l in zip(ts, lt) if l), default=None)
-        return min(d for d in (above, below) if d is not None)
+        return groups, min(d for d in (above, below) if d is not None)
 
 
 def first_zero(groups):
-    """The smallest vanishing mask among ``zero_groups``, or None.
+    """The smallest vanishing mask among the zero groups, or None.
 
     Every mask bit of A lies below every mask bit of B, so a full mask
     orders by its B part first and a group's smallest mask joins the
@@ -337,5 +332,5 @@ def first_zero(groups):
 
 
 def zero_masks(groups):
-    """Every vanishing mask among ``zero_groups``, ascending."""
+    """Every vanishing mask among the zero groups, ascending."""
     return sorted(a | b for am, bm in groups for a in am for b in bm)

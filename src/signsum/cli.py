@@ -19,7 +19,6 @@ from fractions import Fraction
 from .core import (
     AlphaVector,
     DegenerateVectorError,
-    InternalCheckError,
     PairSelection,
     ParseError,
     PreconditionError,
@@ -30,20 +29,6 @@ from .core import (
 )
 
 __all__ = ["CommandResult", "run", "main"]
-
-_COMMANDS = (
-    "compute",
-    "verify",
-    "closed-form",
-    "weights",
-    "shorten",
-    "verify-shortening",
-    "integral",
-    "approx-beta",
-    "primes",
-    "wall-cross",
-    "rademacher",
-)
 
 
 class CommandResult(
@@ -486,7 +471,7 @@ def _build_parser() -> _Parser:
 
 def _command_token(argv) -> str | None:
     for token in argv:
-        if token in _COMMANDS:
+        if token in _HANDLERS:
             return token
     return None
 
@@ -521,11 +506,7 @@ def run(argv) -> CommandResult:
             {"type": "precondition", "message": str(exc)},
             3,
         )
-    except InternalCheckError as exc:
-        return CommandResult(
-            command, inputs, None, {"type": "internal", "message": str(exc)}, 4
-        )
-    except SignsumError as exc:  # base-class fallback, still an internal bug
+    except SignsumError as exc:  # InternalCheckError and any other bug
         return CommandResult(
             command, inputs, None, {"type": "internal", "message": str(exc)}, 4
         )

@@ -400,18 +400,17 @@ def _survey(alpha: AlphaVector):
     """Half-table pass over all signed sums with coordinate 1 fixed to +1.
 
     Returns (zero_groups, gap): the vanishing sums as the kernel's
-    ``zero_groups`` over full-length bitmasks (bit 0 clear, one
+    zero groups over full-length bitmasks (bit 0 clear, one
     representative per negation class), and the closest nonzero approach
     to zero.  The gap is min |sum| as a Fraction in the plain realization;
     in the log realization it is the smallest product ratio above 1, so
     the actual minimum is its logarithm.
     """
-    tables = alpha.half_tables().restrict(1)
-    gap = tables.gap()
+    groups, gap = alpha.half_tables().restrict(1).survey()
     if alpha.is_log:
-        return tables.zero_groups(), gap
+        return groups, gap
     den = math.lcm(*(r.denominator for r in alpha.ratios()))
-    return tables.zero_groups(), Fraction(gap, den)
+    return groups, Fraction(gap, den)
 
 
 def check_generic(alpha: AlphaVector) -> GenericityReport:

@@ -13,13 +13,12 @@ from collections import namedtuple
 
 from .core import (
     InternalCheckError,
-    PairSelection,
     PreconditionError,
     check_generic,
     log_vector,
     max_vector_length,
 )
-from .invariants import signed_count
+from .invariants import verify_invariance
 
 __all__ = [
     "PRIMES_MAX_N",
@@ -125,37 +124,26 @@ class PrimeReport(namedtuple("PrimeReport", "n primes rows common by_larger")):
 def verify_prime_example(n: int) -> PrimeReport:
     """Run both routes over every pair and check the invariance pattern.
 
-    Any disagreement between the routes, or any failure of the expected
-    pair dependence, is an implementation bug and raises.
+    The direct route and the cross-pair laws come from
+    ``verify_invariance``.  Any disagreement between the routes, or any
+    violated law, is an implementation bug and raises.
     """
     example = prime_alpha(n)
     n = example.n
+    report = verify_invariance(example.alpha)
+    if report.violations:
+        raise InternalCheckError("; ".join(report.violations))
     rows = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            direct = signed_count(example.alpha, PairSelection(i, j))
-            via_mobius = mobius_sum(n, i, j)
-            if direct != via_mobius:
-                raise InternalCheckError(
-                    f"routes disagree at pair ({i},{j}): "
-                    f"direct {direct}, mobius {via_mobius}"
-                )
-            rows.append((i, j, direct, via_mobius))
-
-    common: int | None = None
-    by_larger: dict[int, int] | None = None
-    if n % 2:
-        values = {r[2] for r in rows}
-        if len(values) != 1:
-            raise InternalCheckError("odd-length value must be pair-independent")
-        common = rows[0][2]
-    else:
-        by_larger = {}
-        for i, j, direct, _ in rows:
-            key = example.primes[j - 1]
-            if key in by_larger and by_larger[key] != direct:
-                raise InternalCheckError(
-                    "even-length value must depend only on the larger prime"
-                )
-            by_larger.setdefault(key, direct)
-    return PrimeReport(n, example.primes, tuple(rows), common, by_larger)
+    for row in report.rows:
+        i, j = row.pair
+        via_mobius = mobius_sum(n, i, j)
+        if row.signed != via_mobius:
+            raise InternalCheckError(
+                f"routes disagree at pair ({i},{j}): "
+                f"direct {row.signed}, mobius {via_mobius}"
+            )
+        rows.append((i, j, row.signed, via_mobius))
+    by_larger = None
+    if report.n_by_max_omitted is not None:
+        by_larger = {int(k.ratio): v for k, v in report.n_by_max_omitted.items()}
+    return PrimeReport(n, example.primes, tuple(rows), report.signed, by_larger)

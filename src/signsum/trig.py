@@ -10,7 +10,10 @@ sums of beta: the same half-table sum as the closed forms, in exact
 integer arithmetic.  ``ExponentialSum`` writes out the expansion that
 this argument sums implicitly; no exact path calls it.  The quadrature
 code at the bottom is a diagnostic only; it never feeds a result back
-into an exact path.
+into an exact path.  With integer beta each integrand is a
+trigonometric polynomial of degree at most sum(beta), or cancels in
+pairs about pi, so a midpoint rule on sum(beta) + 1 nodes integrates it
+exactly up to rounding, at a cost known before the first evaluation.
 """
 
 from __future__ import annotations
@@ -260,7 +263,7 @@ def _gray_rank(mask: int) -> int:
 
 
 def _first_in_gray_order(groups) -> int:
-    """The vanishing mask of smallest Gray rank, from ``zero_groups``.
+    """The vanishing mask of smallest Gray rank among the zero groups.
 
     The rank is linear over GF(2), so rank(a | b) = rank(a) ^ rank(b) for
     the disjoint half masks.  Every bit of b lies at or above B's lowest
@@ -295,14 +298,13 @@ def integer_beta(values) -> BetaApproximation:
         raise PreconditionError("components must be positive integers")
     if len(bs) > max_vector_length():
         raise PreconditionError("length exceeds the configured cap")
-    tables = _halves.HalfTables(bs).restrict(1)
-    groups = tables.zero_groups()
+    groups, gap = _halves.HalfTables(bs).restrict(1).survey()
     if groups:
         raise DegenerateVectorError(
             "integer vector has a vanishing signed sum",
             SignVector(len(bs), _first_in_gray_order(groups)),
         )
-    return BetaApproximation(bs, Fraction(1), Fraction(tables.gap()))
+    return BetaApproximation(bs, Fraction(1), Fraction(gap))
 
 
 class ExponentialSum:
@@ -507,22 +509,7 @@ def exact_formula_value(
 # ---------------------------------------------------------------------------
 # Quadrature diagnostics.  Floating point is quarantined below this line.
 
-_ETA = 1e-4
 _EVALUATIONS = 3_000_000
-_GL_NODES = (
-    -0.9061798459386640,
-    -0.5384693101056831,
-    0.0,
-    0.5384693101056831,
-    0.9061798459386640,
-)
-_GL_WEIGHTS = (
-    0.2369268850561891,
-    0.4786286704993665,
-    0.5688888888888889,
-    0.4786286704993665,
-    0.2369268850561891,
-)
 
 
 class QuadratureResult(namedtuple("QuadratureResult", "numeric exact agree")):
@@ -534,59 +521,6 @@ class QuadratureResult(namedtuple("QuadratureResult", "numeric exact agree")):
 
 def _cot_half(x: float) -> float:
     return math.cos(x / 2) / math.sin(x / 2)
-
-
-def _gauss_segment(f, a: float, b: float) -> float:
-    h = (b - a) / 2
-    c = (a + b) / 2
-    return h * sum(w * f(c + h * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-
-
-def _simpson_refine(f, a, b, fa, fm, fb, whole, tol, budget, depth):
-    mid = (a + b) / 2
-    lm, rm = (a + mid) / 2, (mid + b) / 2
-    flm, frm = f(lm), f(rm)
-    budget[0] -= 2
-    if budget[0] < 0:
-        raise PreconditionError(
-            f"quadrature exceeds its {_EVALUATIONS:,}-evaluation budget"
-        )
-    left = (mid - a) / 6 * (fa + 4 * flm + fm)
-    right = (b - mid) / 6 * (fm + 4 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15 * tol:
-        return left + right + delta / 15
-    if depth >= 48:
-        raise InternalCheckError("quadrature subdivision exhausted")
-    return _simpson_refine(
-        f, a, mid, fa, flm, fm, left, tol / 2, budget, depth + 1
-    ) + _simpson_refine(f, mid, b, fm, frm, fb, right, tol / 2, budget, depth + 1)
-
-
-def _integrate(f, a: float, b: float, tol: float, max_freq: int) -> float:
-    """Adaptive Simpson over [a, b] split below the oscillation scale.
-
-    Pre-splitting into quarter-period segments stops the error estimate
-    from aliasing a fast oscillation on a coarse grid.
-    """
-    segments = max(16, 4 * max_freq)
-    if 3 * segments > _EVALUATIONS:
-        raise PreconditionError(
-            f"quadrature needs {3 * segments:,} evaluations to start, over its"
-            f" {_EVALUATIONS:,}-evaluation budget"
-        )
-    width = (b - a) / segments
-    seg_tol = tol / segments
-    budget = [_EVALUATIONS]
-    total = 0.0
-    for k in range(segments):
-        sa = a + k * width
-        sb = a + (k + 1) * width
-        fa, fm, fb = f(sa), f((sa + sb) / 2), f(sb)
-        budget[0] -= 3
-        whole = (sb - sa) / 6 * (fa + 4 * fm + fb)
-        total += _simpson_refine(f, sa, sb, fa, fm, fb, whole, seg_tol, budget, 0)
-    return total
 
 
 def _build_integrand(sin_freqs, cos_freqs):
@@ -604,22 +538,24 @@ def _build_integrand(sin_freqs, cos_freqs):
     return f
 
 
-def _pv_integral(sin_freqs, cos_freqs, inner_tol: float) -> float:
-    """Principal value over a full period: adaptive body plus two tails.
+def _midpoint_mean(sin_freqs, cos_freqs) -> float:
+    """Principal-value mean of cot(x/2) prod sin(b x) prod cos(b x).
 
-    The integrand is bounded, so the tails [0, eta] and [2 pi - eta, 2 pi]
-    are smooth short segments; Gauss nodes keep the endpoints themselves
-    out of the evaluation.
+    The midpoint rule on N = S + 1 nodes (k + 1/2) 2 pi / N, with S the
+    sum of the frequencies, is exact up to rounding (see
+    ``quadrature_check``).  N is known before the first evaluation, so an
+    input over the budget is refused without any.  No node sits on the
+    pole at 0.
     """
+    n = sum(sin_freqs) + sum(cos_freqs) + 1
+    if n > _EVALUATIONS:
+        raise PreconditionError(
+            f"quadrature needs {n:,} evaluations, over its"
+            f" {_EVALUATIONS:,}-evaluation budget"
+        )
     f = _build_integrand(sin_freqs, cos_freqs)
-    two_pi = 2 * math.pi
-    max_freq = sum(sin_freqs) + sum(cos_freqs)
-    body = _integrate(f, _ETA, two_pi - _ETA, inner_tol, max_freq)
-    tails = 0.0
-    for lo, hi in ((0.0, _ETA), (two_pi - _ETA, two_pi)):
-        mid = (lo + hi) / 2
-        tails += _gauss_segment(f, lo, mid) + _gauss_segment(f, mid, hi)
-    return body + tails
+    h = 2 * math.pi / n
+    return math.fsum(f((k + 0.5) * h) for k in range(n)) / n
 
 
 def quadrature_check(
@@ -632,7 +568,18 @@ def quadrature_check(
 
     The numeric side uses the pole-free rewrites (cotangent and tangent
     factors folded into a cosine or sine at the chosen index), the exact
-    side ``exact_formula_value``.
+    side ``exact_formula_value``; ``tolerance`` only decides ``agree``.
+
+    The numeric side is exact up to rounding.  The product of the sines
+    and cosines is a trigonometric polynomial of degree at most S, the
+    sum of beta.  With an odd sine count it is a sum of sin(s x), s <= S,
+    and cot(x/2) sin(s x) = 1 + cos(s x) + 2 sum_{0<k<s} cos(k x) is a
+    polynomial of the same degree, which the midpoint rule on S + 1
+    nodes integrates exactly: every e^{ikx} with 0 < |k| <= S sums to
+    zero over the nodes.  With an even sine count the integrand is odd
+    about pi, its principal value vanishes, and the nodes, symmetric
+    about pi, cancel in pairs.  Reference: Trefethen and Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014.
     """
     if tolerance <= 0:
         raise PreconditionError("tolerance must be positive")
@@ -640,23 +587,14 @@ def quadrature_check(
     sines, pref = _formula(beta, formula, index)
     sin_fs = [b for k, b in enumerate(beta.beta) if sines >> k & 1]
     cos_fs = [b for k, b in enumerate(beta.beta) if not sines >> k & 1]
-    two_pi = 2 * math.pi
-    inner_tol = tolerance * two_pi / abs(pref) / 8
-    numeric = pref * _pv_integral(sin_fs, cos_fs, inner_tol) / two_pi
+    numeric = pref * _midpoint_mean(sin_fs, cos_fs)
     return QuadratureResult(numeric, exact, abs(numeric - exact) < tolerance)
 
 
 def kernel_pairing_quadrature(s: int, tolerance: float = 1e-8) -> QuadratureResult:
     """Diagnostic for the single-oscillation pairing against sgn(s)."""
-    s = int(s)
     exact = kernel_pairing(s)
-    if s == 0:
-        return QuadratureResult(0.0, 0, True)
-    numeric = _pv_integral(
-        [abs(s)], [], tolerance * 2 * math.pi / 8
-    ) / (2 * math.pi)
-    if s < 0:
-        numeric = -numeric
+    numeric = exact * _midpoint_mean([abs(int(s))], [])
     return QuadratureResult(numeric, exact, abs(numeric - exact) < tolerance)
 
 

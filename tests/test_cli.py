@@ -77,7 +77,7 @@ FAILING = [
     (["integral", "--beta", "2,3,4", "--formula", "result1"], 3, "precondition"),
     (["integral", "--beta", "1,2,3", "--formula", "result"], 3, "degenerate"),
     (
-        ["integral", "--beta", "100003,100019,100043", "--formula", "result",
+        ["integral", "--beta", "1000003,1000033,1000037", "--formula", "result",
          "--quadrature"],
         3,
         "precondition",
@@ -111,7 +111,9 @@ def test_failures_validate(argv, code, kind, validator):
     validator.validate(payload)
 
 
-def test_quadrature_budget_refused_before_any_evaluation(monkeypatch):
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """The points at which the quadrature evaluates its integrand."""
     from signsum import trig
 
     calls = []
@@ -122,13 +124,37 @@ def test_quadrature_budget_refused_before_any_evaluation(monkeypatch):
         return lambda x: calls.append(x) or f(x)
 
     monkeypatch.setattr(trig, "_build_integrand", counting)
+    return calls
+
+
+def test_quadrature_budget_refused_before_any_evaluation(integrand_calls):
+    # sum(beta) + 1 = 3,000,074 nodes, just over the budget
     _, payload = roundtrip(
-        ["integral", "--beta", "100003,100019,100043", "--formula", "result",
+        ["integral", "--beta", "1000003,1000033,1000037", "--formula", "result",
          "--quadrature"]
     )
     assert payload["exit_code"] == 3
     assert "3,000,000-evaluation budget" in payload["error"]["message"]
-    assert calls == []
+    assert integrand_calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--beta", "2,3,4", "--formula", "result"],
+        ["--beta", "2,3,4,8", "--formula", "result"],
+        ["--beta", "2,3,4,8", "--formula", "result1", "--pair-index", "4"],
+        ["--beta", "2,3,4,8", "--formula", "result2", "--pair-index", "1"],
+        ["--beta", "5003,5009,5011", "--formula", "result"],
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_quadrature_evaluates_sum_plus_one_nodes(argv, integrand_calls):
+    _, payload = roundtrip(["integral", *argv, "--quadrature"])
+    assert payload["exit_code"] == 0
+    assert payload["outputs"]["agree"] is True
+    beta = [int(b) for b in argv[1].split(",")]
+    assert len(integrand_calls) == sum(beta) + 1
 
 
 def test_pinned_compute_outputs():
@@ -255,9 +281,9 @@ COLD_REQUESTS = [
 
 
 def test_cold_requests_cover_every_subcommand():
-    from signsum.cli import _COMMANDS
+    from signsum.cli import _HANDLERS
 
-    assert sorted(argv[0] for argv, _ in COLD_REQUESTS) == sorted(_COMMANDS)
+    assert sorted(argv[0] for argv, _ in COLD_REQUESTS) == sorted(_HANDLERS)
 
 
 @pytest.mark.parametrize(

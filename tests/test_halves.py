@@ -785,10 +785,10 @@ def _check_against_per_call_tables(alpha):
     """
     values, den = coordinates(alpha.ratios(), alpha.is_log)
     survey = pinned(values, 0, alpha.is_log)
-    gap = survey.gap()
+    groups, gap = survey.survey()
     assert minimum_gap(alpha) == (gap if alpha.is_log else Fraction(gap, den))
     report = check_generic(alpha)
-    expected_witness = first_zero(survey.zero_groups())
+    expected_witness = first_zero(groups)
     assert report.generic == (expected_witness is None)
     if not report.generic:
         assert report.witness.bits == expected_witness

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signsum import (
@@ -167,6 +167,11 @@ class TestKernelPairing:
             res = kernel_pairing_quadrature(s, 1e-8)
             assert res.agree, (s, res.numeric, res.exact)
 
+    def test_quadrature_up_to_500(self):
+        for s in range(-500, 501):
+            res = kernel_pairing_quadrature(s, 1e-8)
+            assert res.agree and res.exact == kernel_pairing(s), (s, res.numeric)
+
 
 class TestIntegralFormulas:
     def test_frozen_odd(self):
@@ -247,6 +252,37 @@ class TestQuadrature:
     def test_tolerance_validated(self):
         with pytest.raises(PreconditionError):
             quadrature_check(integer_beta([2, 3, 4]), "result", 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 1000), min_size=3, max_size=12), st.data())
+@example([2, 3, 4], None)
+@example([2, 3, 4, 8], None)
+@example([920, 943, 926, 907, 973, 925, 909, 965, 987, 943, 987, 951], None)
+def test_quadrature_agrees_on_generic_beta(betas, data):
+    """Every formula, both parities of m: the midpoint rule on sum + 1
+    nodes matches the exact value to 1e-8."""
+    try:
+        beta = integer_beta(betas)
+    except DegenerateVectorError:
+        assume(False)
+    m = beta.m
+
+    def pick(valid):
+        ks = [k for k in range(1, m + 1) if valid(k)]
+        return ks[0] if data is None else data.draw(st.sampled_from(ks))
+
+    checks = [("result", None)]
+    # result2 needs the smaller member of a pair, result1 the larger
+    checks.append(("result2", pick(lambda k: betas[k - 1] <= max(
+        b for p, b in enumerate(betas) if p != k - 1))))
+    if m % 2 == 0:
+        checks.append(("result1", pick(lambda k: betas[k - 1] >= min(
+            b for p, b in enumerate(betas) if p != k - 1))))
+    for formula, index in checks:
+        res = quadrature_check(beta, formula, 1e-8, index)
+        assert res.exact == exact_formula_value(beta, formula, index)
+        assert res.agree, (betas, formula, index, res.numeric, res.exact)
 
 
 def test_window_forms_cross_check():
