@@ -593,8 +593,12 @@ def quadrature_check(
 
 def kernel_pairing_quadrature(s: int, tolerance: float = 1e-8) -> QuadratureResult:
     """Diagnostic for the single-oscillation pairing against sgn(s)."""
+    s = int(s)
     exact = kernel_pairing(s)
-    numeric = exact * _midpoint_mean([abs(int(s))], [])
+    # the sign comes from the oddness of sin, not from the value checked
+    numeric = _midpoint_mean([abs(s)], [])
+    if s < 0:
+        numeric = -numeric
     return QuadratureResult(numeric, exact, abs(numeric - exact) < tolerance)
 
 

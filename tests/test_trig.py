@@ -163,14 +163,16 @@ class TestKernelPairing:
             assert kernel_pairing(-s) == -kernel_pairing(s)
 
     def test_quadrature_small_range(self):
-        for s in (-20, -3, -1, 0, 1, 2, 20):
+        for s in range(-500, 501):
             res = kernel_pairing_quadrature(s, 1e-8)
             assert res.agree, (s, res.numeric, res.exact)
 
-    def test_quadrature_up_to_500(self):
-        for s in range(-500, 501):
-            res = kernel_pairing_quadrature(s, 1e-8)
-            assert res.agree and res.exact == kernel_pairing(s), (s, res.numeric)
+    def test_quadrature_catches_a_wrong_pairing(self, monkeypatch):
+        import signsum.trig as trig
+
+        for wrong, s in ((lambda s: (s < 0) - (s > 0), 3), (lambda s: 0, -7)):
+            monkeypatch.setattr(trig, "kernel_pairing", wrong)
+            assert not trig.kernel_pairing_quadrature(s, 1e-8).agree, s
 
 
 class TestIntegralFormulas:
