@@ -285,16 +285,17 @@ def _cmd_integral(args):
         from . import trig
 
         beta = trig.integer_beta(beta_list)
-        exact = trig.exact_formula_value(beta, args.formula, args.pair_index)
-        outputs = {"formula": args.formula, "exact": exact}
-        if args.quadrature:
-            check = trig.quadrature_check(
-                beta, args.formula, args.tol, args.pair_index
-            )
-            outputs["numeric"] = check.numeric
-            outputs["agree"] = check.agree
-            outputs["tolerance"] = args.tol
-        return outputs
+        if not args.quadrature:
+            exact = trig.exact_formula_value(beta, args.formula, args.pair_index)
+            return {"formula": args.formula, "exact": exact}
+        check = trig.quadrature_check(beta, args.formula, args.tol, args.pair_index)
+        return {
+            "formula": args.formula,
+            "exact": check.exact,
+            "numeric": check.numeric,
+            "agree": check.agree,
+            "tolerance": args.tol,
+        }
 
     return inputs, execute
 

@@ -386,16 +386,15 @@ def wall_crossing_check(
     # contribution by whether the pair coordinates agree in r (a crossing
     # of the upper bound) or differ (the lower bound).
     small, _ = orient_pair(alpha, pair)
+    rest = ((1 << alpha.m) - 1) ^ (1 << i0) ^ (1 << j0)
     pred_signed = 0
     pred_count = 0
     for mask in walls:
-        sig = lambda pos: -1 if (mask >> pos) & 1 else 1
-        ri, rj, rl, r_small = sig(i0), sig(j0), sig(l0), sig(small)
+        ri, rj, rl, r_small = (
+            -1 if mask >> pos & 1 else 1 for pos in (i0, j0, l0, small)
+        )
         pred_count += -r_small * rl
-        prod_rest = 1
-        for pos in range(alpha.m):
-            if pos != i0 and pos != j0 and (mask >> pos) & 1:
-                prod_rest = -prod_rest
+        prod_rest = -1 if (mask & rest).bit_count() & 1 else 1
         if ri == rj:
             norm = (-ri) ** (alpha.m - 1)
             pred_signed += norm * rl * prod_rest

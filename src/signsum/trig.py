@@ -105,9 +105,9 @@ _Q_CAP = 1 << 64
 _PREC_CAP = 1 << 16
 
 
-def _round_half_up(x: Fraction) -> int:
-    """Nearest integer to x, ties upward."""
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+def _round_half_up(q: int, x: Fraction) -> int:
+    """Nearest integer to q*x, ties upward."""
+    return (2 * q * x.numerator + x.denominator) // (2 * x.denominator)
 
 
 def _order_preserved(keys, betas) -> bool:
@@ -136,99 +136,27 @@ def _log_enclosure(ratio: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     )
 
 
-def _certified_round(q: int, ratio: Fraction) -> int:
-    """floor(q*log(ratio) + 1/2), certified by interval refinement.
+def _log_box(ratio: Fraction) -> list:
+    return [*_log_enclosure(ratio, 64), 64, ratio]
 
-    The rounding boundary is never hit: that would make log(ratio)
-    rational, impossible for rational ratio != 1.  So refinement stops.
+
+def _decide(box: list, test):
+    """Settle ``test(lo, hi)`` on a certified enclosure [lo, hi, prec, ratio].
+
+    ``test`` returns its verdict, or None while the enclosure is too wide
+    to tell.  Then the enclosure of log(ratio) is recomputed at twice the
+    precision, up to ``_PREC_CAP``, and kept in ``box`` for every later
+    test.  A plain component's exact box [v, v, _PREC_CAP, None] always
+    decides.
     """
-    prec = 64
-    while prec <= _PREC_CAP:
-        lo, hi = _log_enclosure(ratio, prec)
-        a = _round_half_up(q * lo)
-        b = _round_half_up(q * hi)
-        if a == b:
-            return a
-        prec *= 2
-    raise InternalCheckError("rounding certification stalled")
-
-
-def _log_closeness(ratios, betas, q: int, target: Fraction) -> bool:
-    """Decide |b_k/q - log(r_k)| < target for every k, certified.
-
-    Exact equality with the rational target cannot occur, so shrinking
-    the enclosures settles each comparison in finitely many rounds.
-    """
-    prec = 64
-    while prec <= _PREC_CAP:
-        undecided = False
-        for b, r in zip(betas, ratios):
-            c = Fraction(b, q)
-            lo, hi = _log_enclosure(r, prec)
-            upper = max(abs(c - lo), abs(c - hi))
-            if lo <= c <= hi:
-                lower = Fraction(0)
-            else:
-                lower = min(abs(c - lo), abs(c - hi))
-            if upper < target:
-                continue
-            if lower >= target:
-                return False
-            undecided = True
-            break
-        if not undecided:
-            return True
-        prec *= 2
-    raise InternalCheckError("closeness certification stalled")
-
-
-def _approximate_plain(alpha: AlphaVector) -> BetaApproximation:
-    vals = alpha.ratios()
-    m = alpha.m
-    bound = minimum_gap(alpha)
-    tol = bound / m
-    q = 1
-    while q <= _Q_CAP:
-        betas = []
-        ok = True
-        for v in vals:
-            sv = q * v
-            b = _round_half_up(sv)
-            if b < 1 or abs(Fraction(b, q) - v) >= tol:
-                ok = False
-                break
-            betas.append(b)
-        if ok and _order_preserved(vals, betas):
-            return BetaApproximation(tuple(betas), Fraction(q), bound)
-        q <<= 1
-    raise InternalCheckError("scale search exceeded the safety cap")
-
-
-def _approximate_log(alpha: AlphaVector) -> BetaApproximation:
-    ratios = alpha.ratios()
-    m = alpha.m
-    gap_ratio = minimum_gap(alpha)  # smallest product ratio above 1
-    prec = 64
     while True:
-        mlo, mhi = _log_enclosure(gap_ratio, prec)
-        if mlo > 0 and (mhi - mlo) * 16 < mhi:
-            break
-        prec *= 2
+        verdict = test(box[0], box[1])
+        if verdict is not None:
+            return verdict
+        prec = 2 * box[2]
         if prec > _PREC_CAP:
-            raise InternalCheckError("gap bound certification stalled")
-    bound = mlo
-    target = bound / m
-    q = 1
-    while q <= _Q_CAP:
-        betas = [_certified_round(q, r) for r in ratios]
-        if (
-            min(betas) >= 1
-            and _order_preserved(ratios, betas)
-            and _log_closeness(ratios, betas, q, target)
-        ):
-            return BetaApproximation(tuple(betas), Fraction(q), bound)
-        q <<= 1
-    raise InternalCheckError("scale search exceeded the safety cap")
+            raise InternalCheckError("certification stalled")
+        box[:3] = *_log_enclosure(box[3], prec), prec
 
 
 def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
@@ -242,11 +170,60 @@ def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
     less than m * bound/m = bound, and bound is at most its distance from
     zero.  Termination is guaranteed for generic input because every
     defect shrinks like 1/q while the gap stays fixed.
+
+    Every decision reads a certified enclosure (lo, hi) of its component:
+    the exact (v, v) in the plain realization, a bracket of log(r) from
+    mpmath interval arithmetic in the log realization.  Each bracket is
+    computed once at 64 bits and refined only while a rounding or
+    closeness test cannot tell from it; a boundary case cannot occur,
+    log(r) being irrational, so refinement stops.  The log bound is the
+    lower end of the first bracket of log(g), g the smallest product
+    ratio above 1, at 64, 128, ... bits that is positive and narrower
+    than a sixteenth of its upper end.
     """
     require_generic(alpha)
+    m = alpha.m
+    keys = alpha.ratios()
+    gap = minimum_gap(alpha)
     if alpha.is_log:
-        return _approximate_log(alpha)
-    return _approximate_plain(alpha)
+        bound = _decide(
+            _log_box(gap),
+            lambda lo, hi: lo if lo > 0 and (hi - lo) * 16 < hi else None,
+        )
+        boxes = [_log_box(r) for r in keys]
+    else:
+        bound = gap
+        boxes = [[v, v, _PREC_CAP, None] for v in keys]
+    target = bound / m
+    tnum, tden = target.numerator, target.denominator
+
+    def rounded(lo, hi):
+        b = _round_half_up(q, lo)
+        return b if b == _round_half_up(q, hi) else None
+
+    def close(lo, hi):
+        # b/q - lo and hi - b/q against target, times q * tden * the end's
+        # denominator: integers only, the Fraction forms cost a gcd each
+        above = (b * lo.denominator - q * lo.numerator) * tden
+        below = (q * hi.numerator - b * hi.denominator) * tden
+        reach_lo, reach_hi = q * tnum * lo.denominator, q * tnum * hi.denominator
+        if above < reach_lo and below < reach_hi:
+            return True
+        return False if above <= -reach_lo or below <= -reach_hi else None
+
+    q = 1
+    while q <= _Q_CAP:
+        betas = []
+        for box in boxes:
+            b = _decide(box, rounded)
+            if b < 1 or not _decide(box, close):
+                break
+            betas.append(b)
+        else:
+            if _order_preserved(keys, betas):
+                return BetaApproximation(tuple(betas), Fraction(q), bound)
+        q <<= 1
+    raise InternalCheckError("scale search exceeded the safety cap")
 
 
 def _gray_rank(mask: int) -> int:
@@ -581,10 +558,10 @@ def quadrature_check(
     about pi, cancel in pairs.  Reference: Trefethen and Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014.
     """
+    sines, pref = _formula(beta, formula, index)
     if tolerance <= 0:
         raise PreconditionError("tolerance must be positive")
     exact = exact_formula_value(beta, formula, index)
-    sines, pref = _formula(beta, formula, index)
     sin_fs = [b for k, b in enumerate(beta.beta) if sines >> k & 1]
     cos_fs = [b for k, b in enumerate(beta.beta) if not sines >> k & 1]
     numeric = pref * _midpoint_mean(sin_fs, cos_fs)

@@ -157,6 +157,25 @@ def test_quadrature_evaluates_sum_plus_one_nodes(argv, integrand_calls):
     assert len(integrand_calls) == sum(beta) + 1
 
 
+def test_quadrature_request_builds_two_tables(monkeypatch):
+    # one for integer_beta's survey, one for the exact value it checks
+    from signsum import _halves
+
+    built = []
+    init = _halves.HalfTables.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_halves.HalfTables, "__init__", counting)
+    _, payload = roundtrip(
+        ["integral", "--beta", "2,3,4,8", "--formula", "result", "--quadrature"]
+    )
+    assert payload["exit_code"] == 0 and payload["outputs"]["agree"] is True
+    assert len(built) == 2
+
+
 def test_pinned_compute_outputs():
     _, payload = roundtrip(["compute", "--alpha", "4,6,7,9,11", "--pair", "1,2"])
     assert payload["outputs"] == {"N": -2, "count": 2, "parity": 0}
@@ -254,7 +273,7 @@ MODULE_PROBE = """
 import atexit, json, runpy, sys
 atexit.register(lambda: sys.stderr.write("\\n" + json.dumps([sorted(
     m for m in sys.modules if m == "signsum" or m.startswith("signsum.")),
-    [m for m in ("dataclasses", "inspect") if m in sys.modules]])))
+    [m for m in ("dataclasses", "inspect", "mpmath") if m in sys.modules]])))
 runpy.run_module("signsum", run_name="__main__", alter_sys=True)
 """
 

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signsum import (
+    AlphaVector,
     BetaApproximation,
     DegenerateVectorError,
     ExponentialSum,
@@ -25,14 +26,18 @@ from signsum import (
     kernel_pairing,
     kernel_pairing_quadrature,
     log_vector,
+    minimum_gap,
     orient_pair,
     pair_invariants,
+    prime_alpha,
     quadrature_check,
     rademacher,
     rademacher_product_identity_check,
     rational_vector,
+    require_generic,
     signed_count,
 )
+from signsum.trig import _PREC_CAP, _Q_CAP, _log_enclosure, _order_preserved
 
 from conftest import is_generic_values, random_generic_ints, random_generic_values
 
@@ -128,6 +133,205 @@ class TestApproximateBeta:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateVectorError):
             approximate_beta(log_vector([2, 3, 6]))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for approximate_beta: the earlier search, one q-doubling loop per
+# realization that asks mpmath again for every log component at every q.
+# Its decisions are certified too, so both searches must return the same
+# (beta, q, bound) and fail with the same error.
+
+
+def _round_half_up(x: Fraction) -> int:
+    """Nearest integer to x, ties upward."""
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+def _certified_round(q: int, ratio: Fraction) -> int:
+    """floor(q*log(ratio) + 1/2), certified by interval refinement.
+
+    The rounding boundary is never hit: that would make log(ratio)
+    rational, impossible for rational ratio != 1.  So refinement stops.
+    """
+    prec = 64
+    while prec <= _PREC_CAP:
+        lo, hi = _log_enclosure(ratio, prec)
+        a = _round_half_up(q * lo)
+        b = _round_half_up(q * hi)
+        if a == b:
+            return a
+        prec *= 2
+    raise InternalCheckError("rounding certification stalled")
+
+
+def _log_closeness(ratios, betas, q: int, target: Fraction) -> bool:
+    """Decide |b_k/q - log(r_k)| < target for every k, certified.
+
+    Exact equality with the rational target cannot occur, so shrinking
+    the enclosures settles each comparison in finitely many rounds.
+    """
+    prec = 64
+    while prec <= _PREC_CAP:
+        undecided = False
+        for b, r in zip(betas, ratios):
+            c = Fraction(b, q)
+            lo, hi = _log_enclosure(r, prec)
+            upper = max(abs(c - lo), abs(c - hi))
+            if lo <= c <= hi:
+                lower = Fraction(0)
+            else:
+                lower = min(abs(c - lo), abs(c - hi))
+            if upper < target:
+                continue
+            if lower >= target:
+                return False
+            undecided = True
+            break
+        if not undecided:
+            return True
+        prec *= 2
+    raise InternalCheckError("closeness certification stalled")
+
+
+def _approximate_plain(alpha: AlphaVector) -> BetaApproximation:
+    vals = alpha.ratios()
+    m = alpha.m
+    bound = minimum_gap(alpha)
+    tol = bound / m
+    q = 1
+    while q <= _Q_CAP:
+        betas = []
+        ok = True
+        for v in vals:
+            sv = q * v
+            b = _round_half_up(sv)
+            if b < 1 or abs(Fraction(b, q) - v) >= tol:
+                ok = False
+                break
+            betas.append(b)
+        if ok and _order_preserved(vals, betas):
+            return BetaApproximation(tuple(betas), Fraction(q), bound)
+        q <<= 1
+    raise InternalCheckError("scale search exceeded the safety cap")
+
+
+def _approximate_log(alpha: AlphaVector) -> BetaApproximation:
+    ratios = alpha.ratios()
+    m = alpha.m
+    gap_ratio = minimum_gap(alpha)  # smallest product ratio above 1
+    prec = 64
+    while True:
+        mlo, mhi = _log_enclosure(gap_ratio, prec)
+        if mlo > 0 and (mhi - mlo) * 16 < mhi:
+            break
+        prec *= 2
+        if prec > _PREC_CAP:
+            raise InternalCheckError("gap bound certification stalled")
+    bound = mlo
+    target = bound / m
+    q = 1
+    while q <= _Q_CAP:
+        betas = [_certified_round(q, r) for r in ratios]
+        if (
+            min(betas) >= 1
+            and _order_preserved(ratios, betas)
+            and _log_closeness(ratios, betas, q, target)
+        ):
+            return BetaApproximation(tuple(betas), Fraction(q), bound)
+        q <<= 1
+    raise InternalCheckError("scale search exceeded the safety cap")
+
+
+def _search_outcome(search, alpha):
+    try:
+        return tuple(search(alpha))
+    except InternalCheckError as exc:
+        return str(exc)
+
+
+_numerators = st.one_of(st.integers(1, 10**6), st.integers(1, 10**18))
+_denominators = st.one_of(st.integers(1, 100), st.integers(1, 10**18))
+
+
+@st.composite
+def _search_inputs(draw):
+    """(values, is_log) of one of five shapes, m = 3-9 plain, 3-7 log."""
+    kind = draw(st.sampled_from(("plain", "tied", "near-wall", "ratios", "primes")))
+    if kind == "primes":
+        m = draw(st.integers(3, 7))
+        return list(draw(st.permutations(prime_alpha(20).primes))[:m]), True
+    if kind == "ratios":  # log:p/q with q <= 9
+        top = draw(st.sampled_from((1000, 10**18)))
+        ratio = st.integers(2, 9).flatmap(
+            lambda q: st.builds(Fraction, st.integers(q + 1, top), st.just(q))
+        )
+        return draw(st.lists(ratio, min_size=3, max_size=7)), True
+    fracs = st.builds(Fraction, _numerators, _denominators)
+    if kind == "plain":
+        return draw(st.lists(fracs, min_size=3, max_size=9)), False
+    if kind == "tied":
+        vals = draw(st.lists(fracs, min_size=2, max_size=8))
+        return vals + [vals[draw(st.integers(0, len(vals) - 1))]], False
+    # one component a signed sum of the others plus 1/d, d <= 100
+    rest = draw(st.lists(st.builds(Fraction, _numerators), min_size=2, max_size=8))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(rest),
+                          max_size=len(rest)))
+    near = abs(sum(e * v for e, v in zip(signs, rest)))
+    return rest + [near + Fraction(1, draw(st.integers(2, 100)))], False
+
+
+@settings(max_examples=250, deadline=None)
+@given(_search_inputs())
+@example(([Fraction(7, 3), Fraction(7, 3), Fraction(9, 2)], False))
+@example(([2, 3, 5], True))
+@example(([Fraction(7, 2), Fraction(9, 4), Fraction(5)], True))
+# 2 * 3 = 6 up to a factor 1 + 10^-18: q near 2^62 needs 128-bit brackets
+@example(([2, 3, Fraction(6 * 10**18 + 6, 10**18)], True))
+# a 64-bit bracket cannot tell closeness at some q; refined, it fails
+@example(([2, 7, Fraction(70000000000000000021, 5000000000000000000)], True))
+# |beta_k/q - alpha_k| equals bound/m at some q: not close
+@example(([Fraction(3, 2), 2, Fraction(17, 2), Fraction(22, 3)], False))
+# gaps near 10^-30: both searches give up at the scale cap
+@example(([2, 3, Fraction(6 * 10**30 + 6, 10**30)], True))
+@example(([1, 2, Fraction(3 * 10**30 + 1, 10**30)], False))
+def test_search_matches_the_earlier_search(inputs):
+    values, is_log = inputs
+    alpha = (log_vector if is_log else rational_vector)(values)
+    try:
+        require_generic(alpha)
+    except DegenerateVectorError:
+        assume(False)
+    earlier = _approximate_log if is_log else _approximate_plain
+    assert _search_outcome(approximate_beta, alpha) == _search_outcome(
+        earlier, alpha
+    )
+
+
+@pytest.fixture
+def enclosures(monkeypatch):
+    """The (ratio, precision) of every enclosure the search computes."""
+    from signsum import trig
+
+    calls = []
+    enclose = trig._log_enclosure
+
+    def counting(ratio, prec):
+        calls.append((ratio, prec))
+        return enclose(ratio, prec)
+
+    monkeypatch.setattr(trig, "_log_enclosure", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_log_search_encloses_each_component_once(m, enclosures):
+    approximate_beta(prime_alpha(m).alpha)
+    assert len(enclosures) <= 2 * m
+
+
+def test_plain_search_computes_no_enclosure(enclosures):
+    approximate_beta(rational_vector([Fraction(7, 2), Fraction(9, 4), 5]))
+    assert enclosures == []
 
 
 class TestExponentialSum:
