@@ -80,7 +80,6 @@ _SOURCES = {
     ),
     "trig": (
         "BetaApproximation",
-        "ExponentialSum",
         "QuadratureResult",
         "approximate_beta",
         "exact_formula_value",
@@ -92,7 +91,6 @@ _SOURCES = {
         "kernel_pairing_quadrature",
         "quadrature_check",
         "rademacher",
-        "rademacher_product_identity_check",
     ),
     "primes": (
         "PrimeExample",

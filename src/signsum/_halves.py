@@ -7,9 +7,9 @@ B's, each of about 2^(n/2) entries.  With B sorted, the full sums that
 one entry a forms lie below, on and above a bound in three consecutive
 runs of B, found by two bisections, and prefix sums over B turn a
 weighted total over a run into two lookups.  Windows, weighted sign
-totals, vanishing sums and the closest approach to zero thus cost
-O(2^(n/2) n) instead of O(2^n).  Reference: Horowitz and Sahni,
-"Computing partitions with applications to the knapsack problem",
+totals, the degree-1 moments of the sums above zero, vanishing sums and
+the closest approach to zero thus cost O(2^(n/2) n) instead of O(2^n).
+Reference: Horowitz and Sahni, "Computing partitions with applications to the knapsack problem",
 J. ACM 21(2), 1974.
 
 Plain coordinates are integers (see ``coordinates``).  A log coordinate
@@ -102,6 +102,23 @@ def _kept(mask, masks, *columns):
     bit of ``mask`` clear; the order, and so the sorting, is kept."""
     keep = [not m & mask for m in masks]
     return [list(compress(col, keep)) for col in (masks, *columns)]
+
+
+def _coordinate_moments(by_mask, width):
+    """[sum of by_mask[x] (-1)^(bit k of x) over x, for k < width].
+
+    ``by_mask`` holds one value per mask 0 .. 2^width - 1.  From the top
+    bit down, the moment of a bit is the total minus twice the upper
+    half, and folding the upper half onto the lower drops the bit.
+    """
+    total = sum(by_mask)
+    moments = []
+    for _ in range(width):
+        half = len(by_mask) >> 1
+        low, high = by_mask[:half], by_mask[half:]
+        moments.append(total - 2 * sum(high))
+        by_mask = list(map(add, low, high))
+    return moments[::-1]
 
 
 class HalfTables:
@@ -277,6 +294,48 @@ class HalfTables:
         # weight above the zero bound minus weight below it
         total = sum(w * (top - prefix[g] - prefix[l]) for w, l, g in zip(wa, lt, gt))
         return total, touched
+
+    def moments(self):
+        """Degree-0 and degree-1 moments of the sums above zero, read
+        from unrestricted tables.
+
+        Returns (ones, chis, touched).  For w = 1 and for w = chi, the
+        parity sign, ``ones`` and ``chis`` are [T, T_0, ..., T_(n-1)]:
+        T sums w(e) over the full sums above zero and T_k sums w(e) e_k,
+        with e_k = -1 where mask bit k is set.  ``touched`` tells whether
+        some full sum vanishes.  One bisection pass: an A entry a sees
+        B[gt_a:] above zero and contributes c_a = w_a * (the weight of
+        that run) with its A coordinates' signs; a B entry at index j
+        sees the A entries with gt_a <= j and contributes
+        d_j = w_j * (their weight) with its B coordinates' signs.  The
+        thresholds fall as the A keys rise, so those A entries are a
+        suffix of A, read off by bisection.  O(n 2^(n/2)) in all.
+        """
+        _, _, gt, touched = self._runs(self._zero)
+        rising = gt[::-1]
+        # per B index, how many A entries from the end see it above zero
+        seen = list(map(bisect_right, repeat(rising), range(len(self.b_keys))))
+        half = self.a_bits.bit_length()
+        a_order = sorted(range(len(self.a_masks)), key=self.a_masks.__getitem__)
+        b_order = sorted(range(len(self.b_masks)), key=self.b_masks.__getitem__)
+        out = []
+        for wa, wb in (
+            ([1] * len(self.a_keys), [1] * len(self.b_keys)),
+            (self.a_signs, self.b_signs),
+        ):
+            prefix = list(accumulate(wb, initial=0))
+            top = prefix[-1]
+            c = [w * (top - prefix[g]) for w, g in zip(wa, gt)]
+            suffix = list(accumulate(reversed(wa), initial=0))
+            d = [w * suffix[r] for w, r in zip(wb, seen)]
+            out.append(
+                [sum(c)]
+                + _coordinate_moments(list(map(c.__getitem__, a_order)), half)
+                + _coordinate_moments(
+                    list(map(d.__getitem__, b_order)), len(self.values) - half
+                )
+            )
+        return out[0], out[1], touched
 
     def survey(self):
         """(zero_groups, gap): the vanishing full sums and the closest

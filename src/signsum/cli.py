@@ -10,11 +10,12 @@ Output bytes are deterministic for identical inputs.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .core import (
     AlphaVector,
@@ -47,12 +48,6 @@ class CommandResult(
             "exit_code": self.exit_code,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-class _Parser(argparse.ArgumentParser):
-    # surface argparse failures as ParseError so they reach the envelope
-    def error(self, message):
-        raise ParseError(message)
 
 
 def _format_vector(alpha: AlphaVector) -> str:
@@ -405,69 +400,184 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="signsum", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    sub.required = True
+# One option of a subcommand: the field it sets, the converter of its value
+# (None keeps the text), whether it is required, else its default, the
+# values it accepts (None: any) and whether it is a flag, taking no value.
+_Option = namedtuple(
+    "_Option",
+    "field convert required default choices flag",
+    defaults=(None, False, None, None, False),
+)
 
-    p = sub.add_parser("compute", help="pair invariants of one vector")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--pair", required=True)
-    p.add_argument("--solutions", action="store_true")
+_OPTIONS = {
+    "compute": {
+        "--alpha": _Option("alpha", required=True),
+        "--pair": _Option("pair", required=True),
+        "--solutions": _Option("solutions", default=False, flag=True),
+    },
+    "verify": {"--alpha": _Option("alpha", required=True)},
+    "closed-form": {
+        "--alpha": _Option("alpha", required=True),
+        "--pair": _Option("pair"),
+    },
+    "weights": {"--m": _Option("m", int, required=True)},
+    "shorten": {
+        "--alpha": _Option("alpha", required=True),
+        "--j": _Option("j", int, required=True),
+        "--k": _Option("k", int, required=True),
+        "--sign": _Option("sign", required=True, choices=("+", "-")),
+    },
+    "verify-shortening": {
+        "--alpha": _Option("alpha", required=True),
+        "--identity": _Option(
+            "identity", required=True, choices=tuple(_IDENTITY_ARITY)
+        ),
+        "--indices": _Option("indices", required=True),
+    },
+    "integral": {
+        "--beta": _Option("beta", required=True),
+        "--formula": _Option(
+            "formula", required=True, choices=("result", "result1", "result2")
+        ),
+        "--pair-index": _Option("pair_index", int),
+        "--quadrature": _Option("quadrature", default=False, flag=True),
+        "--tol": _Option("tol", float, default=1e-8),
+    },
+    "approx-beta": {"--alpha": _Option("alpha", required=True)},
+    "primes": {
+        "--n": _Option("n", int, required=True),
+        "--pair": _Option("pair", default="1,2"),
+        "--method": _Option(
+            "method", default="both", choices=("direct", "moebius", "both")
+        ),
+    },
+    "wall-cross": {
+        "--alpha": _Option("alpha", required=True),
+        "--l": _Option("l", int, required=True),
+        "--pair": _Option("pair", required=True),
+        "--delta": _Option("delta"),
+    },
+    "rademacher": {
+        "--i": _Option("i", int, required=True),
+        "--t": _Option("t", required=True),
+    },
+}
 
-    p = sub.add_parser("verify", help="all pairs plus cross-pair laws")
-    p.add_argument("--alpha", required=True)
+# Tokens that start with "-" but are values: negative numbers and anything
+# with a space.  A lone "-" is a value too, and "--" ends the options.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("closed-form", help="sign-sum closed forms")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--pair")
 
-    p = sub.add_parser("weights", help="pair-independent weight space")
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("shorten", help="replace one component, delete another")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sign", choices=("+", "-"), required=True)
-
-    p = sub.add_parser("verify-shortening", help="splitting identities")
-    p.add_argument("--alpha", required=True)
-    p.add_argument(
-        "--identity", choices=tuple(_IDENTITY_ARITY), required=True
+def _unknown_option(token: str) -> bool:
+    return (
+        len(token) > 1
+        and token[0] == "-"
+        and not _NEGATIVE_NUMBER.match(token)
+        and " " not in token
     )
-    p.add_argument("--indices", required=True)
 
-    p = sub.add_parser("integral", help="exact kernel integral formulas")
-    p.add_argument("--beta", required=True)
-    p.add_argument(
-        "--formula", choices=("result", "result1", "result2"), required=True
-    )
-    p.add_argument("--pair-index", type=int, dest="pair_index")
-    p.add_argument("--quadrature", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
 
-    p = sub.add_parser("approx-beta", help="integer approximation search")
-    p.add_argument("--alpha", required=True)
+def _classify(token: str, options):
+    """A subcommand token as (name, inline value) of an option, with name
+    None for an unknown option, or None for a value.
 
-    p = sub.add_parser("primes", help="prime-log family, both routes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pair", default="1,2")
-    p.add_argument(
-        "--method", choices=("direct", "moebius", "both"), default="both"
-    )
+    An option is named in full or by a unique prefix, with its value
+    inline after "=" or as the next token.
+    """
+    if token in options:
+        return token, None
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    prefix, eq, inline = token.partition("=")
+    if eq and prefix in options:
+        return prefix, inline
+    if token.startswith("--"):
+        matches = [name for name in options if name.startswith(prefix)]
+        if len(matches) > 1:
+            raise ParseError(
+                f"ambiguous option: {token} could match {', '.join(matches)}"
+            )
+        if matches:
+            return matches[0], inline if eq else None
+    return (None, None) if _unknown_option(token) else None
 
-    p = sub.add_parser("wall-cross", help="jumps across a degeneracy wall")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--pair", required=True)
-    p.add_argument("--delta")
 
-    p = sub.add_parser("rademacher", help="binary-digit sign function")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--t", required=True)
+def _value(name: str, option, text: str):
+    value = text
+    if option.convert is not None:
+        try:
+            value = option.convert(text)
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"argument {name}: invalid {option.convert.__name__} value: {text!r}"
+            ) from None
+    if option.choices is not None and value not in option.choices:
+        choices = ", ".join(map(repr, option.choices))
+        raise ParseError(
+            f"argument {name}: invalid choice: {value!r} (choose from {choices})"
+        )
+    return value
 
-    return parser
+
+def _parse_args(argv) -> SimpleNamespace:
+    """The command and its option fields, on argparse's grammar.
+
+    Options before the command are unknown; the first value names the
+    command.  Every token is classified before any is consumed, so an
+    ambiguous prefix is reported first; then options are consumed left
+    to right, the last repeat winning, and values that no option takes
+    are unrecognized.  The messages are argparse's.
+    """
+    extras = []
+    pos = 0
+    while pos < len(argv) and argv[pos] != "--" and _unknown_option(argv[pos]):
+        extras.append(argv[pos])
+        pos += 1
+    if pos == len(argv) or argv[pos:] == ["--"]:
+        raise ParseError("the following arguments are required: command")
+    command, tokens = argv[pos], argv[pos + 1 :]
+    options = _OPTIONS.get(command)
+    if options is None:
+        choices = ", ".join(map(repr, _OPTIONS))
+        raise ParseError(
+            f"argument command: invalid choice: {command!r} (choose from {choices})"
+        )
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_classify(token, options) for token in tokens[:end]]
+    if end < len(tokens):  # "--" itself is no value; every token after it is
+        kinds += ["--"] + [None] * (len(tokens) - end - 1)
+    fields = {}
+    i = 0
+    while i < len(tokens):
+        name, inline = kinds[i] if isinstance(kinds[i], tuple) else (None, None)
+        i += 1
+        if name is None:
+            extras.append(tokens[i - 1])
+            continue
+        option = options[name]
+        if option.flag:
+            if inline is not None:
+                raise ParseError(f"argument {name}: ignored explicit argument {inline!r}")
+            fields[option.field] = True
+        elif inline is not None:
+            fields[option.field] = _value(name, option, inline)
+        elif i < len(tokens) and kinds[i] is None:
+            fields[option.field] = _value(name, option, tokens[i])
+            i += 1
+        else:
+            raise ParseError(f"argument {name}: expected one argument")
+    missing = [
+        name
+        for name, option in options.items()
+        if option.required and option.field not in fields
+    ]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
+    for option in options.values():
+        fields.setdefault(option.field, option.default)
+    return SimpleNamespace(command=command, **fields)
 
 
 def _command_token(argv) -> str | None:
@@ -483,7 +593,7 @@ def run(argv) -> CommandResult:
     command = _command_token(argv)
     inputs = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         command = args.command
         inputs, execute = _HANDLERS[command](args)
         outputs = execute()

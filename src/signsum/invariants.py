@@ -241,18 +241,67 @@ class InvariantReport(
     __slots__ = ()
 
 
+def _moment_rows(alpha: AlphaVector) -> list[PairInvariants]:
+    """Every pair's invariants from degree-1 moments of one table.
+
+    With T^w the sum of w(e) over the sign vectors e with <e, a> > 0 and
+    T^w_k the same sum weighted by e_k, for w = 1 and w = chi (the sign
+    product), a pair with smaller member J and larger member I
+    (``orient_pair``) has count = T^1_J / 2 and N = (T^chi_I - T^chi) / 2.
+    On e_I = -1 the sums above zero are the rest sums above
+    a_I - a_J (e_J = +1) or above a_I + a_J (e_J = -1), so the window
+    count is the sum of e_J over them and N minus that of chi; e -> -e
+    turns the half e_I = +1 into the same numbers.  These are Chow
+    parameters of the threshold function sgn(<e, a>) (Chow 1961;
+    O'Donnell, "Analysis of Boolean Functions", 2014, ch. 5).
+
+    The m - 1 pairs adjacent in (value, index) order are scanned as well:
+    together they use each moment a row reads exactly once, so a wrong
+    moment cannot pass unseen.
+    """
+    m = alpha.m
+    ones, chis, touched = alpha.half_tables().moments()
+    if touched:
+        raise InternalCheckError("generic vector produced a zero signed sum")
+    rows = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            pair = PairSelection(i + 1, j + 1)
+            small, large = orient_pair(alpha, pair)
+            count, odd = divmod(ones[small + 1], 2)
+            signed, odd_n = divmod(chis[large + 1] - chis[0], 2)
+            if odd or odd_n:
+                raise InternalCheckError("moment of a pair must be even")
+            rows.append(PairInvariants(pair, count, count & 1, signed))
+    by_pair = {row.pair: row for row in rows}
+    order = sorted(range(m), key=lambda pos: (alpha.components[pos], pos))
+    for p, q in zip(order, order[1:]):
+        pair = PairSelection(p + 1, q + 1)
+        if pair_invariants(alpha, pair) != by_pair[pair]:
+            raise InternalCheckError(
+                f"moment row disagrees with the scan of pair {pair.i},{pair.j}"
+            )
+    return rows
+
+
 def verify_invariance(alpha: AlphaVector) -> InvariantReport:
     """Compute every pair and check the cross-pair laws.
 
+    The rows come from degree-1 moments of the vector's table, checked
+    against the scans of m - 1 adjacent pairs (``_moment_rows``).  On
+    that route two laws hold by construction, so their checks below can
+    only fail through a defect in the route itself: the count depends on
+    the smaller member alone, and for even m, where T^chi = 0, N depends
+    on the larger member alone.  Parity invariance, odd-m N invariance
+    (T^chi_k = 0 there) and the m = 4 |N| law still compare numbers.
     A violation marks an implementation bug, not bad input; it is recorded
     in the report rather than raised.
     """
     require_generic(alpha)
     m = alpha.m
-    rows = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            rows.append(pair_invariants(alpha, PairSelection(i, j)))
+    if m == 2:
+        _pair_positions(alpha, PairSelection(1, 2))  # raises: too short
+    rows = _moment_rows(alpha) if m > 2 else []
 
     violations = []
     parities = {row.parity for row in rows}

@@ -7,21 +7,21 @@ alpha and is found here by a doubling search on the scale q.  Once beta
 is integral, the kernel pairs each oscillation e^{isx} of an integrand
 with i*sgn(s), so every formula is a weighted sign sum over the signed
 sums of beta: the same half-table sum as the closed forms, in exact
-integer arithmetic.  ``ExponentialSum`` writes out the expansion that
-this argument sums implicitly; no exact path calls it.  The quadrature
-code at the bottom is a diagnostic only; it never feeds a result back
-into an exact path.  With integer beta each integrand is a
-trigonometric polynomial of degree at most sum(beta), or cancels in
-pairs about pi, so a midpoint rule on sum(beta) + 1 nodes integrates it
-exactly up to rounding, at a cost known before the first evaluation.
+integer arithmetic.  The quadrature code at the bottom is a diagnostic
+only; it never feeds a result back into an exact path.  With integer
+beta each integrand is a trigonometric polynomial of degree at most
+sum(beta), or cancels in pairs about pi, so a midpoint rule on
+sum(beta) + 1 nodes integrates it exactly up to rounding, at a cost
+known before the first evaluation.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _halves
 from .core import (
@@ -38,7 +38,6 @@ from .core import (
 
 __all__ = [
     "BetaApproximation",
-    "ExponentialSum",
     "QuadratureResult",
     "rademacher",
     "approximate_beta",
@@ -50,7 +49,6 @@ __all__ = [
     "integral_count",
     "exact_formula_value",
     "quadrature_check",
-    "rademacher_product_identity_check",
 ]
 
 
@@ -122,18 +120,122 @@ def _order_preserved(keys, betas) -> bool:
     return True
 
 
-def _log_enclosure(ratio: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Certified rational enclosure of log(ratio) at ``prec`` bits."""
-    import mpmath  # only the log realization needs it; kept off import time
+# log 2 as [bits, 2^bits log 2 within 2 units]; widened on demand
+_LOG2 = [0, 0]
 
-    ctx = mpmath.ctx_iv.MPIntervalContext()
-    ctx.prec = prec
-    z = ctx.log(ctx.mpf(ratio.numerator) / ctx.mpf(ratio.denominator))
-    lo, hi = z._mpi_
-    return (
-        Fraction(*mpmath.libmp.to_rational(lo)),
-        Fraction(*mpmath.libmp.to_rational(hi)),
-    )
+
+def _atanh_inverse(n: int, bits: int) -> tuple[int, int]:
+    """(v, err): 2^bits atanh(1/n) = v up to err units, n >= 2.
+
+    Every floor division is off by less than a unit.  The power terms
+    then stay within 1 + 1/(n^2 - 1) < 2 units of 2^bits / n^(2j+1), so
+    each series term is within 3 units, and the term that reaches 0
+    bounds the tail by 2 n^2/(n^2 - 1) < 3 units.
+    """
+    t = total = (1 << bits) // n
+    n2, j = n * n, 1
+    while t:
+        t //= n2
+        total += t // (2 * j + 1)
+        j += 1
+    return total, 3 * j + 3
+
+
+def _log2(bits: int) -> int:
+    """2^bits log 2 within 2 units, shifted down from the cached value.
+
+    log 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749), a
+    Machin-like formula whose slowest series gains 9.4 bits a term; it
+    is summed with 64 guard bits and cached at the widest precision asked
+    for, so shifting it down to ``bits`` adds less than a unit.
+    """
+    if _LOG2[0] < bits:
+        wide = max(bits, 2 * _LOG2[0])
+        total = err = 0
+        for coeff, n in ((18, 26), (-2, 4801), (8, 8749)):
+            v, e = _atanh_inverse(n, wide + 64)
+            total += coeff * v
+            err += abs(coeff) * e
+        if err >> 63:
+            raise InternalCheckError("log 2 error bound overflowed its guard bits")
+        _LOG2[:] = wide, total >> 64
+    return _LOG2[1] >> (_LOG2[0] - bits)
+
+
+def _dyadic(v: int, bits: int, prec: int, up: bool) -> Fraction:
+    """v / 2^bits rounded down (or up) to ``prec`` significant bits."""
+    drop = abs(v).bit_length() - prec
+    if drop > 0:
+        v = -(-v >> drop) if up else v >> drop
+        bits -= drop
+    return Fraction(v, 1 << bits) if bits >= 0 else Fraction(v << -bits)
+
+
+def _log_fixed(a: int, b: int, prec: int) -> tuple[int, int, int]:
+    """(v, err, F) with |2^F log(a/b) - v| <= err, for a > b > 0, and
+    err / 2^F far below 2^-prec log(a/b).
+
+    Fixed-point integers with a counted error: write a/b = 2^k x with x
+    in [1, 2), so that log(a/b) = k log 2 + 2 atanh(z), z = (x - 1)/(x + 1)
+    < 1/3.  At high precision s square roots first take x to x^(2^-s),
+    shrinking z by 2^-s and the series by as many terms, and then
+    log x = 2^(s+1) atanh(z).  F fractional bits leave room for the
+    error count, the roots and, when k = 0, for a log as small as 2z.
+    Every step rounds down and its error is bounded in units of 2^-F:
+      - x below 1 unit, each root (slope at most 1/2 above 1) keeps it
+        below 2, and z (slope at most 1/2) below 2;
+      - z^2 below 3, each power below 4 (each product drops the bits
+        of z^2 that cannot reach its unit) and each term below 5, and
+        the power that reaches 0 bounds the tail below 5;
+      - log 2 below 2, so k log 2 below 2k.
+    """
+    k = a.bit_length() - b.bit_length()
+    if a < b << k:
+        k -= 1
+    b <<= k
+    # z >= 2^-e, so log x >= 2^(1-e)
+    e = (a + b).bit_length() - (a - b).bit_length() + 1
+    s = max(0, math.isqrt(prec) // 4 - e)
+    F = prec + (e if k == 0 else 1) + s + 2 * prec.bit_length() + 8
+    one = 1 << F
+    if s:
+        x = (a << F) // b
+        for _ in range(s):
+            x = math.isqrt(x << F)
+        z = ((x - one) << F) // (x + one)
+    else:
+        z = ((a - b) << F) // (a + b)
+    z2 = (z * z) >> F
+    t = total = z
+    j = 1
+    while t:
+        width = t.bit_length()
+        t = (t * (z2 >> (F - width))) >> width
+        total += t // (2 * j + 1)
+        j += 1
+    v = total << (s + 1)
+    err = (5 * j + 5) << (s + 1)
+    if k:
+        v += k * _log2(F)
+        err += 2 * k
+    return v, err, F
+
+
+def _log_enclosure(ratio: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """Certified rational enclosure of log(ratio) at ``prec`` bits.
+
+    Both ends are dyadic with at most ``prec`` significant bits, and the
+    width is about 2^-prec relative: ``_log_fixed``'s interval rounded
+    outward.
+    """
+    a, b = ratio.numerator, ratio.denominator
+    if a <= b:
+        if a == b:
+            return Fraction(0), Fraction(0)
+        lo, hi = _log_enclosure(Fraction(b, a), prec)
+        return -hi, -lo
+    v, err, bits = _log_fixed(a, b, prec)
+    return _dyadic(v - err, bits, prec, False), _dyadic(v + err, bits, prec, True)
 
 
 def _log_box(ratio: Fraction) -> list:
@@ -172,8 +274,8 @@ def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
     defect shrinks like 1/q while the gap stays fixed.
 
     Every decision reads a certified enclosure (lo, hi) of its component:
-    the exact (v, v) in the plain realization, a bracket of log(r) from
-    mpmath interval arithmetic in the log realization.  Each bracket is
+    the exact (v, v) in the plain realization, a bracket of log(r) in
+    fixed-point integers in the log realization.  Each bracket is
     computed once at 64 bits and refined only while a rounding or
     closeness test cannot tell from it; a boundary case cannot occur,
     log(r) being irrational, so refinement stops.  The log bound is the
@@ -259,6 +361,17 @@ def _first_in_gray_order(groups) -> int:
     return min(firsts, key=_gray_rank)
 
 
+@lru_cache(maxsize=1)
+def _beta_tables(values: tuple[int, ...]) -> _halves.HalfTables:
+    """The half tables of an integer vector, kept for the next caller.
+
+    ``integer_beta`` surveys them and ``exact_formula_value`` reads its
+    value and checks from them, so one request builds one table.  Tables
+    are never mutated (``restrict`` copies).
+    """
+    return _halves.HalfTables(values)
+
+
 def integer_beta(values) -> BetaApproximation:
     """Wrap raw positive integers as their own approximation at q = 1.
 
@@ -275,72 +388,13 @@ def integer_beta(values) -> BetaApproximation:
         raise PreconditionError("components must be positive integers")
     if len(bs) > max_vector_length():
         raise PreconditionError("length exceeds the configured cap")
-    groups, gap = _halves.HalfTables(bs).restrict(1).survey()
+    groups, gap = _beta_tables(bs).restrict(1).survey()
     if groups:
         raise DegenerateVectorError(
             "integer vector has a vanishing signed sum",
             SignVector(len(bs), _first_in_gray_order(groups)),
         )
     return BetaApproximation(bs, Fraction(1), Fraction(gap))
-
-
-class ExponentialSum:
-    """Integer-coefficient expansion of a product of sines and cosines.
-
-    Represents scale * sum_s coeffs[s] * e^{isx} with scale equal to
-    (-i)^sin_count / 2^(sin_count + cos_count).  Coefficients stay
-    integers because each sine contributes e^{ibx} - e^{-ibx} and each
-    cosine e^{ibx} + e^{-ibx}, the 1/(2i) and 1/2 factors being folded
-    into the scale.  The dict holds up to 2^m frequencies, so this is a
-    reference for small frequency sums; the exact formulas read the
-    same signed total from half tables.
-    """
-
-    __slots__ = ("sin_count", "cos_count", "coeffs")
-
-    def __init__(self, sin_freqs, cos_freqs):
-        sin_fs = [int(b) for b in sin_freqs]
-        cos_fs = [int(b) for b in cos_freqs]
-        if any(b < 1 for b in sin_fs + cos_fs):
-            raise PreconditionError("frequencies must be positive integers")
-        cur = {0: 1}
-        for b in sin_fs:
-            nxt: dict[int, int] = {}
-            for s, c in cur.items():
-                nxt[s + b] = nxt.get(s + b, 0) + c
-                nxt[s - b] = nxt.get(s - b, 0) - c
-            cur = {s: c for s, c in nxt.items() if c}
-        for b in cos_fs:
-            nxt = {}
-            for s, c in cur.items():
-                nxt[s + b] = nxt.get(s + b, 0) + c
-                nxt[s - b] = nxt.get(s - b, 0) + c
-            cur = {s: c for s, c in nxt.items() if c}
-        self.sin_count = len(sin_fs)
-        self.cos_count = len(cos_fs)
-        self.coeffs = cur
-
-    def conjugate_symmetric(self) -> bool:
-        """Coefficient symmetry forced by the integrand being real."""
-        flip = -1 if self.sin_count % 2 else 1
-        return all(
-            self.coeffs.get(-s, 0) == flip * c for s, c in self.coeffs.items()
-        )
-
-    def signed_total(self) -> int:
-        return sum(c * ((s > 0) - (s < 0)) for s, c in self.coeffs.items())
-
-    def pairing_value(self) -> Fraction:
-        """Pair every e^{isx} with i*sgn(s) and fold in the scale.
-
-        Needs an odd sine count; then (-i)^a * i is the real number
-        (-1)^((a-1)/2) and the whole pairing is rational.
-        """
-        a = self.sin_count
-        if a % 2 == 0:
-            raise PreconditionError("pairing needs an odd number of sine factors")
-        factor = -1 if ((a - 1) // 2) % 2 else 1
-        return Fraction(factor * self.signed_total(), 1 << (a + self.cos_count))
 
 
 def kernel_pairing(s: int) -> int:
@@ -466,10 +520,11 @@ def exact_formula_value(
     four times ``_half_sign_sum``, and the prefactor 2^(m-2) leaves
     plus or minus that half.  For "result" on even length the sign sum
     vanishes by pairwise cancellation, which is asserted on the whole
-    table.  One half table of beta serves the value and its checks.
+    table.  One half table of beta, shared with ``integer_beta``
+    (``_beta_tables``), serves the value and its checks.
     """
     sines, pref = _formula(beta, formula, index)
-    tables = _halves.HalfTables(beta.beta)
+    tables = _beta_tables(beta.beta)
     a = sines.bit_count()
     if a % 2 == 0:
         if tables.sign_sum(sines) != (0, False):
@@ -535,6 +590,15 @@ def _midpoint_mean(sin_freqs, cos_freqs) -> float:
     return math.fsum(f((k + 0.5) * h) for k in range(n)) / n
 
 
+def _rounding_bound(freqs, scale: int) -> float:
+    """Bound on the rounding error of ``scale`` times the midpoint mean
+    over ``freqs`` (see ``quadrature_check``)."""
+    total = sum(freqs)
+    spread = (2 / math.pi) * (2 + math.log(total + 1))
+    eps = sys.float_info.epsilon
+    return abs(scale) * eps * (10 * math.pi * total + 2 * len(freqs) + 16) * spread
+
+
 def quadrature_check(
     beta: BetaApproximation,
     formula: str,
@@ -545,7 +609,8 @@ def quadrature_check(
 
     The numeric side uses the pole-free rewrites (cotangent and tangent
     factors folded into a cosine or sine at the chosen index), the exact
-    side ``exact_formula_value``; ``tolerance`` only decides ``agree``.
+    side ``exact_formula_value``; ``agree`` tells whether they differ by
+    less than ``tolerance`` plus the rounding bound below.
 
     The numeric side is exact up to rounding.  The product of the sines
     and cosines is a trigonometric polynomial of degree at most S, the
@@ -557,6 +622,24 @@ def quadrature_check(
     about pi, its principal value vanishes, and the nodes, symmetric
     about pi, cancel in pairs.  Reference: Trefethen and Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014.
+
+    Rounding bound.  With eps the double-precision epsilon, m factors and
+    n = S + 1 nodes, the numeric value is within
+
+        2^(m-2) * eps * (10 pi S + 2m + 16) * (2/pi) (2 + ln n)
+
+    of the exact one (the prefactor's magnitude in place of 2^(m-2)), to
+    first order in eps and with sin and cos off by at most a unit in the
+    last place.  Each node x is off by at most 3 eps x, so b x by at
+    most 8 pi eps b, and each factor, of magnitude at most 1, by at most
+    (8 pi b + 1) eps; a node's error is thus at most |cot(x/2)| eps
+    (8 pi S + 2m + 16) plus the cotangent's own, which near the pole at
+    2 pi adds at most 5 eps n to the mean, less than the 2 pi S more in
+    the bound.  The mean of |cot(x/2)| over the nodes is at most
+    (2/pi)(2 + ln n), by cot y <= 1/y.  The bound
+    grows like 2^m S log S, so at m = 30 with entries near 1000 it is
+    about 0.2, and once it passes 1/2 ``agree`` can no longer tell a
+    wrong integer from the right one.
     """
     sines, pref = _formula(beta, formula, index)
     if tolerance <= 0:
@@ -565,43 +648,18 @@ def quadrature_check(
     sin_fs = [b for k, b in enumerate(beta.beta) if sines >> k & 1]
     cos_fs = [b for k, b in enumerate(beta.beta) if not sines >> k & 1]
     numeric = pref * _midpoint_mean(sin_fs, cos_fs)
-    return QuadratureResult(numeric, exact, abs(numeric - exact) < tolerance)
+    limit = tolerance + _rounding_bound(beta.beta, pref)
+    return QuadratureResult(numeric, exact, abs(numeric - exact) < limit)
 
 
 def kernel_pairing_quadrature(s: int, tolerance: float = 1e-8) -> QuadratureResult:
-    """Diagnostic for the single-oscillation pairing against sgn(s)."""
+    """Diagnostic for the single-oscillation pairing against sgn(s), with
+    the rounding bound of ``quadrature_check``."""
     s = int(s)
     exact = kernel_pairing(s)
     # the sign comes from the oddness of sin, not from the value checked
     numeric = _midpoint_mean([abs(s)], [])
     if s < 0:
         numeric = -numeric
-    return QuadratureResult(numeric, exact, abs(numeric - exact) < tolerance)
-
-
-def rademacher_product_identity_check(betas, x: float) -> bool:
-    """Compare the dyadic-interval average with the sine-product form.
-
-    The average of prod_k r_k(t) e^{i x sum_k b_k r_k(t)} over t in [0,1)
-    is a finite sum because all k digit functions are constant on each of
-    the 2^k dyadic subintervals; it must equal i^k prod_k sin(b_k x).
-    """
-    bs = [int(b) for b in betas]
-    k = len(bs)
-    if not 1 <= k <= 20:
-        raise PreconditionError("between 1 and 20 components")
-    if any(b < 1 for b in bs):
-        raise PreconditionError("components must be positive integers")
-    total = 0j
-    for jmask in range(1 << k):
-        dot = 0
-        for pos in range(k):
-            digit = (jmask >> (k - 1 - pos)) & 1
-            dot += bs[pos] * (1 - 2 * digit)
-        prod = -1 if jmask.bit_count() & 1 else 1
-        total += prod * cmath.exp(1j * x * dot)
-    lhs = total / (1 << k)
-    rhs = 1j**k
-    for b in bs:
-        rhs *= math.sin(b * x)
-    return abs(lhs - rhs) <= 1e-10
+    limit = tolerance + _rounding_bound([abs(s)], 1)
+    return QuadratureResult(numeric, exact, abs(numeric - exact) < limit)

@@ -20,6 +20,7 @@ from signsum import (
     log_vector,
     minimum_gap,
     orient_pair,
+    pair_invariants,
     parity,
     parse_scalar,
     rational_vector,
@@ -361,3 +362,103 @@ def test_even_n_keyed_by_larger_component(vals):
             key = fr[large]
             n = signed_count(v, PairSelection(i, j))
             assert by_larger.setdefault(key, n) == n
+
+
+# ---------------------------------------------------------------------------
+# verify's moment rows against a scan of every pair.
+
+
+def _rows_by_scan(alpha):
+    m = alpha.m
+    return [
+        pair_invariants(alpha, PairSelection(i, j))
+        for i in range(1, m + 1)
+        for j in range(i + 1, m + 1)
+    ]
+
+
+_big = st.integers(1, 10**18)
+
+
+@st.composite
+def _moment_inputs(draw):
+    """(values, is_log), m = 3-12, of one of five shapes: small rationals
+    with ties, 18-digit numerators and denominators, a vector a rational
+    delta below half its gap off a wall, log:p/q and prime logs."""
+    kind = draw(st.sampled_from(("tied", "big", "near-wall", "ratios", "primes")))
+    m = draw(st.integers(3, 12))
+    if kind == "primes":
+        from signsum import prime_alpha
+
+        return list(draw(st.permutations(prime_alpha(20).primes))[:m]), True
+    if kind == "ratios":
+        ratio = st.integers(2, 9).flatmap(
+            lambda q: st.builds(Fraction, st.integers(q + 1, 60), st.just(q))
+        )
+        vals = draw(st.lists(ratio, min_size=m, max_size=m))
+        return vals + [vals[0]] if draw(st.booleans()) else vals, True
+    if kind == "big":
+        return draw(st.lists(st.builds(Fraction, _big, _big), min_size=m, max_size=m)), False
+    if kind == "tied":
+        vals = draw(st.lists(st.integers(1, 40), min_size=m - 1, max_size=m - 1))
+        return vals + [draw(st.sampled_from(vals))], False
+    # the last component sits on the wall |sum e_k v_k| of the others, then
+    # moves off it by delta < gap / 2, gap the degenerate vector's gap
+    rest = draw(st.lists(st.integers(1, 10**6), min_size=m - 1, max_size=m - 1))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=m - 1, max_size=m - 1))
+    wall = abs(sum(e * v for e, v in zip(signs, rest))) or 1
+    on_wall = rational_vector(rest + [wall])
+    gap = minimum_gap(on_wall)
+    delta = gap / draw(st.integers(3, 10**6))
+    return rest + [wall + draw(st.sampled_from((delta, -delta)))], False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moment_inputs())
+def test_moment_rows_match_every_pair_scan(inputs):
+    from hypothesis import assume
+
+    from signsum import DegenerateVectorError
+
+    values, is_log = inputs
+    alpha = (log_vector if is_log else rational_vector)(values)
+    try:
+        report = verify_invariance(alpha)
+    except DegenerateVectorError:
+        assume(False)
+    assert report.rows == _rows_by_scan(alpha)
+    assert report.violations == []
+
+
+@pytest.mark.parametrize("m", [14, 17])
+@pytest.mark.parametrize("is_log", [False, True], ids=["plain", "log"])
+def test_moment_rows_match_every_pair_scan_at_larger_m(m, is_log):
+    import random
+
+    rng = random.Random(m)
+    if is_log:
+        alpha = log_vector([Fraction(rng.randint(10, 10**6), rng.randint(1, 9))
+                            for _ in range(m)])
+    else:
+        alpha = rational_vector([rng.randint(1, 10**9) for _ in range(m)])
+    assert verify_invariance(alpha).rows == _rows_by_scan(alpha)
+
+
+@pytest.mark.parametrize("values", [INTRO, [2, 3, 4, 8], [3, 5, 7, 11, 13, 17, 19, 23, 29]])
+def test_moment_pass_with_a_shifted_run_start_is_caught(values, monkeypatch):
+    """Every run above zero starting one B entry late: the adjacent-pair
+    scans see the wrong moments."""
+    from signsum import _halves, check_generic
+
+    alpha = rational_vector(values)
+    check_generic(alpha)  # the survey reads the unmutated runs
+    runs = _halves.HalfTables._runs
+
+    def late(self, bound):
+        ts, lt, gt, touched = runs(self, bound)
+        n = len(self.b_keys)
+        return ts, lt, [min(g + 1, n) for g in gt], touched
+
+    monkeypatch.setattr(_halves.HalfTables, "_runs", late)
+    with pytest.raises(InternalCheckError, match="moment row disagrees"):
+        verify_invariance(alpha)

@@ -1,5 +1,6 @@
 """Integer approximation, kernel integrals, quadrature diagnostics."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,6 @@ from signsum import (
     AlphaVector,
     BetaApproximation,
     DegenerateVectorError,
-    ExponentialSum,
     InternalCheckError,
     PairSelection,
     PreconditionError,
@@ -32,14 +32,112 @@ from signsum import (
     prime_alpha,
     quadrature_check,
     rademacher,
-    rademacher_product_identity_check,
     rational_vector,
     require_generic,
     signed_count,
 )
-from signsum.trig import _PREC_CAP, _Q_CAP, _log_enclosure, _order_preserved
+from signsum.trig import (
+    _PREC_CAP,
+    _Q_CAP,
+    _log_enclosure,
+    _log_fixed,
+    _order_preserved,
+)
 
 from conftest import is_generic_values, random_generic_ints, random_generic_values
+
+
+# ---------------------------------------------------------------------------
+# Two oracles the library no longer ships: the dyadic-average identity
+# behind the digit signs, and the explicit exponential expansion that the
+# exact formulas sum implicitly.
+
+
+def rademacher_product_identity_check(betas, x: float) -> bool:
+    """Compare the dyadic-interval average with the sine-product form.
+
+    The average of prod_k r_k(t) e^{i x sum_k b_k r_k(t)} over t in [0,1)
+    is a finite sum because all k digit functions are constant on each of
+    the 2^k dyadic subintervals; it must equal i^k prod_k sin(b_k x).
+    """
+    bs = [int(b) for b in betas]
+    k = len(bs)
+    if not 1 <= k <= 20:
+        raise PreconditionError("between 1 and 20 components")
+    if any(b < 1 for b in bs):
+        raise PreconditionError("components must be positive integers")
+    total = 0j
+    for jmask in range(1 << k):
+        dot = 0
+        for pos in range(k):
+            digit = (jmask >> (k - 1 - pos)) & 1
+            dot += bs[pos] * (1 - 2 * digit)
+        prod = -1 if jmask.bit_count() & 1 else 1
+        total += prod * cmath.exp(1j * x * dot)
+    lhs = total / (1 << k)
+    rhs = 1j**k
+    for b in bs:
+        rhs *= math.sin(b * x)
+    return abs(lhs - rhs) <= 1e-10
+
+
+class ExponentialSum:
+    """Integer-coefficient expansion of a product of sines and cosines.
+
+    Represents scale * sum_s coeffs[s] * e^{isx} with scale equal to
+    (-i)^sin_count / 2^(sin_count + cos_count).  Coefficients stay
+    integers because each sine contributes e^{ibx} - e^{-ibx} and each
+    cosine e^{ibx} + e^{-ibx}, the 1/(2i) and 1/2 factors being folded
+    into the scale.  The dict holds up to 2^m frequencies, so this is a
+    reference for small frequency sums; the exact formulas read the
+    same signed total from half tables.
+    """
+
+    __slots__ = ("sin_count", "cos_count", "coeffs")
+
+    def __init__(self, sin_freqs, cos_freqs):
+        sin_fs = [int(b) for b in sin_freqs]
+        cos_fs = [int(b) for b in cos_freqs]
+        if any(b < 1 for b in sin_fs + cos_fs):
+            raise PreconditionError("frequencies must be positive integers")
+        cur = {0: 1}
+        for b in sin_fs:
+            nxt: dict[int, int] = {}
+            for s, c in cur.items():
+                nxt[s + b] = nxt.get(s + b, 0) + c
+                nxt[s - b] = nxt.get(s - b, 0) - c
+            cur = {s: c for s, c in nxt.items() if c}
+        for b in cos_fs:
+            nxt = {}
+            for s, c in cur.items():
+                nxt[s + b] = nxt.get(s + b, 0) + c
+                nxt[s - b] = nxt.get(s - b, 0) + c
+            cur = {s: c for s, c in nxt.items() if c}
+        self.sin_count = len(sin_fs)
+        self.cos_count = len(cos_fs)
+        self.coeffs = cur
+
+    def conjugate_symmetric(self) -> bool:
+        """Coefficient symmetry forced by the integrand being real."""
+        flip = -1 if self.sin_count % 2 else 1
+        return all(
+            self.coeffs.get(-s, 0) == flip * c for s, c in self.coeffs.items()
+        )
+
+    def signed_total(self) -> int:
+        return sum(c * ((s > 0) - (s < 0)) for s, c in self.coeffs.items())
+
+    def pairing_value(self) -> Fraction:
+        """Pair every e^{isx} with i*sgn(s) and fold in the scale.
+
+        Needs an odd sine count; then (-i)^a * i is the real number
+        (-1)^((a-1)/2) and the whole pairing is rational.
+        """
+        a = self.sin_count
+        if a % 2 == 0:
+            raise PreconditionError("pairing needs an odd number of sine factors")
+        factor = -1 if ((a - 1) // 2) % 2 else 1
+        return Fraction(factor * self.signed_total(), 1 << (a + self.cos_count))
 
 
 class TestRademacher:
@@ -334,6 +432,87 @@ def test_plain_search_computes_no_enclosure(enclosures):
     assert enclosures == []
 
 
+# ---------------------------------------------------------------------------
+# The integer log bracket against mpmath interval arithmetic at 4096 bits.
+
+_REFERENCE_BITS = 4096
+
+
+def _assert_certified(ratio, prec, ref_lo, ref_hi):
+    """The fixed-point value is within its counted error of the reference
+    bracket, [lo, hi] holds that bracket, its ends are dyadic with at
+    most ``prec`` significant bits, and its width is within 2^(3 - prec)
+    of |log(ratio)|."""
+    a, b = ratio.numerator, ratio.denominator
+    if a > b:
+        v, err, bits = _log_fixed(a, b, prec)
+        assert v - err <= ref_lo * 2**bits and ref_hi * 2**bits <= v + err, ratio
+    else:
+        v, err, bits = _log_fixed(b, a, prec)
+        assert v - err <= -ref_hi * 2**bits and -ref_lo * 2**bits <= v + err, ratio
+    lo, hi = _log_enclosure(ratio, prec)
+    assert lo <= ref_lo and ref_hi <= hi, (ratio, prec)
+    for end in (lo, hi):
+        den = end.denominator
+        assert den & (den - 1) == 0 and abs(end.numerator).bit_length() <= prec
+    assert (hi - lo) * (1 << prec) <= 8 * min(abs(lo), abs(hi)), (ratio, prec)
+
+
+def test_log_bracket_certified_against_mpmath():
+    """2,400 ratios, each bracket at one of 64-2048 bits, hold mpmath's
+    4096-bit interval: 1,600 products of prime powers (numerator and
+    denominator up to about 10^60, the reference summed from 4096-bit
+    prime logs), 400 ratios of random integers up to 10^60 and 400
+    ratios within 10^-60 to 10^-1 of 1, on both sides of it."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.ctx_iv.MPIntervalContext()
+    ctx.prec = _REFERENCE_BITS
+
+    def ends(z):
+        return tuple(Fraction(*mpmath.libmp.to_rational(e)) for e in z._mpi_)
+
+    def direct(r):
+        return ctx.log(ctx.mpf(r.numerator) / ctx.mpf(r.denominator))
+
+    rng = random.Random(2400)
+    precisions = (64, 128, 256, 512, 1024, 2048)
+    primes = prime_alpha(20).primes
+    prime_logs = {p: ctx.log(p) for p in primes}
+    for case in range(1600):
+        chosen = rng.sample(primes, rng.randint(1, 8))
+        powers = {p: rng.randint(-8, 8) for p in chosen}
+        ratio = Fraction(math.prod(Fraction(p) ** e for p, e in powers.items()))
+        if ratio == 1:
+            continue
+        ref = sum((e * prime_logs[p] for p, e in powers.items()), ctx.mpf(0))
+        _assert_certified(ratio, precisions[case % 6], *ends(ref))
+    for case in range(800):
+        if case % 2:
+            ratio = Fraction(rng.randint(1, 10**60), rng.randint(1, 10**60))
+        else:
+            k = rng.randint(1, 60)
+            ratio = Fraction(10**k + rng.choice((-1, 1)) * rng.randint(1, 10**6), 10**k)
+        if ratio <= 0 or ratio == 1:
+            continue
+        _assert_certified(ratio, precisions[case % 6], *ends(direct(ratio)))
+
+
+def test_log_bracket_at_the_precision_cap():
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.ctx_iv.MPIntervalContext()
+    ctx.prec = _PREC_CAP + 64
+    ratio = Fraction(10**60 + 7, 999983)
+    z = ctx.log(ctx.mpf(ratio.numerator) / ctx.mpf(ratio.denominator))
+    ref_lo, ref_hi = (Fraction(*mpmath.libmp.to_rational(e)) for e in z._mpi_)
+    _assert_certified(ratio, _PREC_CAP, ref_lo, ref_hi)
+
+
+def test_log_bracket_signs_and_unit_ratio():
+    lo, hi = _log_enclosure(Fraction(3, 2), 64)
+    assert _log_enclosure(Fraction(2, 3), 64) == (-hi, -lo)
+    assert _log_enclosure(Fraction(5, 5), 64) == (0, 0)
+
+
 class TestExponentialSum:
     def test_conjugate_symmetric(self, rng):
         for _ in range(5):
@@ -516,6 +695,42 @@ def test_window_forms_cross_check_at_m20():
     _check_window_forms(tables, 0)  # even length: the kernel value is 0
     with pytest.raises(InternalCheckError):
         _check_window_forms(tables, 1)
+
+
+# (seed, m, entry range, formula): correct values whose numeric side is
+# off by 3.2e-7, 2.8e-8, 3.0e-6 and 2.6e-8, above the 1e-8 tolerance but
+# inside the rounding bound 2^(m-2) eps (...) of ``quadrature_check``.
+LARGE_M_QUADRATURES = [
+    (24, 24, (1000, 10000), "result2"),
+    (25, 24, (100, 1000), "result2"),
+    (30, 30, (100, 1000), "result2"),
+    (31, 30, (1000, 10000), "result"),
+]
+
+
+def _large_m_check(seed, m, entries, formula):
+    beta = _random_generic_beta(random.Random(seed), m, *entries)
+    index = None
+    if formula == "result2":  # the global minimum is the smaller member of a pair
+        index = min(range(m), key=beta.beta.__getitem__) + 1
+    return beta, index, quadrature_check(beta, formula, 1e-8, index)
+
+
+@pytest.mark.parametrize("case", LARGE_M_QUADRATURES, ids=lambda c: f"m{c[1]}-{c[0]}")
+def test_quadrature_agrees_at_large_m(case):
+    beta, index, res = _large_m_check(*case)
+    assert res.exact == exact_formula_value(beta, case[3], index)
+    assert abs(res.numeric - res.exact) > 1e-8  # the plain tolerance would fail
+    assert res.agree
+
+
+def test_quadrature_at_large_m_catches_an_off_by_one(monkeypatch):
+    import signsum.trig as trig
+
+    exact = trig.exact_formula_value
+    monkeypatch.setattr(trig, "exact_formula_value", lambda *a: exact(*a) + 1)
+    _, _, res = _large_m_check(*LARGE_M_QUADRATURES[2])
+    assert not res.agree
 
 
 # ---------------------------------------------------------------------------
