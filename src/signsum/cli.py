@@ -11,6 +11,7 @@ Output bytes are deterministic for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from collections import namedtuple
@@ -269,6 +270,8 @@ def _cmd_verify_shortening(args):
 
 def _cmd_integral(args):
     beta_list = _parse_int_list(args.beta, "beta")
+    if not math.isfinite(args.tol):
+        raise ParseError(f"argument --tol: must be finite, got {args.tol!r}")
     inputs = {"beta": beta_list, "formula": args.formula}
     if args.pair_index is not None:
         inputs["pair_index"] = args.pair_index

@@ -299,9 +299,9 @@ def verify_invariance(alpha: AlphaVector) -> InvariantReport:
     """
     require_generic(alpha)
     m = alpha.m
-    if m == 2:
-        _pair_positions(alpha, PairSelection(1, 2))  # raises: too short
-    rows = _moment_rows(alpha) if m > 2 else []
+    if m < 3:
+        raise PreconditionError("solution sets require at least 3 components")
+    rows = _moment_rows(alpha)
 
     violations = []
     parities = {row.parity for row in rows}

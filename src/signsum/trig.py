@@ -3,8 +3,10 @@
 The three singular-kernel integral formulas recover the pair invariants
 from an integer vector beta that mimics alpha: same component ordering,
 same sign for every signed sum.  Such a beta always exists for generic
-alpha and is found here by a doubling search on the scale q.  Once beta
-is integral, the kernel pairs each oscillation e^{isx} of an integrand
+alpha and is found here by a doubling search on the scale q; an integer
+vector is its own beta at q = 1, found by the same search, so its
+genericity, witness and gap come from the one survey in ``core``.  Once
+beta is integral, the kernel pairs each oscillation e^{isx} of an integrand
 with i*sgn(s), so every formula is a weighted sign sum over the signed
 sums of beta: the same half-table sum as the closed forms, in exact
 integer arithmetic.  The quadrature code at the bottom is a diagnostic
@@ -23,16 +25,14 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _halves
 from .core import (
     AlphaVector,
-    DegenerateVectorError,
     InternalCheckError,
     PreconditionError,
-    SignVector,
     _half_sign_sum,
     max_vector_length,
     minimum_gap,
+    rational_vector,
     require_generic,
 )
 
@@ -57,14 +57,18 @@ def rademacher(i: int, t) -> int:
 
     Half-open dyadic convention: at a dyadic point the digit comes from
     the interval to its right, so the function is right-continuous.
+    With t = num/den and 2^(i-1) num = k den + r, 0 <= r < den, the
+    digit floor(2^i t) mod 2 is floor(2r/den), and r is a modular power:
+    O(log i) steps, never the number 2^i.  Reducing num mod den makes
+    the function periodic with period 1.
     """
     i = int(i)
     if i < 1:
         raise PreconditionError("digit index is 1-based")
     t = Fraction(t)
-    t -= math.floor(t)  # period 1
-    digit = math.floor(t * (1 << i)) & 1
-    return 1 - 2 * digit
+    num, den = t.numerator, t.denominator
+    r = num * pow(2, i - 1, den) % den
+    return 1 - 2 * (2 * r // den)
 
 
 class BetaApproximation(namedtuple("BetaApproximation", "beta q bound")):
@@ -328,58 +332,26 @@ def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
     raise InternalCheckError("scale search exceeded the safety cap")
 
 
-def _gray_rank(mask: int) -> int:
-    """Position of ``mask`` in the binary reflected Gray order.
-
-    Bit i of the rank is the parity of the mask's bits i and above; the
-    shifts double, so a mask of b bits takes about log2(b) steps.
-    """
-    shift = 1
-    while mask >> shift:
-        mask ^= mask >> shift
-        shift <<= 1
-    return mask
-
-
-def _first_in_gray_order(groups) -> int:
-    """The vanishing mask of smallest Gray rank among the zero groups.
-
-    The rank is linear over GF(2), so rank(a | b) = rank(a) ^ rank(b) for
-    the disjoint half masks.  Every bit of b lies at or above B's lowest
-    bit L and every bit of a below it, so rank(a) < 2^L, while each bit
-    of rank(b) below L repeats bit L (the parity of b).  The order of
-    rank(a | b) is thus set first by rank(b), then by rank(a) ^ rank(b):
-    a group's first mask takes its b of smallest rank, then the a that
-    minimizes the XOR, without listing the group's pairs.
-    """
-    firsts = []
-    for a_masks, b_masks in groups:
-        b = min(b_masks, key=_gray_rank)
-        rb = _gray_rank(b)
-        a = min(a_masks, key=lambda a: _gray_rank(a) ^ rb)
-        firsts.append(a | b)
-    return min(firsts, key=_gray_rank)
-
-
 @lru_cache(maxsize=1)
-def _beta_tables(values: tuple[int, ...]) -> _halves.HalfTables:
-    """The half tables of an integer vector, kept for the next caller.
+def _integer_vector(values: tuple[int, ...]) -> AlphaVector:
+    """The plain vector of some positive integers, kept for the next caller.
 
-    ``integer_beta`` surveys them and ``exact_formula_value`` reads its
-    value and checks from them, so one request builds one table.  Tables
-    are never mutated (``restrict`` copies).
+    ``integer_beta`` approximates it and ``exact_formula_value`` reads its
+    value and checks from its half tables, so one request builds one
+    table.  Tables are never mutated (``restrict`` copies).
     """
-    return _halves.HalfTables(values)
+    return rational_vector(values)
 
 
 def integer_beta(values) -> BetaApproximation:
     """Wrap raw positive integers as their own approximation at q = 1.
 
-    The kernel evaluators need every signed sum nonzero; that is checked
-    over all sign vectors with the first component at +1, by half tables,
-    and the exact smallest |signed sum| becomes the bound.  A degenerate
-    vector is reported with the vanishing sum that comes first in Gray
-    order.
+    The kernel evaluators need every signed sum nonzero.  An integer
+    vector is its own nearest integer at q = 1, so ``approximate_beta``
+    of it accepts beta = values with the exact smallest |signed sum| as
+    the bound; genericity, the witness of a degenerate vector (the
+    smallest vanishing mask) and the gap come from the one survey in
+    ``core``.
     """
     bs = tuple(int(v) for v in values)
     if not bs:
@@ -388,13 +360,7 @@ def integer_beta(values) -> BetaApproximation:
         raise PreconditionError("components must be positive integers")
     if len(bs) > max_vector_length():
         raise PreconditionError("length exceeds the configured cap")
-    groups, gap = _beta_tables(bs).restrict(1).survey()
-    if groups:
-        raise DegenerateVectorError(
-            "integer vector has a vanishing signed sum",
-            SignVector(len(bs), _first_in_gray_order(groups)),
-        )
-    return BetaApproximation(bs, Fraction(1), Fraction(gap))
+    return approximate_beta(_integer_vector(bs))
 
 
 def kernel_pairing(s: int) -> int:
@@ -456,7 +422,7 @@ def _formula(
     """
     m = beta.m
     if formula == "result":
-        if m == 1:
+        if m < 3:
             raise PreconditionError("need at least 3 components")
         return (1 << m) - 1, (-1 if ((m + 1) // 2) % 2 else 1) << (m - 2)
     if formula not in ("result1", "result2"):
@@ -521,10 +487,10 @@ def exact_formula_value(
     plus or minus that half.  For "result" on even length the sign sum
     vanishes by pairwise cancellation, which is asserted on the whole
     table.  One half table of beta, shared with ``integer_beta``
-    (``_beta_tables``), serves the value and its checks.
+    (``_integer_vector``), serves the value and its checks.
     """
     sines, pref = _formula(beta, formula, index)
-    tables = _beta_tables(beta.beta)
+    tables = _integer_vector(beta.beta).half_tables()
     a = sines.bit_count()
     if a % 2 == 0:
         if tables.sign_sum(sines) != (0, False):
@@ -570,24 +536,32 @@ def _build_integrand(sin_freqs, cos_freqs):
     return f
 
 
-def _midpoint_mean(sin_freqs, cos_freqs) -> float:
-    """Principal-value mean of cot(x/2) prod sin(b x) prod cos(b x).
+def _midpoint_mean(sin_freqs, cos_freqs, scale: int) -> tuple[float, float]:
+    """Principal-value mean of cot(x/2) prod sin(b x) prod cos(b x), and
+    the rounding bound of ``scale`` times it.
 
     The midpoint rule on N = S + 1 nodes (k + 1/2) 2 pi / N, with S the
     sum of the frequencies, is exact up to rounding (see
-    ``quadrature_check``).  N is known before the first evaluation, so an
-    input over the budget is refused without any.  No node sits on the
-    pole at 0.
+    ``quadrature_check``).  N and the bound are known before the first
+    evaluation, so an input over the node budget, or with a bound of 1/2
+    or more, is refused without any.  No node sits on the pole at 0.
     """
-    n = sum(sin_freqs) + sum(cos_freqs) + 1
+    freqs = [*sin_freqs, *cos_freqs]
+    n = sum(freqs) + 1
     if n > _EVALUATIONS:
         raise PreconditionError(
             f"quadrature needs {n:,} evaluations, over its"
             f" {_EVALUATIONS:,}-evaluation budget"
         )
+    bound = _rounding_bound(freqs, scale)
+    if bound >= 0.5:
+        raise PreconditionError(
+            f"quadrature rounding bound {bound:.3g} reaches 1/2,"
+            " too wide to tell a wrong integer from the right one"
+        )
     f = _build_integrand(sin_freqs, cos_freqs)
     h = 2 * math.pi / n
-    return math.fsum(f((k + 0.5) * h) for k in range(n)) / n
+    return math.fsum(f((k + 0.5) * h) for k in range(n)) / n, bound
 
 
 def _rounding_bound(freqs, scale: int) -> float:
@@ -638,8 +612,9 @@ def quadrature_check(
     the bound.  The mean of |cot(x/2)| over the nodes is at most
     (2/pi)(2 + ln n), by cot y <= 1/y.  The bound
     grows like 2^m S log S, so at m = 30 with entries near 1000 it is
-    about 0.2, and once it passes 1/2 ``agree`` can no longer tell a
-    wrong integer from the right one.
+    about 0.2.  Once it reaches 1/2 ``agree`` could no longer tell a
+    wrong integer from the right one, so such a request is refused as a
+    precondition before the first evaluation.
     """
     sines, pref = _formula(beta, formula, index)
     if tolerance <= 0:
@@ -647,8 +622,9 @@ def quadrature_check(
     exact = exact_formula_value(beta, formula, index)
     sin_fs = [b for k, b in enumerate(beta.beta) if sines >> k & 1]
     cos_fs = [b for k, b in enumerate(beta.beta) if not sines >> k & 1]
-    numeric = pref * _midpoint_mean(sin_fs, cos_fs)
-    limit = tolerance + _rounding_bound(beta.beta, pref)
+    mean, rounding = _midpoint_mean(sin_fs, cos_fs, pref)
+    numeric = pref * mean
+    limit = tolerance + rounding
     return QuadratureResult(numeric, exact, abs(numeric - exact) < limit)
 
 
@@ -658,8 +634,8 @@ def kernel_pairing_quadrature(s: int, tolerance: float = 1e-8) -> QuadratureResu
     s = int(s)
     exact = kernel_pairing(s)
     # the sign comes from the oddness of sin, not from the value checked
-    numeric = _midpoint_mean([abs(s)], [])
+    numeric, rounding = _midpoint_mean([abs(s)], [], 1)
     if s < 0:
         numeric = -numeric
-    limit = tolerance + _rounding_bound([abs(s)], 1)
+    limit = tolerance + rounding
     return QuadratureResult(numeric, exact, abs(numeric - exact) < limit)

@@ -83,3 +83,19 @@ def random_generic_ints(rng, m, max_val=20):
 @pytest.fixture
 def rng():
     return random.Random(0x5153)
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """The points at which the quadrature evaluates its integrand."""
+    from signsum import trig
+
+    calls = []
+    build = trig._build_integrand
+
+    def counting(sin_freqs, cos_freqs):
+        f = build(sin_freqs, cos_freqs)
+        return lambda x: calls.append(x) or f(x)
+
+    monkeypatch.setattr(trig, "_build_integrand", counting)
+    return calls

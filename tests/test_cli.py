@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -25,9 +26,14 @@ def validator():
     return jsonschema.Draft202012Validator(schema)
 
 
+def _reject_constant(name):
+    raise ValueError(f"envelope holds {name}, which is not JSON")
+
+
 def roundtrip(argv):
+    """The result and its envelope, parsed as strict JSON."""
     result = run(argv)
-    return result, json.loads(result.to_json())
+    return result, json.loads(result.to_json(), parse_constant=_reject_constant)
 
 
 HAPPY = [
@@ -67,6 +73,7 @@ HAPPY = [
     ["wall-cross", "--alpha", "1,2,3", "--l", "3", "--pair", "1,2"],
     ["wall-cross", "--alpha", "2,3,4,8", "--l", "3", "--pair", "1,2"],
     ["rademacher", "--i", "3", "--t", "5/16"],
+    ["rademacher", "--i", "1000000000000000000", "--t", "1/3"],
 ]
 
 FAILING = [
@@ -99,6 +106,16 @@ FAILING = [
     # an inline "--" is a value, not an empty list
     (["verify", "--alpha=--"], 2, "parse"),
     (["weights", "--m=--"], 2, "parse"),
+    # fewer than 3 components have no pair with a solution set
+    (["verify", "--alpha", "5"], 3, "precondition"),
+    (["integral", "--beta", "3,5", "--formula", "result"], 3, "precondition"),
+    # a tolerance must be finite, and the envelope strict JSON
+    (["integral", "--beta", "2,3,4", "--formula", "result", "--quadrature",
+      "--tol", "nan"], 2, "parse"),
+    (["integral", "--beta", "2,3,4", "--formula", "result", "--quadrature",
+      "--tol", "inf"], 2, "parse"),
+    (["integral", "--beta", "2,3,4", "--formula", "result", "--quadrature",
+      "--tol=-inf"], 2, "parse"),
 ]
 
 
@@ -117,23 +134,9 @@ def test_failures_validate(argv, code, kind, validator):
     assert result.exit_code == code
     assert payload["outputs"] is None
     assert payload["error"]["type"] == kind
+    if kind == "parse":  # refused before any input is normalized
+        assert payload["inputs"] is None
     validator.validate(payload)
-
-
-@pytest.fixture
-def integrand_calls(monkeypatch):
-    """The points at which the quadrature evaluates its integrand."""
-    from signsum import trig
-
-    calls = []
-    build = trig._build_integrand
-
-    def counting(sin_freqs, cos_freqs):
-        f = build(sin_freqs, cos_freqs)
-        return lambda x: calls.append(x) or f(x)
-
-    monkeypatch.setattr(trig, "_build_integrand", counting)
-    return calls
 
 
 def test_quadrature_budget_refused_before_any_evaluation(integrand_calls):
@@ -179,7 +182,7 @@ def tables_built(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(_halves.HalfTables, "__init__", counting)
-    trig._beta_tables.cache_clear()
+    trig._integer_vector.cache_clear()
     return built
 
 
@@ -226,6 +229,37 @@ def test_solutions_materialized():
 def test_degenerate_includes_witness():
     _, payload = roundtrip(["compute", "--alpha", "1,2,3", "--pair", "1,2"])
     assert payload["error"]["witness"] == [1, 1, -1]
+
+
+def _degenerate_values(rng, m):
+    """m - 1 random entries and the last equal to a nonzero signed sum
+    of them, so that one signed sum of the m entries vanishes."""
+    while True:
+        head = [rng.randint(1, 50) for _ in range(m - 1)]
+        total = sum(rng.choice((1, -1)) * v for v in head)
+        if total:
+            return head + [abs(total)]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, 2, 2, 1], [1, 2, 3], [1] * 30, _degenerate_values(random.Random(12), 9)],
+    ids=["1,2,2,1", "1,2,3", "ones30", "generated"],
+)
+def test_every_subcommand_reports_one_witness(values):
+    text = ",".join(map(str, values))
+    errors = [
+        roundtrip(argv)[1]["error"]
+        for argv in (
+            ["integral", "--beta", text, "--formula", "result"],
+            ["verify", "--alpha", text],
+            ["compute", "--alpha", text, "--pair", "1,2"],
+            ["approx-beta", "--alpha", text],
+        )
+    ]
+    assert errors[0]["type"] == "degenerate"
+    assert all(error == errors[0] for error in errors)
+    assert errors[0]["message"] == "vector has a vanishing signed sum"
 
 
 def test_normalized_input_echo():

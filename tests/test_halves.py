@@ -287,20 +287,24 @@ def _half_sign_terms(alpha, fixed_pos: int):
 
 
 def integer_beta_walk(values) -> BetaApproximation:
-    """The Gray-order walk ``integer_beta`` used; validation omitted."""
+    """``integer_beta`` by a full walk, validation omitted: a degenerate
+    vector is reported with its smallest vanishing mask."""
     bs = tuple(int(v) for v in values)
     best = None
+    zeros = []
     for mask, total in _gray_walk(list(bs)):
         if mask & 1:
             continue  # one representative per negation class
         if total == 0:
-            raise DegenerateVectorError(
-                "integer vector has a vanishing signed sum",
-                SignVector(len(bs), mask),
-            )
+            zeros.append(mask)
+            continue
         a = -total if total < 0 else total
         if best is None or a < best:
             best = a
+    if zeros:
+        raise DegenerateVectorError(
+            "vector has a vanishing signed sum", SignVector(len(bs), min(zeros))
+        )
     return BetaApproximation(bs, Fraction(1), Fraction(best))
 
 
@@ -513,16 +517,14 @@ def test_integer_beta_matches_walk(values):
     assert got == _outcome(integer_beta_walk, values)
 
 
-def test_integer_beta_witness_is_first_in_gray_order():
-    # 1-2+2-1 (0b1010) and 1+2-2-1 (0b1100) vanish; the walk meets 0b1100
-    # first, while the survey reports the smaller mask
+def test_integer_beta_witness_is_the_smallest_vanishing_mask():
+    # 1-2+2-1 (0b1010) and 1+2-2-1 (0b1100) vanish; a Gray-order walk
+    # meets 0b1100 first, but the witness is the smaller mask, as in core
     values = [1, 2, 2, 1]
     with pytest.raises(DegenerateVectorError) as exc:
         integer_beta(values)
-    with pytest.raises(DegenerateVectorError) as walk:
-        integer_beta_walk(values)
-    assert exc.value.witness.bits == walk.value.witness.bits
-    assert exc.value.witness.bits != min(zero_sum_masks(rational_vector(values)))
+    assert exc.value.witness.bits == 0b1010
+    assert exc.value.witness.bits == zero_sum_masks(rational_vector(values))[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -673,12 +675,10 @@ def test_compute_at_m30(alpha):
 )
 def test_integer_beta_degenerate_at_large_m(values):
     # C(29,15) vanishing sums for the ones: the witness must come without
-    # listing them; the walk stops at its first zero, so it stays cheap
+    # listing them, and it is the genericity survey's own
     with pytest.raises(DegenerateVectorError) as exc:
         integer_beta(values)
-    with pytest.raises(DegenerateVectorError) as walk:
-        integer_beta_walk(values)
-    assert exc.value.witness.bits == walk.value.witness.bits
+    assert exc.value.witness == check_generic(rational_vector(values)).witness
 
 
 

@@ -158,6 +158,26 @@ class TestRademacher:
         with pytest.raises(PreconditionError):
             rademacher(0, Fraction(1, 2))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 256),
+        st.fractions(max_denominator=10**6) | st.fractions(max_denominator=2**40),
+    )
+    @example(1, Fraction(1, 2))
+    @example(3, Fraction(-3, 8))
+    @example(256, Fraction(1, 3))
+    def test_matches_the_power_of_two_formula(self, i, t):
+        # the former formula, which builds 2^i
+        t_frac = t - math.floor(t)
+        digit = math.floor(t_frac * (1 << i)) & 1
+        assert rademacher(i, t) == 1 - 2 * digit
+
+    def test_huge_index(self):
+        # 1/3 = 0.0101... in binary: even digits are 1; 2^i itself would
+        # not fit in memory at i = 10^18
+        assert rademacher(10**18, Fraction(1, 3)) == -1
+        assert rademacher(10**18 + 1, Fraction(1, 3)) == 1
+
     def test_product_identity(self, rng):
         for _ in range(10):
             k = rng.randint(1, 5)
@@ -698,13 +718,13 @@ def test_window_forms_cross_check_at_m20():
 
 
 # (seed, m, entry range, formula): correct values whose numeric side is
-# off by 3.2e-7, 2.8e-8, 3.0e-6 and 2.6e-8, above the 1e-8 tolerance but
-# inside the rounding bound 2^(m-2) eps (...) of ``quadrature_check``.
+# off by 3.2e-7, 2.8e-8 and 3.0e-6, above the 1e-8 tolerance but inside
+# the rounding bound 2^(m-2) eps (...) of ``quadrature_check``, which is
+# 0.032, 0.0032 and 0.22 here.
 LARGE_M_QUADRATURES = [
     (24, 24, (1000, 10000), "result2"),
     (25, 24, (100, 1000), "result2"),
     (30, 30, (100, 1000), "result2"),
-    (31, 30, (1000, 10000), "result"),
 ]
 
 
@@ -722,6 +742,14 @@ def test_quadrature_agrees_at_large_m(case):
     assert res.exact == exact_formula_value(beta, case[3], index)
     assert abs(res.numeric - res.exact) > 1e-8  # the plain tolerance would fail
     assert res.agree
+
+
+def test_quadrature_refused_once_rounding_reaches_one_half(integrand_calls):
+    # m = 30 with entries 1000-10000: a rounding bound of 2.78, which no
+    # longer tells a wrong integer from the right one
+    with pytest.raises(PreconditionError, match="rounding bound 2.78 reaches 1/2"):
+        _large_m_check(31, 30, (1000, 10000), "result")
+    assert integrand_calls == []
 
 
 def test_quadrature_at_large_m_catches_an_off_by_one(monkeypatch):
