@@ -6,6 +6,11 @@ operation outputs, error, exit code.  Exit codes: 0 success, 2 malformed
 input, 3 precondition violation (including a degenerate vector, with the
 witness sign vector in the error object), 4 failed internal assertion.
 Output bytes are deterministic for identical inputs.
+
+``run(argv)`` returns the envelope and ``main(argv)`` writes it and
+returns the exit code; neither freezes the heap.  The process entry,
+``signsum.__main__.entry``, calls ``main()`` and then ``gc.freeze()``,
+so the process skips CPython's exit-time collection.
 """
 
 from __future__ import annotations
@@ -55,12 +60,21 @@ def _format_vector(alpha: AlphaVector) -> str:
     return ",".join(format_scalar(c) for c in alpha.components)
 
 
+def _ascii(token: str) -> str:
+    """The token, or ValueError unless it is ASCII without "_": ``int``
+    and ``Fraction`` also read other scripts' digits and "_" between
+    digits, which the input grammar does not take."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return token
+
+
 def _parse_pair(text: str) -> PairSelection:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError("pair must be two comma-separated indices")
     try:
-        i, j = (int(p.strip()) for p in parts)
+        i, j = (int(_ascii(p.strip())) for p in parts)
     except ValueError:
         raise ParseError(f"malformed pair {text!r}") from None
     return PairSelection(i, j)
@@ -71,14 +85,14 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     if not parts or any(not p.strip() for p in parts):
         raise ParseError(f"{what} must be a comma-separated list of integers")
     try:
-        return [int(p.strip()) for p in parts]
+        return [int(_ascii(p.strip())) for p in parts]
     except ValueError:
         raise ParseError(f"malformed {what} {text!r}") from None
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return Fraction(_ascii(text.strip()))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"malformed {what} {text!r}") from None
 

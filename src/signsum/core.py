@@ -14,7 +14,9 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from . import _halves
+# The half-table kernel ``_halves`` is imported inside the three functions
+# that use it, so a request that builds no table (``weights``,
+# ``rademacher``) never compiles it.
 
 __all__ = [
     "SignsumError",
@@ -312,6 +314,8 @@ class AlphaVector:
         the survey, every pair scan and every sign sum of this vector
         restrict one table."""
         if self._tables is None:
+            from . import _halves
+
             values, _ = _halves.coordinates(self.ratios(), self.is_log)
             self._tables = _halves.HalfTables(values, self.is_log)
         return self._tables
@@ -335,7 +339,7 @@ def log_vector(arguments, index_map=None) -> AlphaVector:
     )
 
 
-_PLAIN_RE = re.compile(r"(?:\d+(?:\.\d+)?|\d+/\d+)\Z")
+_PLAIN_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]+)?|[0-9]+/[0-9]+)\Z")
 
 
 def parse_scalar(text: str, expect_log: bool | None = None) -> Scalar:
@@ -427,6 +431,8 @@ def check_generic(alpha: AlphaVector) -> GenericityReport:
         alpha._zero_groups = groups
         alpha._min_gap = gap
         if groups:
+            from . import _halves
+
             witness = SignVector(alpha.m, _halves.first_zero(groups), alpha.index_map)
             alpha._report = GenericityReport(False, witness)
         else:
@@ -474,6 +480,8 @@ def zero_sum_masks(alpha: AlphaVector) -> tuple[int, ...]:
     Listed from the survey's cached zero groups on each call, so the cost
     is the number of vanishing sums; the genericity test never lists them.
     """
+    from . import _halves
+
     check_generic(alpha)
     return tuple(_halves.zero_masks(alpha._zero_groups))
 

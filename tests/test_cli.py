@@ -1,11 +1,14 @@
 """Envelope shape, exit codes, schema conformance, byte determinism."""
 
 import argparse
+import gc
 import json
 import random
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signsum import InternalCheckError, ParseError, invariants
-from signsum.cli import _IDENTITY_ARITY, _OPTIONS, _parse_args, run
+from signsum.cli import _IDENTITY_ARITY, _OPTIONS, _parse_args, main, run
 
 from conftest import child_env
 
@@ -116,6 +119,14 @@ FAILING = [
       "--tol", "inf"], 2, "parse"),
     (["integral", "--beta", "2,3,4", "--formula", "result", "--quadrature",
       "--tol=-inf"], 2, "parse"),
+    # digits are ASCII, with no "_" between them, though int() and
+    # Fraction() read both
+    (["compute", "--alpha", "2,3,4", "--pair", "1_0,2"], 2, "parse"),
+    (["verify", "--alpha", "\u0663,2,7"], 2, "parse"),
+    (["integral", "--beta", "2,3,\u0664", "--formula", "result"], 2, "parse"),
+    (["rademacher", "--i", "3", "--t", "\u0663/\u0661\u0666"], 2, "parse"),
+    (["wall-cross", "--alpha", "2,3,4,8", "--l", "3", "--pair", "1,2",
+      "--delta", "\u0661/\u0668"], 2, "parse"),
 ]
 
 
@@ -285,13 +296,18 @@ def test_run_reports_unknown_flag_as_parse_error():
     assert result.exit_code == 2
 
 
-def cli_bytes(argv):
-    proc = subprocess.run(
+def cli_process(argv):
+    """``python -m signsum ARG...`` run to its end."""
+    return subprocess.run(
         [sys.executable, "-m", "signsum", *argv],
         capture_output=True,
         env=child_env(),
         timeout=120,
     )
+
+
+def cli_bytes(argv):
+    proc = cli_process(argv)
     return proc.returncode, proc.stdout
 
 
@@ -321,45 +337,49 @@ def test_cli_import_skips_mpmath_and_thread_pool():
 
 
 # Runs ``python -m signsum ARG...`` in this process and, at exit, writes
-# to stderr as the last line the loaded signsum modules and which of
-# these got loaded, which no subcommand needs: ``dataclasses`` and
-# ``inspect`` (with its ast, dis and tokenize), ``argparse`` with the
-# ``gettext`` and ``locale`` it loads, and ``mpmath``.
+# three things to stderr as its last line: the loaded signsum modules;
+# which of these modules, none of which a subcommand needs, got loaded:
+# ``dataclasses`` and ``inspect`` (with its ast, dis and tokenize),
+# ``argparse`` with the ``gettext`` and ``locale`` it loads, and
+# ``mpmath``; and whether the process entry froze the heap, which also
+# shows that the exit handlers still run.
 MODULE_PROBE = """
-import atexit, json, runpy, sys
+import atexit, gc, json, runpy, sys
 heavy = ("dataclasses", "inspect", "argparse", "gettext", "locale", "mpmath")
 atexit.register(lambda: sys.stderr.write("\\n" + json.dumps([sorted(
     m for m in sys.modules if m == "signsum" or m.startswith("signsum.")),
-    [m for m in heavy if m in sys.modules]])))
+    [m for m in heavy if m in sys.modules], gc.get_freeze_count() > 0])))
 runpy.run_module("signsum", run_name="__main__", alter_sys=True)
 """
 
-ALWAYS_LOADED = {"signsum", "signsum.cli", "signsum.core", "signsum._halves"}
+ALWAYS_LOADED = {"signsum", "signsum.cli", "signsum.core"}
 
-# one request per subcommand and the operation modules it runs
+# one request per subcommand and the modules it runs beyond those; every
+# request that builds a half table loads the kernel, ``_halves``
 COLD_REQUESTS = [
     (["compute", "--alpha", "4,6,7,9,11", "--pair", "1,2", "--solutions"],
-     {"invariants"}),
-    (["verify", "--alpha", "2,3,4,8"], {"invariants"}),
-    (["closed-form", "--alpha", "2,3,4,8", "--pair", "1,2"], {"invariants"}),
+     {"invariants", "_halves"}),
+    (["verify", "--alpha", "2,3,4,8"], {"invariants", "_halves"}),
+    (["closed-form", "--alpha", "2,3,4,8", "--pair", "1,2"],
+     {"invariants", "_halves"}),
     (["weights", "--m", "5"], {"weights"}),
     (["shorten", "--alpha", "4,6,7,9,11", "--j", "2", "--k", "4", "--sign", "-"],
-     {"shortening"}),
+     {"shortening", "_halves"}),
     (["verify-shortening", "--alpha", "2,3,4,8", "--identity", "count-split",
-      "--indices", "3,4,2"], {"shortening", "invariants"}),
-    (["integral", "--beta", "2,3,4,8", "--formula", "result"], {"trig"}),
-    (["approx-beta", "--alpha", "7/2,9/4,5"], {"trig"}),
-    (["primes", "--n", "5"], {"primes", "invariants"}),
+      "--indices", "3,4,2"], {"shortening", "invariants", "_halves"}),
+    (["integral", "--beta", "2,3,4,8", "--formula", "result"], {"trig", "_halves"}),
+    (["approx-beta", "--alpha", "7/2,9/4,5"], {"trig", "_halves"}),
+    (["primes", "--n", "5"], {"primes", "invariants", "_halves"}),
     (["wall-cross", "--alpha", "2,3,4,8", "--l", "3", "--pair", "1,2"],
-     {"invariants"}),
+     {"invariants", "_halves"}),
     (["rademacher", "--i", "3", "--t", "5/16"], {"trig"}),
 ]
 
 
 # the log realization: certified brackets and product tables
 COLD_LOG_REQUESTS = [
-    (["approx-beta", "--alpha", "log:2,log:3,log:5"], {"trig"}),
-    (["verify", "--alpha", "log:2,log:3,log:5,log:7/2"], {"invariants"}),
+    (["approx-beta", "--alpha", "log:2,log:3,log:5"], {"trig", "_halves"}),
+    (["verify", "--alpha", "log:2,log:3,log:5,log:7/2"], {"invariants", "_halves"}),
 ]
 
 
@@ -384,9 +404,10 @@ def test_cold_process_loads_only_its_modules(argv, operations):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (run(argv).to_json() + "\n").encode()
-    loaded, heavy = json.loads(proc.stderr.decode().rsplit("\n", 1)[1])
+    loaded, heavy, frozen = json.loads(proc.stderr.decode().rsplit("\n", 1)[1])
     assert set(loaded) == ALWAYS_LOADED | {f"signsum.{name}" for name in operations}
     assert heavy == []
+    assert frozen
 
 
 # 15 odd components keep every signed sum odd, hence generic
@@ -417,10 +438,41 @@ def test_cli_matches_library_result():
 
 
 def test_error_exit_codes_through_process():
-    code, out = cli_bytes(["compute", "--alpha", "1,2,3", "--pair", "1,2"])
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["exit_code"] == 3
+    """The process entry writes what ``main`` writes and exits with its
+    code: the envelope on stdout, the message as stderr's last line."""
+    kinds = []
+    for argv in (
+        ["compute", "--alpha", "4;6", "--pair", "1,2"],
+        ["compute", "--alpha", "2,3,4", "--pair", "1,1"],
+        ["compute", "--alpha", "1,2,3", "--pair", "1,2"],
+    ):
+        result = run(argv)
+        proc = cli_process(argv)
+        assert proc.returncode == result.exit_code
+        assert proc.stdout == (result.to_json() + "\n").encode()
+        assert proc.stderr.decode().splitlines()[-1] == result.error["message"]
+        kinds.append(result.error["type"])
+    assert kinds == ["parse", "precondition", "degenerate"]
+
+
+def test_in_process_calls_leave_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    run(["verify", "--alpha", "2,3,4,8"])
+    assert main(["verify", "--alpha", "2,3,4,8"]) == 0
+    assert main(["compute", "--alpha", "1,2,3", "--pair", "1,2"]) == 3
+    assert gc.get_freeze_count() == frozen
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_script_target_is_the_process_entry():
+    """The ``signsum`` script runs the function ``python -m signsum``
+    runs (a text check: ``tomllib`` is not in Python 3.10)."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^signsum = "signsum\.__main__:(\w+)"$', scripts, re.M)
+    source = resources.files("signsum").joinpath("__main__.py").read_text()
+    called = re.search(r"^    raise SystemExit\((\w+)\(\)\)$", source, re.M)
+    assert target and called and target.group(1) == called.group(1)
 
 
 # ---------------------------------------------------------------------------
