@@ -240,18 +240,11 @@ def _cmd_shorten(args):
     return inputs, execute
 
 
-_IDENTITY_ARITY = {
-    "count-split": 3,
-    "signed-even": 3,
-    "count-general": 4,
-    "signed-odd": 3,
-}
-
-
 def _cmd_verify_shortening(args):
     alpha = parse_vector(args.alpha)
     indices = _parse_int_list(args.indices, "indices")
-    arity = _IDENTITY_ARITY[args.identity]
+    identities = _COMMANDS[args.command].options["--identity"].choices
+    arity, verifier = identities[args.identity]
     if len(indices) != arity:
         raise ParseError(f"identity {args.identity} takes {arity} indices")
     inputs = {
@@ -263,21 +256,11 @@ def _cmd_verify_shortening(args):
     def execute():
         from . import shortening
 
-        if args.identity == "count-split":
-            holds = shortening.verify_count_split(alpha, *indices)
-            return {"identity": args.identity, "holds": holds}
-        if args.identity == "signed-even":
-            holds = shortening.verify_signed_split_even(alpha, *indices)
-            return {"identity": args.identity, "holds": holds}
-        if args.identity == "count-general":
-            holds = shortening.verify_count_split_general(alpha, *indices)
-            return {"identity": args.identity, "holds": holds}
-        orientation, holds = shortening.verify_signed_split_odd(alpha, *indices)
-        return {
-            "identity": args.identity,
-            "holds": holds,
-            "orientation": orientation,
-        }
+        holds = getattr(shortening, verifier)(alpha, *indices)
+        outputs = {"identity": args.identity, "holds": holds}
+        if isinstance(holds, tuple):  # signed-odd also names its orientation
+            outputs["orientation"], outputs["holds"] = holds
+        return outputs
 
     return inputs, execute
 
@@ -402,82 +385,97 @@ def _cmd_rademacher(args):
     return inputs, execute
 
 
-_HANDLERS = {
-    "compute": _cmd_compute,
-    "verify": _cmd_verify,
-    "closed-form": _cmd_closed_form,
-    "weights": _cmd_weights,
-    "shorten": _cmd_shorten,
-    "verify-shortening": _cmd_verify_shortening,
-    "integral": _cmd_integral,
-    "approx-beta": _cmd_approx_beta,
-    "primes": _cmd_primes,
-    "wall-cross": _cmd_wall_cross,
-    "rademacher": _cmd_rademacher,
-}
-
-
 # One option of a subcommand: the field it sets, the converter of its value
 # (None keeps the text), whether it is required, else its default, the
-# values it accepts (None: any) and whether it is a flag, taking no value.
+# values it accepts (None: any; of a mapping, its keys) and whether it is a
+# flag, taking no value.
 _Option = namedtuple(
     "_Option",
     "field convert required default choices flag",
     defaults=(None, False, None, None, False),
 )
 
-_OPTIONS = {
-    "compute": {
-        "--alpha": _Option("alpha", required=True),
-        "--pair": _Option("pair", required=True),
-        "--solutions": _Option("solutions", default=False, flag=True),
-    },
-    "verify": {"--alpha": _Option("alpha", required=True)},
-    "closed-form": {
-        "--alpha": _Option("alpha", required=True),
-        "--pair": _Option("pair"),
-    },
-    "weights": {"--m": _Option("m", int, required=True)},
-    "shorten": {
-        "--alpha": _Option("alpha", required=True),
-        "--j": _Option("j", int, required=True),
-        "--k": _Option("k", int, required=True),
-        "--sign": _Option("sign", required=True, choices=("+", "-")),
-    },
-    "verify-shortening": {
-        "--alpha": _Option("alpha", required=True),
-        "--identity": _Option(
-            "identity", required=True, choices=tuple(_IDENTITY_ARITY)
-        ),
-        "--indices": _Option("indices", required=True),
-    },
-    "integral": {
-        "--beta": _Option("beta", required=True),
-        "--formula": _Option(
-            "formula", required=True, choices=("result", "result1", "result2")
-        ),
-        "--pair-index": _Option("pair_index", int),
-        "--quadrature": _Option("quadrature", default=False, flag=True),
-        "--tol": _Option("tol", float, default=1e-8),
-    },
-    "approx-beta": {"--alpha": _Option("alpha", required=True)},
-    "primes": {
-        "--n": _Option("n", int, required=True),
-        "--pair": _Option("pair", default="1,2"),
-        "--method": _Option(
-            "method", default="both", choices=("direct", "moebius", "both")
-        ),
-    },
-    "wall-cross": {
-        "--alpha": _Option("alpha", required=True),
-        "--l": _Option("l", int, required=True),
-        "--pair": _Option("pair", required=True),
-        "--delta": _Option("delta"),
-    },
-    "rademacher": {
-        "--i": _Option("i", int, required=True),
-        "--t": _Option("t", required=True),
-    },
+# One subcommand: the handler that takes its parsed fields to its inputs
+# and its operation, and its options by name.
+_Command = namedtuple("_Command", "handler options")
+
+_ALPHA = {"--alpha": _Option("alpha", required=True)}
+
+_COMMANDS = {
+    "compute": _Command(
+        _cmd_compute,
+        {
+            **_ALPHA,
+            "--pair": _Option("pair", required=True),
+            "--solutions": _Option("solutions", default=False, flag=True),
+        },
+    ),
+    "verify": _Command(_cmd_verify, _ALPHA),
+    "closed-form": _Command(_cmd_closed_form, {**_ALPHA, "--pair": _Option("pair")}),
+    "weights": _Command(_cmd_weights, {"--m": _Option("m", int, required=True)}),
+    "shorten": _Command(
+        _cmd_shorten,
+        {
+            **_ALPHA,
+            "--j": _Option("j", int, required=True),
+            "--k": _Option("k", int, required=True),
+            "--sign": _Option("sign", required=True, choices=("+", "-")),
+        },
+    ),
+    "verify-shortening": _Command(
+        _cmd_verify_shortening,
+        {
+            **_ALPHA,
+            # each identity: its index count and its verifier in shortening
+            "--identity": _Option(
+                "identity",
+                required=True,
+                choices={
+                    "count-split": (3, "verify_count_split"),
+                    "signed-even": (3, "verify_signed_split_even"),
+                    "count-general": (4, "verify_count_split_general"),
+                    "signed-odd": (3, "verify_signed_split_odd"),
+                },
+            ),
+            "--indices": _Option("indices", required=True),
+        },
+    ),
+    "integral": _Command(
+        _cmd_integral,
+        {
+            "--beta": _Option("beta", required=True),
+            "--formula": _Option(
+                "formula", required=True, choices=("result", "result1", "result2")
+            ),
+            "--pair-index": _Option("pair_index", int),
+            "--quadrature": _Option("quadrature", default=False, flag=True),
+            "--tol": _Option("tol", float, default=1e-8),
+        },
+    ),
+    "approx-beta": _Command(_cmd_approx_beta, _ALPHA),
+    "primes": _Command(
+        _cmd_primes,
+        {
+            "--n": _Option("n", int, required=True),
+            "--pair": _Option("pair", default="1,2"),
+            "--method": _Option(
+                "method", default="both", choices=("direct", "moebius", "both")
+            ),
+        },
+    ),
+    "wall-cross": _Command(
+        _cmd_wall_cross,
+        {
+            **_ALPHA,
+            "--l": _Option("l", int, required=True),
+            "--pair": _Option("pair", required=True),
+            "--delta": _Option("delta"),
+        },
+    ),
+    "rademacher": _Command(
+        _cmd_rademacher,
+        {"--i": _Option("i", int, required=True), "--t": _Option("t", required=True)},
+    ),
 }
 
 # Tokens that start with "-" but are values: negative numbers and anything
@@ -536,8 +534,11 @@ def _value(name: str, option, text: str):
     return value
 
 
-def _parse_args(argv) -> SimpleNamespace:
-    """The command and its option fields, on argparse's grammar.
+def _parse_args(argv, args=None) -> SimpleNamespace:
+    """The command and its option fields, on argparse's grammar, set on
+    ``args`` (a new namespace by default): ``args.command`` as soon as
+    the command resolves, so a caller's namespace keeps it when an
+    option then fails.
 
     Options before the command are unknown; the first value names the
     command.  Every token is classified before any is consumed, so an
@@ -545,6 +546,7 @@ def _parse_args(argv) -> SimpleNamespace:
     to right, the last repeat winning, and values that no option takes
     are unrecognized.  The messages are argparse's.
     """
+    args = SimpleNamespace() if args is None else args
     extras = []
     pos = 0
     while pos < len(argv) and argv[pos] != "--" and _unknown_option(argv[pos]):
@@ -553,12 +555,13 @@ def _parse_args(argv) -> SimpleNamespace:
     if pos == len(argv) or argv[pos:] == ["--"]:
         raise ParseError("the following arguments are required: command")
     command, tokens = argv[pos], argv[pos + 1 :]
-    options = _OPTIONS.get(command)
-    if options is None:
-        choices = ", ".join(map(repr, _OPTIONS))
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
         raise ParseError(
             f"argument command: invalid choice: {command!r} (choose from {choices})"
         )
+    args.command = command
+    options = _COMMANDS[command].options
     end = tokens.index("--") if "--" in tokens else len(tokens)
     kinds = [_classify(token, options) for token in tokens[:end]]
     if end < len(tokens):  # "--" itself is no value; every token after it is
@@ -594,30 +597,23 @@ def _parse_args(argv) -> SimpleNamespace:
         raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
     for option in options.values():
         fields.setdefault(option.field, option.default)
-    return SimpleNamespace(command=command, **fields)
-
-
-def _command_token(argv) -> str | None:
-    for token in argv:
-        if token in _HANDLERS:
-            return token
-    return None
+    vars(args).update(fields)
+    return args
 
 
 def run(argv) -> CommandResult:
-    """Parse, dispatch, and fold any failure into the result envelope."""
-    argv = list(argv)
-    command = _command_token(argv)
+    """Parse, dispatch, and fold any failure into the result envelope,
+    whose command is the one the arguments resolved, else None."""
+    args = SimpleNamespace(command=None)
     inputs = None
     try:
-        args = _parse_args(argv)
-        command = args.command
-        inputs, execute = _HANDLERS[command](args)
+        _parse_args(list(argv), args)
+        inputs, execute = _COMMANDS[args.command].handler(args)
         outputs = execute()
-        return CommandResult(command, inputs, outputs, None, 0)
+        return CommandResult(args.command, inputs, outputs, None, 0)
     except ParseError as exc:
         return CommandResult(
-            command, inputs, None, {"type": "parse", "message": str(exc)}, 2
+            args.command, inputs, None, {"type": "parse", "message": str(exc)}, 2
         )
     except DegenerateVectorError as exc:
         error = {
@@ -625,10 +621,10 @@ def run(argv) -> CommandResult:
             "message": str(exc),
             "witness": list(exc.witness.signs()),
         }
-        return CommandResult(command, inputs, None, error, 3)
+        return CommandResult(args.command, inputs, None, error, 3)
     except PreconditionError as exc:
         return CommandResult(
-            command,
+            args.command,
             inputs,
             None,
             {"type": "precondition", "message": str(exc)},
@@ -636,7 +632,7 @@ def run(argv) -> CommandResult:
         )
     except SignsumError as exc:  # InternalCheckError and any other bug
         return CommandResult(
-            command, inputs, None, {"type": "internal", "message": str(exc)}, 4
+            args.command, inputs, None, {"type": "internal", "message": str(exc)}, 4
         )
 
 

@@ -124,45 +124,58 @@ def _order_preserved(keys, betas) -> bool:
     return True
 
 
-# log 2 as [bits, 2^bits log 2 within 2 units]; widened on demand
-_LOG2 = [0, 0]
+def _log_near_one(a: int, b: int, F: int, s: int) -> tuple[int, int]:
+    """(v, err) with |2^F log(a/b) - v| <= err, for 1 <= a/b <= 2.
 
-
-def _atanh_inverse(n: int, bits: int) -> tuple[int, int]:
-    """(v, err): 2^bits atanh(1/n) = v up to err units, n >= 2.
-
-    Every floor division is off by less than a unit.  The power terms
-    then stay within 1 + 1/(n^2 - 1) < 2 units of 2^bits / n^(2j+1), so
-    each series term is within 3 units, and the term that reaches 0
-    bounds the tail by 2 n^2/(n^2 - 1) < 3 units.
+    s square roots first take x = a/b to x^(2^-s), shrinking z by 2^-s
+    and the series by as many terms, and then log x = 2^(s+1) atanh(z),
+    z = (x - 1)/(x + 1) <= 1/3, summed as a series.  Every step rounds
+    down and its error is bounded in units of 2^-F:
+      - x below 1 unit, each root (slope at most 1/2 above 1) keeps it
+        below 2, and z (slope at most 1/2) below 2;
+      - z^2 below 3, each power below 4 (each product drops the bits
+        of z^2 that cannot reach its unit) and each term below 5, and
+        the power that reaches 0 bounds the tail below 5;
+    and the factor 2^(s+1) scales the error with the sum.
     """
-    t = total = (1 << bits) // n
-    n2, j = n * n, 1
+    one = 1 << F
+    if s:
+        x = (a << F) // b
+        for _ in range(s):
+            x = math.isqrt(x << F)
+        z = ((x - one) << F) // (x + one)
+    else:
+        z = ((a - b) << F) // (a + b)
+    z2 = (z * z) >> F
+    t = total = z
+    j = 1
     while t:
-        t //= n2
+        width = t.bit_length()
+        t = (t * (z2 >> (F - width))) >> width
         total += t // (2 * j + 1)
         j += 1
-    return total, 3 * j + 3
+    return total << (s + 1), (5 * j + 5) << (s + 1)
+
+
+# log 2 as [bits, 2^bits log 2 within 2 units]; widened on demand
+_LOG2 = [0, 0]
 
 
 def _log2(bits: int) -> int:
     """2^bits log 2 within 2 units, shifted down from the cached value.
 
-    log 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749), a
-    Machin-like formula whose slowest series gains 9.4 bits a term; it
-    is summed with 64 guard bits and cached at the widest precision asked
-    for, so shifting it down to ``bits`` adds less than a unit.
+    log 2 = 2 atanh(1/3), summed by ``_log_near_one`` with as many roots
+    as a bracket of that width takes and 64 guard bits beyond them, and
+    cached at the widest precision asked for, so shifting it down to
+    ``bits`` adds less than a unit.
     """
     if _LOG2[0] < bits:
         wide = max(bits, 2 * _LOG2[0])
-        total = err = 0
-        for coeff, n in ((18, 26), (-2, 4801), (8, 8749)):
-            v, e = _atanh_inverse(n, wide + 64)
-            total += coeff * v
-            err += abs(coeff) * e
-        if err >> 63:
+        s = math.isqrt(wide) // 4
+        v, err = _log_near_one(2, 1, wide + s + 64, s)
+        if err >> (s + 63):
             raise InternalCheckError("log 2 error bound overflowed its guard bits")
-        _LOG2[:] = wide, total >> 64
+        _LOG2[:] = wide, v >> (s + 64)
     return _LOG2[1] >> (_LOG2[0] - bits)
 
 
@@ -180,18 +193,11 @@ def _log_fixed(a: int, b: int, prec: int) -> tuple[int, int, int]:
     err / 2^F far below 2^-prec log(a/b).
 
     Fixed-point integers with a counted error: write a/b = 2^k x with x
-    in [1, 2), so that log(a/b) = k log 2 + 2 atanh(z), z = (x - 1)/(x + 1)
-    < 1/3.  At high precision s square roots first take x to x^(2^-s),
-    shrinking z by 2^-s and the series by as many terms, and then
-    log x = 2^(s+1) atanh(z).  F fractional bits leave room for the
-    error count, the roots and, when k = 0, for a log as small as 2z.
-    Every step rounds down and its error is bounded in units of 2^-F:
-      - x below 1 unit, each root (slope at most 1/2 above 1) keeps it
-        below 2, and z (slope at most 1/2) below 2;
-      - z^2 below 3, each power below 4 (each product drops the bits
-        of z^2 that cannot reach its unit) and each term below 5, and
-        the power that reaches 0 bounds the tail below 5;
-      - log 2 below 2, so k log 2 below 2k.
+    in [1, 2), so that log(a/b) = k log 2 + log x, and sum log x with
+    ``_log_near_one``, taking s square roots at high precision.  F
+    fractional bits leave room for the error count, the roots and, when
+    k = 0, for a log as small as 2z.  The error is ``_log_near_one``'s
+    plus, log 2 being within 2 units, 2k for k log 2.
     """
     k = a.bit_length() - b.bit_length()
     if a < b << k:
@@ -201,24 +207,7 @@ def _log_fixed(a: int, b: int, prec: int) -> tuple[int, int, int]:
     e = (a + b).bit_length() - (a - b).bit_length() + 1
     s = max(0, math.isqrt(prec) // 4 - e)
     F = prec + (e if k == 0 else 1) + s + 2 * prec.bit_length() + 8
-    one = 1 << F
-    if s:
-        x = (a << F) // b
-        for _ in range(s):
-            x = math.isqrt(x << F)
-        z = ((x - one) << F) // (x + one)
-    else:
-        z = ((a - b) << F) // (a + b)
-    z2 = (z * z) >> F
-    t = total = z
-    j = 1
-    while t:
-        width = t.bit_length()
-        t = (t * (z2 >> (F - width))) >> width
-        total += t // (2 * j + 1)
-        j += 1
-    v = total << (s + 1)
-    err = (5 * j + 5) << (s + 1)
+    v, err = _log_near_one(a, b, F, s)
     if k:
         v += k * _log2(F)
         err += 2 * k

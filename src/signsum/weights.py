@@ -33,8 +33,8 @@ __all__ = [
     "weighted_count",
 ]
 
-# 2^(m-2) unknowns; the generator walks 2^(m-1) sign vectors against all
-# m(m-1) ordered index pairs, so its cost grows about 2.5x per step of m.
+# 2^(m-2) unknowns; the generator walks 2^(m-1) sign vectors against the
+# 2(m-1) adjacent ordered pairs, so its cost about doubles per step of m.
 WEIGHTS_MAX_M = 12
 
 
@@ -124,19 +124,33 @@ def _chain_rows(n: int, term_sets) -> tuple[tuple, ...]:
 
 
 def build_constraints(m: int) -> ConstraintSystem:
-    """Chain rows for the pair quantity of every sign vector.
+    """Chain rows for the pair quantity of every sign vector, over the
+    2(m-1) adjacent ordered pairs (k, k+1) and (k+1, k).
 
     For one sign vector e the ordered pair (i, j) contributes the term
     e_i * x_a, a the argument mask, and all of e's terms must be equal.
     Negating e negates every term and leaves its constraints as they are,
     so only the masks with the top bit clear are walked.
+
+    The adjacent pairs give the solution space of all m(m-1) ordered
+    pairs.  Dropping rows only enlarges the solution space, and the
+    adjacent rows leave dimension 0 for even m and the span of
+    ``parity_product_weight(m)`` for odd m (checked against the all-pairs
+    rows at every m up to ``WEIGHTS_MAX_M``).  That vector is admissible:
+    for odd m the argument -e_j * (e without i and j) has an odd number
+    m - 2 of coordinates, so for every ordered pair (i, j)
+      e_i * prod_{k != i, j} (-e_j e_k) = -e_i e_j prod_{k != i, j} e_k
+                                       = -prod_k e_k.
+    So it lies in the all-pairs space, which lies in the adjacent one.
     """
     _check_m(m)
     n = m - 2
     half = 1 << (m - 1)
+    adjacent = [(k, k + 1) for k in range(m - 1)]
+    pairs = adjacent + [(j, i) for i, j in adjacent]
     columns = [
         [(x << 1) | ((e >> i0) & 1) for e, x in enumerate(_argument_masks(m, i0, j0, half))]
-        for i0, j0 in _ordered_pairs(m)
+        for i0, j0 in pairs
     ]
     return ConstraintSystem(m, 1 << n, _chain_rows(n, map(set, zip(*columns))))
 

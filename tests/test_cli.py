@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signsum import InternalCheckError, ParseError, invariants
-from signsum.cli import _IDENTITY_ARITY, _OPTIONS, _parse_args, main, run
+from signsum.cli import _COMMANDS, _parse_args, main, run
 
 from conftest import child_env
 
@@ -103,6 +103,10 @@ FAILING = [
         "parse",
     ),
     (["rademacher", "--i", "3", "--t", "x"], 2, "parse"),
+    # a command token that names no subcommand resolves none, whatever
+    # follows it
+    (["bogus", "verify"], 2, "parse"),
+    (["--alpha", "1,2,3", "verify"], 2, "parse"),
     # no help text: one envelope per invocation, help options are unknown
     (["--help"], 2, "parse"),
     (["verify", "-h"], 2, "parse"),
@@ -147,6 +151,8 @@ def test_failures_validate(argv, code, kind, validator):
     assert payload["error"]["type"] == kind
     if kind == "parse":  # refused before any input is normalized
         assert payload["inputs"] is None
+    # the first token names the command in every entry that has one
+    assert payload["command"] == (argv[0] if argv and argv[0] in _COMMANDS else None)
     validator.validate(payload)
 
 
@@ -227,6 +233,34 @@ def test_pinned_verify_outputs():
 def test_pinned_weights_outputs():
     _, payload = roundtrip(["weights", "--m", "4"])
     assert payload["outputs"]["dimension"] == 0
+
+
+# The printed bound is the one output that reads the cached log 2, and
+# only when the vector's gap ratio is 2 or more (noted after each vector).
+LOG2_BOUNDS = [
+    ("log:3",  # gap 3
+     '"outputs":{"beta":[1],"bound":"10132909862646469819/9223372036854775808",'
+     '"m":1,"q":"1"}'),
+    ("log:2,log:4",  # gap 2
+     '"outputs":{"beta":[1,3],"bound":"12786308645202655659/18446744073709551616",'
+     '"m":2,"q":"2"}'),
+    ("log:100,log:1000,log:1000000",  # gap 10
+     '"outputs":{"beta":[5,7,14],"bound":"5309399739799983627/2305843009213693952",'
+     '"m":3,"q":"1"}'),
+    ("log:1000,log:7/3,log:999/5",  # gap 5000/2331
+     '"outputs":{"beta":[14,2,11],"bound":"14077458462032058523/18446744073709551616",'
+     '"m":3,"q":"2"}'),
+]
+
+
+@pytest.mark.parametrize("alpha,outputs", LOG2_BOUNDS, ids=[a for a, _ in LOG2_BOUNDS])
+def test_pinned_log2_bounds(alpha, outputs):
+    code, out = cli_bytes(["approx-beta", "--alpha", alpha])
+    assert code == 0
+    assert out == (
+        '{"command":"approx-beta","error":null,"exit_code":0,'
+        f'"inputs":{{"alpha":"{alpha}"}},{outputs}}}\n'
+    ).encode()
 
 
 def test_solutions_materialized():
@@ -384,9 +418,7 @@ COLD_LOG_REQUESTS = [
 
 
 def test_cold_requests_cover_every_subcommand():
-    from signsum.cli import _HANDLERS
-
-    assert sorted(argv[0] for argv, _ in COLD_REQUESTS) == sorted(_HANDLERS)
+    assert sorted(argv[0] for argv, _ in COLD_REQUESTS) == sorted(_COMMANDS)
 
 
 @pytest.mark.parametrize(
@@ -518,7 +550,11 @@ def _build_parser() -> _OracleParser:
 
     p = add_parser("verify-shortening")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--identity", choices=tuple(_IDENTITY_ARITY), required=True)
+    p.add_argument(
+        "--identity",
+        choices=("count-split", "signed-even", "count-general", "signed-odd"),
+        required=True,
+    )
     p.add_argument("--indices", required=True)
 
     p = add_parser("integral")
@@ -564,7 +600,7 @@ _VALUES = (
     "log:2,log:3", "1,2", "5", " 7 ", "x", "0.5", "1e-3", "nan", "+", "a b",
     "-x y", "=", "-h", "--help", "--zap", "-q",
 )
-_NAMES = sorted({name for options in _OPTIONS.values() for name in options})
+_NAMES = sorted({name for spec in _COMMANDS.values() for name in spec.options})
 # every option name and each of its prefixes longer than "--"
 _PREFIXES = sorted({name[:k] for name in _NAMES + ["--help", "--zap"]
                     for k in range(3, len(name) + 1)})
@@ -592,12 +628,13 @@ def _argvs(draw):
     and now and then stray tokens: any option name or prefix, with or
     without "=value", the values above and short arbitrary text."""
     roll = draw(st.integers(0, 9))
-    command = draw(st.sampled_from(list(_OPTIONS)))
+    command = draw(st.sampled_from(list(_COMMANDS)))
     if roll == 0:
         command = draw(st.sampled_from(["nope", "", "--", "-1", "-h"]))
     head = [draw(st.sampled_from(["-x", "--zap", "--", "-1", "a b"]))] if roll == 1 else []
     groups = []
-    for name, option in _OPTIONS.get(command, {}).items():
+    options = _COMMANDS[command].options if command in _COMMANDS else {}
+    for name, option in options.items():
         for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2]))):
             groups.append(draw(_option_tokens(name, option)))
     groups = draw(st.permutations(groups))
@@ -636,3 +673,26 @@ def test_option_tables_match_the_argparse_parser(argv):
     assert _parse_outcome(_parse_args, argv) == _parse_outcome(
         _ORACLE.parse_args, argv
     )
+
+
+@settings(max_examples=800, deadline=None)
+@given(_argvs())
+@example(["bogus", "verify"])
+@example(["--alpha", "1,2,3", "verify"])
+@example(["--", "verify", "--alpha", "2,3,4"])
+@example(["verify", "--alpha"])
+@example(["verify", "--alpha", "x"])
+def test_grammar_failures_give_valid_envelopes(validator, argv):
+    """Every envelope names the command the argparse parser resolved, or
+    none; a parse failure is exit 2 with neither inputs nor outputs."""
+    result, payload = roundtrip(argv)
+    validator.validate(payload)
+    resolved = argparse.Namespace()
+    try:
+        _ORACLE.parse_args(list(argv), resolved)
+    except ParseError:
+        pass
+    assert payload["command"] == resolved.command
+    if payload["error"] is not None and payload["error"]["type"] == "parse":
+        assert result.exit_code == 2
+        assert payload["inputs"] is None and payload["outputs"] is None

@@ -1,9 +1,11 @@
 """The package namespace: every public name resolves on first access."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +68,24 @@ def test_names_load_their_module_on_first_access():
     assert steps == [[], base + ["signsum.weights"],
                      base + ["signsum.invariants", "signsum.weights"]]
     assert name == "signsum.invariants"
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import in the package, lazy ones included, names a
+    standard-library module: the package declares no dependencies, and
+    mpmath is only a test oracle."""
+    outside = []
+    for path in sorted(Path(signsum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, name)
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -255,6 +255,31 @@ def test_chain_rows_span_the_all_pair_rows_on_random_terms():
         assert weights._nullspace(chain) == _nullspace(full), term_sets
 
 
+def all_ordered_pair_constraints(m: int) -> ConstraintSystem:
+    """The chain rows over all m(m-1) ordered pairs, as the library built
+    them before it kept only the adjacent pairs."""
+    half = 1 << (m - 1)
+    columns = [
+        [
+            (x << 1) | ((e >> i0) & 1)
+            for e, x in enumerate(weights._argument_masks(m, i0, j0, half))
+        ]
+        for i0, j0 in weights._ordered_pairs(m)
+    ]
+    rows = weights._chain_rows(m - 2, map(set, zip(*columns)))
+    return ConstraintSystem(m, 1 << (m - 2), rows)
+
+
+@pytest.mark.parametrize("m", range(3, weights.WEIGHTS_MAX_M + 1))
+def test_adjacent_pairs_give_the_all_pairs_weight_space(m):
+    basis = weights._nullspace(all_ordered_pair_constraints(m))
+    assert solve_weight_space(m) == (
+        len(basis),
+        [weights.WeightFunction(m, vec) for vec in basis],
+    )
+    assert len(basis) == m % 2
+
+
 @pytest.mark.parametrize("m", range(3, 9))
 def test_chain_rows_span_the_all_pair_rows(m):
     assert weights._nullspace(weights.build_constraints(m)) == _nullspace(
