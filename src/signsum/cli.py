@@ -30,7 +30,6 @@ from .core import (
     ParseError,
     PreconditionError,
     SignsumError,
-    SignVector,
     format_scalar,
     parse_vector,
 )
@@ -97,8 +96,9 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise ParseError(f"malformed {what} {text!r}") from None
 
 
-def _sign_rows(sign_vectors) -> list[list[int]]:
-    return [list(sv.signs()) for sv in sign_vectors]
+def _sign_rows(masks, length: int) -> list[list[int]]:
+    """Each mask as its row of ``length`` signs, -1 where a bit is set."""
+    return [[-1 if mask >> k & 1 else 1 for k in range(length)] for mask in masks]
 
 
 # Each handler's execute() imports the operation modules it calls, so a
@@ -127,7 +127,7 @@ def _cmd_compute(args):
             "N": sols.signed,
             "count": count,
             "parity": count & 1,
-            "solutions": _sign_rows(sols.solutions),
+            "solutions": _sign_rows(sols.masks(), alpha.m - 2),
             "coordinates": [
                 alpha.original_index(p)
                 for p in range(alpha.m)
@@ -184,6 +184,8 @@ def _cmd_closed_form(args):
     def execute():
         from . import invariants
 
+        if pair is not None:  # refused before the survey builds a table
+            pair.validate(alpha.m)
         outputs = {"g": invariants.closed_form_g(alpha)}
         if pair is not None:
             outputs["count_via_sign_sum"] = invariants.count_via_sign_sum(
@@ -364,10 +366,7 @@ def _cmd_wall_cross(args):
             "predicted_N": crossing.predicted_signed,
             "predicted_count": crossing.predicted_count,
             "delta": str(crossing.delta),
-            "wall_solutions": [
-                list(SignVector(alpha.m, mask, None).signs())
-                for mask in crossing.wall_masks
-            ],
+            "wall_solutions": _sign_rows(crossing.wall_masks, alpha.m),
         }
 
     return inputs, execute
@@ -602,15 +601,28 @@ def _parse_args(argv, args=None) -> SimpleNamespace:
 
 
 def run(argv) -> CommandResult:
-    """Parse, dispatch, and fold any failure into the result envelope,
-    whose command is the one the arguments resolved, else None."""
+    """Parse, dispatch, serialize, and fold any failure into the result
+    envelope, whose command is the one the arguments resolved, else None.
+
+    An output integer longer than the interpreter's digit limit for
+    string conversion cannot be printed, so it is a precondition failure.
+    """
     args = SimpleNamespace(command=None)
     inputs = None
     try:
         _parse_args(list(argv), args)
         inputs, execute = _COMMANDS[args.command].handler(args)
-        outputs = execute()
-        return CommandResult(args.command, inputs, outputs, None, 0)
+        try:
+            result = CommandResult(args.command, inputs, execute(), None, 0)
+            result.to_json()
+        except ValueError as exc:
+            if "integer string conversion" not in str(exc):
+                raise
+            raise PreconditionError(
+                "an output exceeds the"
+                f" {sys.get_int_max_str_digits()}-digit integer limit"
+            ) from None
+        return result
     except ParseError as exc:
         return CommandResult(
             args.command, inputs, None, {"type": "parse", "message": str(exc)}, 2

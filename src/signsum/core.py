@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -356,6 +357,10 @@ def parse_scalar(text: str, expect_log: bool | None = None) -> Scalar:
         ratio = Fraction(token)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text.strip()!r}") from None
+    except ValueError:  # the grammar matched, so only the digit limit is left
+        raise ParseError(
+            f"scalar exceeds the {sys.get_int_max_str_digits()}-digit integer limit"
+        ) from None
     return Scalar(ratio, is_log)
 
 

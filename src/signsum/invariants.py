@@ -186,8 +186,8 @@ def orient_pair(alpha: AlphaVector, pair: PairSelection) -> tuple[int, int]:
 def count_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> int:
     """Solution count as (1/4) sum of e_i sgn(<e,a>) over all e, with i the
     smaller pair coordinate."""
-    require_generic(alpha)
     small, _ = orient_pair(alpha, pair)
+    require_generic(alpha)
     return _half_sign_sum(alpha.half_tables(), 1 << small)
 
 
@@ -196,8 +196,8 @@ def signed_count_even_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> i
     the larger pair coordinate."""
     if alpha.m % 2:
         raise PreconditionError("this route requires even length")
-    require_generic(alpha)
     _, large = orient_pair(alpha, pair)
+    require_generic(alpha)
     # e_j times the sign product is the sign product without e_j
     return _half_sign_sum(alpha.half_tables(), ((1 << alpha.m) - 1) ^ (1 << large))
 

@@ -35,7 +35,6 @@ from .core import (
 
 __all__ = [
     "ShortenedVector",
-    "ORIENTATION_RESOLVED",
     "shorten",
     "pair_for_values",
     "verify_count_split",
@@ -43,12 +42,6 @@ __all__ = [
     "verify_count_split_general",
     "verify_signed_split_odd",
 ]
-
-# The odd-length signed split admits two readings of which shortened vector
-# pairs with which bound value; this build resolves to the reading whose
-# minus sign sits on the sum-value term.  Frozen after exhaustive checks.
-ORIENTATION_RESOLVED = "stated"
-
 
 class ShortenedVector(
     namedtuple("ShortenedVector", "base replaced_index deleted_index sign")
@@ -255,9 +248,8 @@ def verify_signed_split_odd(
     by value with a_k.  With a_i = a_j and a_k <= 2 a_i, only the sum
     shortening exists and a doubled pair-deleted term replaces the other.
 
-    Returns (orientation, holds).  Both placements of the minus sign are
-    tested; the one that holds is reported, and the build's resolved reading
-    is the "stated" placement (minus on the sum-value term).
+    Returns (orientation, holds): the stated placement of the minus sign,
+    on the sum-value term, and whether the identity holds with it.
     """
     m = alpha.m
     if m < 5 or m % 2 == 0:
@@ -293,8 +285,4 @@ def verify_signed_split_odd(
     plus_term = signed_count(
         g_plus.base, pair_for_values(g_plus.base, ak, g_plus.new_scalar)
     )
-    if lhs == minus_term - plus_term:
-        return "stated", True
-    if lhs == plus_term - minus_term:
-        return "swapped", True
-    raise InternalCheckError("odd signed split fails in both orientations")
+    return "stated", lhs == minus_term - plus_term

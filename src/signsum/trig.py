@@ -124,20 +124,42 @@ def _order_preserved(keys, betas) -> bool:
     return True
 
 
-def _log_near_one(a: int, b: int, F: int, s: int) -> tuple[int, int]:
-    """(v, err) with |2^F log(a/b) - v| <= err, for 1 <= a/b <= 2.
+def _dyadic(v: int, bits: int, prec: int, up: bool) -> Fraction:
+    """v / 2^bits rounded down (or up) to ``prec`` significant bits."""
+    drop = abs(v).bit_length() - prec
+    if drop > 0:
+        v = -(-v >> drop) if up else v >> drop
+        bits -= drop
+    return Fraction(v, 1 << bits) if bits >= 0 else Fraction(v << -bits)
 
-    s square roots first take x = a/b to x^(2^-s), shrinking z by 2^-s
-    and the series by as many terms, and then log x = 2^(s+1) atanh(z),
-    z = (x - 1)/(x + 1) <= 1/3, summed as a series.  Every step rounds
-    down and its error is bounded in units of 2^-F:
+
+def _log_fixed(a: int, b: int, prec: int) -> tuple[int, int, int]:
+    """(v, err, F) with |2^F log(a/b) - v| <= err, for a > b > 0, and
+    err / 2^F far below 2^-prec log(a/b).
+
+    Fixed-point integers with a counted error.  s square roots take
+    x = a/b to x^(2^-s) <= 2: for x in [2^k, 2^(k+1)), r = k.bit_length()
+    roots suffice, as k < 2^r gives 2^((k+1)/2^r) <= 2, and at high
+    precision a few more shrink z by 2^-s and the series by as many
+    terms.  Then log x = 2^(s+1) atanh(z), z = (x^(2^-s) - 1)/(x^(2^-s)
+    + 1) <= 1/3, summed as a series.  Every step rounds down and its
+    error is bounded in units of 2^-F:
       - x below 1 unit, each root (slope at most 1/2 above 1) keeps it
         below 2, and z (slope at most 1/2) below 2;
       - z^2 below 3, each power below 4 (each product drops the bits
         of z^2 that cannot reach its unit) and each term below 5, and
         the power that reaches 0 bounds the tail below 5;
-    and the factor 2^(s+1) scales the error with the sum.
+    and the factor 2^(s+1) scales the error with the sum.  F fractional
+    bits leave room for the error count, the roots and a log as small as
+    2 (a - b)/(a + b).
     """
+    k = a.bit_length() - b.bit_length()
+    if a < b << k:
+        k -= 1
+    # (a - b)/(a + b) >= 2^-e, so log(a/b) >= 2^(1-e)
+    e = (a + b).bit_length() - (a - b).bit_length() + 1
+    s = k.bit_length() + max(0, math.isqrt(prec) // 4 - e)
+    F = prec + e + s + 2 * prec.bit_length() + 8
     one = 1 << F
     if s:
         x = (a << F) // b
@@ -154,64 +176,7 @@ def _log_near_one(a: int, b: int, F: int, s: int) -> tuple[int, int]:
         t = (t * (z2 >> (F - width))) >> width
         total += t // (2 * j + 1)
         j += 1
-    return total << (s + 1), (5 * j + 5) << (s + 1)
-
-
-# log 2 as [bits, 2^bits log 2 within 2 units]; widened on demand
-_LOG2 = [0, 0]
-
-
-def _log2(bits: int) -> int:
-    """2^bits log 2 within 2 units, shifted down from the cached value.
-
-    log 2 = 2 atanh(1/3), summed by ``_log_near_one`` with as many roots
-    as a bracket of that width takes and 64 guard bits beyond them, and
-    cached at the widest precision asked for, so shifting it down to
-    ``bits`` adds less than a unit.
-    """
-    if _LOG2[0] < bits:
-        wide = max(bits, 2 * _LOG2[0])
-        s = math.isqrt(wide) // 4
-        v, err = _log_near_one(2, 1, wide + s + 64, s)
-        if err >> (s + 63):
-            raise InternalCheckError("log 2 error bound overflowed its guard bits")
-        _LOG2[:] = wide, v >> (s + 64)
-    return _LOG2[1] >> (_LOG2[0] - bits)
-
-
-def _dyadic(v: int, bits: int, prec: int, up: bool) -> Fraction:
-    """v / 2^bits rounded down (or up) to ``prec`` significant bits."""
-    drop = abs(v).bit_length() - prec
-    if drop > 0:
-        v = -(-v >> drop) if up else v >> drop
-        bits -= drop
-    return Fraction(v, 1 << bits) if bits >= 0 else Fraction(v << -bits)
-
-
-def _log_fixed(a: int, b: int, prec: int) -> tuple[int, int, int]:
-    """(v, err, F) with |2^F log(a/b) - v| <= err, for a > b > 0, and
-    err / 2^F far below 2^-prec log(a/b).
-
-    Fixed-point integers with a counted error: write a/b = 2^k x with x
-    in [1, 2), so that log(a/b) = k log 2 + log x, and sum log x with
-    ``_log_near_one``, taking s square roots at high precision.  F
-    fractional bits leave room for the error count, the roots and, when
-    k = 0, for a log as small as 2z.  The error is ``_log_near_one``'s
-    plus, log 2 being within 2 units, 2k for k log 2.
-    """
-    k = a.bit_length() - b.bit_length()
-    if a < b << k:
-        k -= 1
-    b <<= k
-    # z >= 2^-e, so log x >= 2^(1-e)
-    e = (a + b).bit_length() - (a - b).bit_length() + 1
-    s = max(0, math.isqrt(prec) // 4 - e)
-    F = prec + (e if k == 0 else 1) + s + 2 * prec.bit_length() + 8
-    v, err = _log_near_one(a, b, F, s)
-    if k:
-        v += k * _log2(F)
-        err += 2 * k
-    return v, err, F
+    return total << (s + 1), (5 * j + 5) << (s + 1), F
 
 
 def _log_enclosure(ratio: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -525,41 +490,42 @@ def _build_integrand(sin_freqs, cos_freqs):
     return f
 
 
-def _midpoint_mean(sin_freqs, cos_freqs, scale: int) -> tuple[float, float]:
-    """Principal-value mean of cot(x/2) prod sin(b x) prod cos(b x), and
-    the rounding bound of ``scale`` times it.
+def _rounding_bound(freqs, scale: int) -> float:
+    """Bound on the rounding error of ``scale`` times the midpoint mean
+    over ``freqs`` (see ``quadrature_check``).
 
-    The midpoint rule on N = S + 1 nodes (k + 1/2) 2 pi / N, with S the
-    sum of the frequencies, is exact up to rounding (see
-    ``quadrature_check``).  N and the bound are known before the first
-    evaluation, so an input over the node budget, or with a bound of 1/2
-    or more, is refused without any.  No node sits on the pole at 0.
+    N = S + 1 nodes, S the sum of the frequencies, and the bound are
+    known before the first evaluation, so an input over the node budget,
+    or with a bound of 1/2 or more, is refused here, before any.
     """
-    freqs = [*sin_freqs, *cos_freqs]
-    n = sum(freqs) + 1
-    if n > _EVALUATIONS:
+    total = sum(freqs)
+    if total + 1 > _EVALUATIONS:
         raise PreconditionError(
-            f"quadrature needs {n:,} evaluations, over its"
+            f"quadrature needs {total + 1:,} evaluations, over its"
             f" {_EVALUATIONS:,}-evaluation budget"
         )
-    bound = _rounding_bound(freqs, scale)
+    spread = (2 / math.pi) * (2 + math.log(total + 1))
+    eps = sys.float_info.epsilon
+    bound = abs(scale) * eps * (10 * math.pi * total + 2 * len(freqs) + 16) * spread
     if bound >= 0.5:
         raise PreconditionError(
             f"quadrature rounding bound {bound:.3g} reaches 1/2,"
             " too wide to tell a wrong integer from the right one"
         )
+    return bound
+
+
+def _midpoint_mean(sin_freqs, cos_freqs) -> float:
+    """Principal-value mean of cot(x/2) prod sin(b x) prod cos(b x).
+
+    The midpoint rule on N = S + 1 nodes (k + 1/2) 2 pi / N, with S the
+    sum of the frequencies, is exact up to rounding (see
+    ``quadrature_check``).  No node sits on the pole at 0.
+    """
+    n = sum(sin_freqs) + sum(cos_freqs) + 1
     f = _build_integrand(sin_freqs, cos_freqs)
     h = 2 * math.pi / n
-    return math.fsum(f((k + 0.5) * h) for k in range(n)) / n, bound
-
-
-def _rounding_bound(freqs, scale: int) -> float:
-    """Bound on the rounding error of ``scale`` times the midpoint mean
-    over ``freqs`` (see ``quadrature_check``)."""
-    total = sum(freqs)
-    spread = (2 / math.pi) * (2 + math.log(total + 1))
-    eps = sys.float_info.epsilon
-    return abs(scale) * eps * (10 * math.pi * total + 2 * len(freqs) + 16) * spread
+    return math.fsum(f((k + 0.5) * h) for k in range(n)) / n
 
 
 def quadrature_check(
@@ -608,11 +574,11 @@ def quadrature_check(
     sines, pref = _formula(beta, formula, index)
     if tolerance <= 0:
         raise PreconditionError("tolerance must be positive")
+    rounding = _rounding_bound(beta.beta, pref)
     exact = exact_formula_value(beta, formula, index)
     sin_fs = [b for k, b in enumerate(beta.beta) if sines >> k & 1]
     cos_fs = [b for k, b in enumerate(beta.beta) if not sines >> k & 1]
-    mean, rounding = _midpoint_mean(sin_fs, cos_fs, pref)
-    numeric = pref * mean
+    numeric = pref * _midpoint_mean(sin_fs, cos_fs)
     limit = tolerance + rounding
     return QuadratureResult(numeric, exact, abs(numeric - exact) < limit)
 
@@ -623,7 +589,8 @@ def kernel_pairing_quadrature(s: int, tolerance: float = 1e-8) -> QuadratureResu
     s = int(s)
     exact = kernel_pairing(s)
     # the sign comes from the oddness of sin, not from the value checked
-    numeric, rounding = _midpoint_mean([abs(s)], [], 1)
+    rounding = _rounding_bound([abs(s)], 1)
+    numeric = _midpoint_mean([abs(s)], [])
     if s < 0:
         numeric = -numeric
     limit = tolerance + rounding

@@ -99,3 +99,17 @@ def integrand_calls(monkeypatch):
 
     monkeypatch.setattr(trig, "_build_integrand", counting)
     return calls
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Any half-table build or sign sum fails the test: a cheap refusal
+    must come before them."""
+    from signsum import _halves, core, invariants, trig
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("table work before a cheap precondition")
+
+    monkeypatch.setattr(_halves, "HalfTables", forbidden)
+    for module in (core, invariants, trig):
+        monkeypatch.setattr(module, "_half_sign_sum", forbidden)

@@ -79,13 +79,41 @@ HAPPY = [
     ["rademacher", "--i", "1000000000000000000", "--t", "1/3"],
 ]
 
-FAILING = [
+
+def _oversized_approx_beta():
+    """approx-beta on eight components over distinct random 701-digit
+    denominators: the printed bound's denominator has over 5,000 digits."""
+    rng = random.Random(701)
+    parts = []
+    for _ in range(8):
+        den = rng.randrange(10**700, 10**701)
+        parts.append(f"{rng.randrange(den, 100 * den)}/{den}")
+    return ["approx-beta", "--alpha", ",".join(parts)]
+
+
+# integers beyond the interpreter's 4,300-digit string conversion limit:
+# in an input they are malformed, in an output a precondition failure
+OVERSIZED = [
+    (["verify", "--alpha", "9" * 4400 + ",2,3"], 2, "parse"),
+    (["verify", "--alpha", "log:" + "9" * 4400 + ",log:2,log:3"], 2, "parse"),
+    (
+        ["shorten", "--alpha", f"3/{10**2500 + 1},5/{10**2500 + 3},7",
+         "--j", "1", "--k", "2", "--sign", "+"],
+        3,
+        "precondition",
+    ),
+    (_oversized_approx_beta(), 3, "precondition"),
+]
+
+FAILING = OVERSIZED + [
     (["compute", "--alpha", "4;6", "--pair", "1,2"], 2, "parse"),
     (["compute", "--alpha", "2,3,4"], 2, "parse"),
     (["nope"], 2, "parse"),
     ([], 2, "parse"),
     (["compute", "--alpha", "1,2,3", "--pair", "1,2"], 3, "degenerate"),
     (["compute", "--alpha", "2,3,4", "--pair", "1,1"], 3, "precondition"),
+    # the pair is checked before the survey that finds the vector degenerate
+    (["closed-form", "--alpha", "1,2,3", "--pair", "1,4"], 3, "precondition"),
     (["weights", "--m", "2"], 3, "precondition"),
     (["integral", "--beta", "2,3,4", "--formula", "result1"], 3, "precondition"),
     (["integral", "--beta", "1,2,3", "--formula", "result"], 3, "degenerate"),
@@ -154,6 +182,15 @@ def test_failures_validate(argv, code, kind, validator):
     # the first token names the command in every entry that has one
     assert payload["command"] == (argv[0] if argv and argv[0] in _COMMANDS else None)
     validator.validate(payload)
+
+
+def test_closed_form_refuses_its_pair_before_any_table(no_tables):
+    alpha = ",".join(str(100_000_007 + 2 * k) for k in range(30))
+    _, payload = roundtrip(["closed-form", "--alpha", alpha, "--pair", "1,31"])
+    assert payload["error"] == {
+        "type": "precondition",
+        "message": "pair index 31 exceeds vector length 30",
+    }
 
 
 def test_quadrature_budget_refused_before_any_evaluation(integrand_calls):
@@ -235,8 +272,9 @@ def test_pinned_weights_outputs():
     assert payload["outputs"]["dimension"] == 0
 
 
-# The printed bound is the one output that reads the cached log 2, and
-# only when the vector's gap ratio is 2 or more (noted after each vector).
+# Printed bounds of vectors whose gap ratio is 2 or more (noted after each
+# vector), where the bracket of log(gap) first takes square roots of the
+# ratio down to 2; these once read a cached log 2.
 LOG2_BOUNDS = [
     ("log:3",  # gap 3
      '"outputs":{"beta":[1],"bound":"10132909862646469819/9223372036854775808",'
@@ -485,6 +523,17 @@ def test_error_exit_codes_through_process():
         assert proc.stderr.decode().splitlines()[-1] == result.error["message"]
         kinds.append(result.error["type"])
     assert kinds == ["parse", "precondition", "degenerate"]
+
+
+def test_oversized_output_through_process(validator):
+    argv, code, kind = OVERSIZED[2]
+    proc = cli_process(argv)
+    assert proc.returncode == code
+    payload = json.loads(proc.stdout)
+    assert payload["error"]["type"] == kind
+    limit = sys.get_int_max_str_digits()
+    assert f"{limit}-digit integer limit" in payload["error"]["message"]
+    validator.validate(payload)
 
 
 def test_in_process_calls_leave_the_heap_unfrozen(capsys):

@@ -142,6 +142,12 @@ class TestOracleAgreement:
 
 
 class TestClosedForms:
+    def test_pair_refused_before_the_survey(self, no_tables):
+        degenerate = rational_vector([1, 2, 3, 4])
+        for route in (count_via_sign_sum, signed_count_even_via_sign_sum):
+            with pytest.raises(PreconditionError, match="exceeds vector length"):
+                route(degenerate, PairSelection(1, 5))
+
     def test_g_equals_n_for_odd(self, rng):
         for _ in range(15):
             m = rng.choice([3, 5])

@@ -244,6 +244,17 @@ class TestSignedSplitOdd:
             assert holds and orientation == "stated"
             done += 1
 
+    def test_failure_reports_the_stated_orientation(self, monkeypatch):
+        """A sign defect in the left side is a failure, not the mirror
+        identity holding: the answer is ("stated", False)."""
+        from signsum import invariants
+
+        g = invariants.closed_form_g
+        v = rational_vector([4, 6, 7, 9, 11])  # g = -2
+        assert verify_signed_split_odd(v, 1, 5, 2) == ("stated", True)
+        monkeypatch.setattr(invariants, "closed_form_g", lambda alpha: -g(alpha))
+        assert verify_signed_split_odd(v, 1, 5, 2) == ("stated", False)
+
     def test_rejects_even_length(self):
         v = rational_vector([2, 3, 4, 8])
         with pytest.raises(PreconditionError):

@@ -527,6 +527,24 @@ def test_log_bracket_at_the_precision_cap():
     _assert_certified(ratio, _PREC_CAP, ref_lo, ref_hi)
 
 
+@pytest.mark.parametrize(
+    "beta,message",
+    [
+        # 4,000,120 nodes against the 3,000,000 budget
+        ((1000003, 1000033, 1000037, 1000039, 7), "evaluation budget"),
+        # 2^28 times a rounding error over S = 150,465 reaches about 2.5
+        (tuple(range(5001, 5031)), "rounding bound"),
+    ],
+    ids=["budget", "rounding"],
+)
+def test_quadrature_refused_before_the_exact_value(
+    beta, message, no_tables, integrand_calls
+):
+    with pytest.raises(PreconditionError, match=message):
+        quadrature_check(BetaApproximation(beta, 1, 1), "result")
+    assert integrand_calls == []
+
+
 def test_log_bracket_signs_and_unit_ratio():
     lo, hi = _log_enclosure(Fraction(3, 2), 64)
     assert _log_enclosure(Fraction(2, 3), 64) == (-hi, -lo)
