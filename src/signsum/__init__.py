@@ -41,7 +41,6 @@ _SOURCES = {
         "require_generic",
         "scalar_abs_diff",
         "scalar_add",
-        "signed_sum_sign",
         "zero_sum_masks",
     ),
     "invariants": (

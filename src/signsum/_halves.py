@@ -126,12 +126,13 @@ class HalfTables:
 
     Mask bit k marks coordinate k as minus.  A holds the first n // 2
     coordinates and B the rest, so every mask bit of A lies below every
-    mask bit of B.  Values come from ``coordinates``.  ``restrict`` keeps
-    the sums with given coordinates at plus.
+    mask bit of B.  Values and ``den`` come from ``coordinates``.
+    ``restrict`` keeps the sums with given coordinates at plus.
     """
 
-    def __init__(self, values, is_log=False):
+    def __init__(self, values, is_log=False, den=1):
         self.is_log = is_log
+        self.den = den
         self.values = values = list(values)
         n = len(values)
         half = n // 2
@@ -347,10 +348,11 @@ class HalfTables:
         equal key are adjacent and share one run of B, so listing the
         groups costs O(2^(n/2)) however many sums vanish.
 
-        ``gap`` is, plain, the smallest nonzero |sum| as an integer; log,
-        the smallest ratio above 1 among exp(|sum|), as a Fraction.  The
-        nearest nonzero sums of an A entry are the B keys just outside
-        its run on the zero bound.
+        ``gap`` is, plain, the smallest nonzero |sum| divided by ``den``,
+        so in the units of the vector's own components; log, the smallest
+        ratio above 1 among exp(|sum|).  Both are Fractions.  The nearest
+        nonzero sums of an A entry are the B keys just outside its run
+        on the zero bound.
         """
         ts, lt, gt, _ = self._runs(self._zero)
         keys, bm = self.b_keys, self.b_masks
@@ -377,7 +379,8 @@ class HalfTables:
             return groups, min(gaps)
         above = min((keys[g] - t for t, g in zip(ts, gt) if g < n), default=None)
         below = min((t - keys[l - 1] for t, l in zip(ts, lt) if l), default=None)
-        return groups, min(d for d in (above, below) if d is not None)
+        gap = min(d for d in (above, below) if d is not None)
+        return groups, Fraction(gap, self.den)
 
 
 def first_zero(groups):

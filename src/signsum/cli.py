@@ -121,13 +121,12 @@ def _cmd_compute(args):
         if not args.solutions:
             row = invariants.pair_invariants(alpha, pair)
             return {"N": row.signed, "count": row.count, "parity": row.parity}
-        sols = invariants.enumerate_solutions(alpha, pair)
-        count = len(sols.solutions)
+        scan = invariants._scan(alpha, pair, materialize=True)
         return {
-            "N": sols.signed,
-            "count": count,
-            "parity": count & 1,
-            "solutions": _sign_rows(sols.masks(), alpha.m - 2),
+            "N": scan.signed,
+            "count": scan.count,
+            "parity": scan.count & 1,
+            "solutions": _sign_rows(scan.masks, alpha.m - 2),
             "coordinates": [
                 alpha.original_index(p)
                 for p in range(alpha.m)
@@ -281,6 +280,8 @@ def _cmd_integral(args):
     def execute():
         from . import trig
 
+        # the formula and index are refused before the survey builds a table
+        trig._formula(beta_list, args.formula, args.pair_index)
         beta = trig.integer_beta(beta_list)
         if not args.quadrature:
             exact = trig.exact_formula_value(beta, args.formula, args.pair_index)
@@ -324,6 +325,8 @@ def _cmd_primes(args):
 
         direct = via_mobius = None
         if args.method in ("direct", "both"):
+            # the pair is refused before prime_alpha's survey builds a table
+            pair.validate(primes._check_n(args.n))
             example = primes.prime_alpha(args.n)
             direct = invariants.signed_count(example.alpha, pair)
         if args.method in ("moebius", "both"):

@@ -8,7 +8,6 @@ only approximate code in the package lives in the quadrature diagnostics.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import sys
@@ -39,7 +38,6 @@ __all__ = [
     "scalar_add",
     "scalar_abs_diff",
     "compare_scalars",
-    "signed_sum_sign",
     "check_generic",
     "require_generic",
     "minimum_gap",
@@ -190,38 +188,14 @@ class SignVector(namedtuple("SignVector", "length bits coordinate_map")):
         return tuple.__new__(cls, (length, bits, coordinate_map))
 
     @classmethod
-    def from_signs(cls, signs, coordinate_map=None) -> "SignVector":
-        signs = list(signs)
-        bits = 0
-        for pos, s in enumerate(signs):
-            if s == -1:
-                bits |= 1 << pos
-            elif s != 1:
-                raise ParseError(f"sign entries must be +1 or -1, got {s!r}")
-        return cls(len(signs), bits, coordinate_map)
-
-    @classmethod
     def _bounded(cls, length: int, bits: int, coordinate_map: tuple[int, ...] | None):
         """A row over the coordinates of a validated vector.  Its length is
         within the cap and its mask in range by construction, so no check
         runs, and building a solution row costs no environment read."""
         return tuple.__new__(cls, (length, bits, coordinate_map))
 
-    def sign(self, pos: int) -> int:
-        """Sign at 0-based position ``pos``."""
-        if not 0 <= pos < self.length:
-            raise PreconditionError("sign position out of range")
-        return -1 if (self.bits >> pos) & 1 else 1
-
     def signs(self) -> tuple[int, ...]:
         return tuple(-1 if (self.bits >> k) & 1 else 1 for k in range(self.length))
-
-    def product(self) -> int:
-        return -1 if self.bits.bit_count() & 1 else 1
-
-    def negated(self) -> "SignVector":
-        full = (1 << self.length) - 1
-        return SignVector(self.length, self.bits ^ full, self.coordinate_map)
 
 
 class GenericityReport(namedtuple("GenericityReport", "generic witness")):
@@ -317,8 +291,8 @@ class AlphaVector:
         if self._tables is None:
             from . import _halves
 
-            values, _ = _halves.coordinates(self.ratios(), self.is_log)
-            self._tables = _halves.HalfTables(values, self.is_log)
+            values, den = _halves.coordinates(self.ratios(), self.is_log)
+            self._tables = _halves.HalfTables(values, self.is_log, den)
         return self._tables
 
     def __repr__(self):
@@ -379,49 +353,6 @@ def format_scalar(s: Scalar) -> str:
     return f"log:{body}" if s.is_log else body
 
 
-def signed_sum_sign(alpha: AlphaVector, eps: SignVector) -> int:
-    """Exact sign of the signed sum of ``alpha`` under ``eps``.
-
-    Plain realization: sign of an exact rational sum.  Log realization:
-    the sum is log of a product of rational arguments to powers +-1, so
-    the sign reduces to a big-integer cross-multiplied comparison.
-    """
-    if eps.length != alpha.m:
-        raise PreconditionError("sign vector length does not match the vector")
-    if alpha.is_log:
-        x = y = 1
-        for pos, c in enumerate(alpha.components):
-            n, d = c.ratio.numerator, c.ratio.denominator
-            if (eps.bits >> pos) & 1:
-                x *= d
-                y *= n
-            else:
-                x *= n
-                y *= d
-        return (x > y) - (x < y)
-    total = Fraction(0)
-    for pos, c in enumerate(alpha.components):
-        total = total - c.ratio if (eps.bits >> pos) & 1 else total + c.ratio
-    return (total > 0) - (total < 0)
-
-
-def _survey(alpha: AlphaVector):
-    """Half-table pass over all signed sums with coordinate 1 fixed to +1.
-
-    Returns (zero_groups, gap): the vanishing sums as the kernel's
-    zero groups over full-length bitmasks (bit 0 clear, one
-    representative per negation class), and the closest nonzero approach
-    to zero.  The gap is min |sum| as a Fraction in the plain realization;
-    in the log realization it is the smallest product ratio above 1, so
-    the actual minimum is its logarithm.
-    """
-    groups, gap = alpha.half_tables().restrict(1).survey()
-    if alpha.is_log:
-        return groups, gap
-    den = math.lcm(*(r.denominator for r in alpha.ratios()))
-    return groups, Fraction(gap, den)
-
-
 def check_generic(alpha: AlphaVector) -> GenericityReport:
     """Test every signed sum for vanishing, up to global negation.
 
@@ -432,7 +363,7 @@ def check_generic(alpha: AlphaVector) -> GenericityReport:
     others.  The result is cached on the vector.
     """
     if alpha._report is None:
-        groups, gap = _survey(alpha)
+        groups, gap = alpha.half_tables().restrict(1).survey()
         alpha._zero_groups = groups
         alpha._min_gap = gap
         if groups:

@@ -55,9 +55,6 @@ class SolutionSet(namedtuple("SolutionSet", "pair solutions source signed")):
 
     __slots__ = ()
 
-    def masks(self) -> tuple[int, ...]:
-        return tuple(sv.bits for sv in self.solutions)
-
 
 class ScanResult(namedtuple("ScanResult", "count signed extended masks")):
     """One pair scan: the count, the signed count, the extended count
@@ -297,10 +294,10 @@ def verify_invariance(alpha: AlphaVector) -> InvariantReport:
     A violation marks an implementation bug, not bad input; it is recorded
     in the report rather than raised.
     """
-    require_generic(alpha)
     m = alpha.m
     if m < 3:
         raise PreconditionError("solution sets require at least 3 components")
+    require_generic(alpha)
     rows = _moment_rows(alpha)
 
     violations = []
@@ -399,15 +396,13 @@ def wall_crossing_check(
     if l0 in (i0, j0):
         raise PreconditionError("perturbed index must avoid the pair")
 
+    refusal = "delta must be positive and below half the minimum nonzero gap"
+    if delta is not None and Fraction(delta) <= 0:  # before the survey's table
+        raise PreconditionError(refusal)
     gap = minimum_gap(alpha)
-    if delta is None:
-        delta = gap / 4
-    else:
-        delta = Fraction(delta)
-    if not 0 < delta < gap / 2:
-        raise PreconditionError(
-            "delta must be positive and below half the minimum nonzero gap"
-        )
+    delta = gap / 4 if delta is None else Fraction(delta)
+    if not delta < gap / 2:
+        raise PreconditionError(refusal)
     walls = zero_sum_masks(alpha)
 
     base = alpha.components[l0].ratio

@@ -124,47 +124,40 @@ def pair_for_values(alpha: AlphaVector, va: Scalar, vb: Scalar) -> PairSelection
     raise PreconditionError("second value not present in the vector")
 
 
+def _components(alpha: AlphaVector, *indices: int) -> list[Scalar]:
+    """The components at the 1-based ``indices``, each checked in range."""
+    for idx in indices:
+        if not 1 <= idx <= alpha.m:
+            raise PreconditionError("index out of range")
+    return [alpha.components[idx - 1] for idx in indices]
+
+
 def _distinct(*indices) -> None:
     if len(set(indices)) != len(indices):
         raise PreconditionError("indices must be pairwise distinct")
 
 
-def _count_split_rhs(alpha: AlphaVector, ai: Scalar, r: int, s: int) -> int:
-    """Right side of both count splits: the counts of the pair (a_i, new
-    value) on the two shortenings of component r by component s."""
-    from .invariants import count_solutions
-
-    total = 0
-    for sign in ("-", "+"):
-        shortened = shorten(alpha, r, s, sign)
-        pair = pair_for_values(shortened.base, ai, shortened.new_scalar)
-        total += count_solutions(shortened.base, pair)
-    return total
+# Each verifier checks its indices and value conditions before the
+# genericity survey, so a refused request builds no table.
 
 
 def verify_count_split(alpha: AlphaVector, i: int, j: int, k: int) -> bool:
     """Count split across one shortening of component j by component k.
 
-    Requires a_k <= a_j - a_i exactly.  The right side pairs a_i with the
-    shortened values on the two shortened vectors.
+    Requires a_k <= a_j - a_i exactly.  This is the general split
+    (``verify_count_split_general``) at (r, s) = (j, k), whose domain
+    holds: the indices are distinct, and with positive components
+    a_k <= a_j - a_i implies a_i <= a_j, a_j != a_k, a_j + a_k >= a_i
+    and |a_j - a_k| >= a_i.
     """
-    m = alpha.m
-    if m < 4:
+    if alpha.m < 4:
         raise PreconditionError("count split requires at least 4 components")
-    for idx in (i, j, k):
-        if not 1 <= idx <= m:
-            raise PreconditionError("index out of range")
+    ai, aj, ak = _components(alpha, i, j, k)
     _distinct(i, j, k)
-    require_generic(alpha)
-    ai, aj, ak = (alpha.components[t - 1] for t in (i, j, k))
     # a_k <= a_j - a_i, stated with a sum to stay inside positive scalars
     if compare_scalars(scalar_add(ak, ai), aj) > 0:
         raise PreconditionError("need a_k <= a_j - a_i")
-
-    from .invariants import count_solutions
-
-    lhs = count_solutions(alpha, PairSelection(i, j))
-    return lhs == _count_split_rhs(alpha, ai, j, k)
+    return verify_count_split_general(alpha, i, j, j, k)
 
 
 def verify_signed_split_even(alpha: AlphaVector, i: int, j: int, k: int) -> bool:
@@ -177,14 +170,11 @@ def verify_signed_split_even(alpha: AlphaVector, i: int, j: int, k: int) -> bool
     m = alpha.m
     if m < 4 or m % 2:
         raise PreconditionError("signed split requires even length >= 4")
-    for idx in (i, j, k):
-        if not 1 <= idx <= m:
-            raise PreconditionError("index out of range")
+    ai, aj, ak = _components(alpha, i, j, k)
     _distinct(i, j, k)
-    require_generic(alpha)
-    ai, aj, ak = (alpha.components[t - 1] for t in (i, j, k))
     if compare_scalars(ai, aj) > 0:
         raise PreconditionError("need a_i <= a_j")
+    require_generic(alpha)
 
     from .invariants import closed_form_g, signed_count
 
@@ -206,23 +196,19 @@ def verify_count_split_general(
 
     Requires a_r + a_s >= a_i and |a_r - a_s| >= a_i, both exact.  The
     first condition is implied by the second for positive components; it is
-    still checked because it is part of the stated contract.
+    still checked because it is part of the stated contract.  The right
+    side pairs a_i with the shortened value on each of the two
+    shortenings of r by s.
     """
-    m = alpha.m
-    if m < 4:
+    if alpha.m < 4:
         raise PreconditionError("count split requires at least 4 components")
-    for idx in (i, j, r, s):
-        if not 1 <= idx <= m:
-            raise PreconditionError("index out of range")
+    ai, aj, ar, as_ = _components(alpha, i, j, r, s)
     if i == j:
         raise PreconditionError("pair indices must differ")
     if r == s:
         raise PreconditionError("shortening indices must differ")
     if i in (r, s):
         raise PreconditionError("shortening indices must avoid i")
-    require_generic(alpha)
-    ai, aj = alpha.components[i - 1], alpha.components[j - 1]
-    ar, as_ = alpha.components[r - 1], alpha.components[s - 1]
     if compare_scalars(ai, aj) > 0:
         raise PreconditionError("need a_i <= a_j")
     if compare_scalars(ar, as_) == 0:
@@ -231,11 +217,16 @@ def verify_count_split_general(
         raise PreconditionError("need a_r + a_s >= a_i")
     if compare_scalars(scalar_abs_diff(ar, as_), ai) < 0:
         raise PreconditionError("need |a_r - a_s| >= a_i")
+    require_generic(alpha)
 
     from .invariants import count_solutions
 
-    lhs = count_solutions(alpha, PairSelection(i, j))
-    return lhs == _count_split_rhs(alpha, ai, r, s)
+    rhs = 0
+    for sign in ("-", "+"):
+        shortened = shorten(alpha, r, s, sign)
+        pair = pair_for_values(shortened.base, ai, shortened.new_scalar)
+        rhs += count_solutions(shortened.base, pair)
+    return count_solutions(alpha, PairSelection(i, j)) == rhs
 
 
 def verify_signed_split_odd(
@@ -254,35 +245,27 @@ def verify_signed_split_odd(
     m = alpha.m
     if m < 5 or m % 2 == 0:
         raise PreconditionError("odd signed split requires odd length >= 5")
-    for idx in (i, j, k):
-        if not 1 <= idx <= m:
-            raise PreconditionError("index out of range")
+    ai, aj, ak = _components(alpha, i, j, k)
     _distinct(i, j, k)
+    tied = compare_scalars(ai, aj) == 0
+    if tied and compare_scalars(ak, scalar_add(ai, aj)) > 0:
+        raise PreconditionError("need a_k <= 2 a_i")
+    if not tied and compare_scalars(ak, scalar_abs_diff(ai, aj)) > 0:
+        raise PreconditionError("need a_k <= |a_i - a_j|")
     require_generic(alpha)
-    ai, aj, ak = (alpha.components[t - 1] for t in (i, j, k))
+
     from .invariants import closed_form_g, signed_count
 
     lhs = closed_form_g(alpha)
-
-    if compare_scalars(ai, aj) == 0:
-        if compare_scalars(ak, scalar_add(ai, aj)) > 0:
-            raise PreconditionError("need a_k <= 2 a_i")
-        g_plus = shorten(alpha, i, j, "+")
-        plus_term = signed_count(
-            g_plus.base, pair_for_values(g_plus.base, ak, g_plus.new_scalar)
-        )
-        core = delete_pair(alpha, PairSelection(i, j))
-        holds = lhs == -plus_term - 2 * closed_form_g(core)
-        return "stated", holds
-
-    if compare_scalars(ak, scalar_abs_diff(ai, aj)) > 0:
-        raise PreconditionError("need a_k <= |a_i - a_j|")
-    g_minus = shorten(alpha, i, j, "-")
     g_plus = shorten(alpha, i, j, "+")
-    minus_term = signed_count(
-        g_minus.base, pair_for_values(g_minus.base, ak, g_minus.new_scalar)
-    )
     plus_term = signed_count(
         g_plus.base, pair_for_values(g_plus.base, ak, g_plus.new_scalar)
+    )
+    if tied:
+        core = delete_pair(alpha, PairSelection(i, j))
+        return "stated", lhs == -plus_term - 2 * closed_form_g(core)
+    g_minus = shorten(alpha, i, j, "-")
+    minus_term = signed_count(
+        g_minus.base, pair_for_values(g_minus.base, ak, g_minus.new_scalar)
     )
     return "stated", lhs == minus_term - plus_term

@@ -355,17 +355,10 @@ def _check_window_forms(tables, value: int) -> None:
             )
 
 
-def _position(beta: BetaApproximation, k: int) -> int:
-    k = int(k)
-    if not 1 <= k <= beta.m:
-        raise PreconditionError("component index out of range")
-    return k - 1
-
-
-def _formula(
-    beta: BetaApproximation, formula: str, index: int | None
-) -> tuple[int, int]:
-    """(sines, prefactor) of a named kernel formula, preconditions checked.
+def _formula(values, formula: str, index: int | None) -> tuple[int, int]:
+    """(sines, prefactor) of a named kernel formula on the integers
+    ``values`` of a beta, preconditions checked.  Only comparisons of the
+    values are made, so raw input can be checked before any table.
 
     ``sines`` is the mask of the components that enter as sin(b_k x);
     the others enter as cos(b_k x).  "result" is the sine product.
@@ -374,7 +367,7 @@ def _formula(
     "result2" its tangent factor at the smaller member i by
     tan(b x) cos(b x) = sin(b x), leaving one sine against cosines.
     """
-    m = beta.m
+    m = len(values)
     if formula == "result":
         if m < 3:
             raise PreconditionError("need at least 3 components")
@@ -390,14 +383,16 @@ def _formula(
             raise PreconditionError("need at least 4 components")
     elif m < 3:
         raise PreconditionError("need at least 3 components")
-    k0 = _position(beta, index)
-    others = [b for k, b in enumerate(beta.beta) if k != k0]
+    k0 = int(index) - 1
+    if not 0 <= k0 < m:
+        raise PreconditionError("component index out of range")
+    others = [b for k, b in enumerate(values) if k != k0]
     if formula == "result1":
-        if beta.beta[k0] < min(others):
+        if values[k0] < min(others):
             raise PreconditionError("index must carry the larger member of a pair")
         pref = (-1 if (m // 2 - 1) % 2 else 1) << (m - 2)
         return ((1 << m) - 1) ^ (1 << k0), pref
-    if beta.beta[k0] > max(others):
+    if values[k0] > max(others):
         raise PreconditionError("index must carry the smaller member of a pair")
     return 1 << k0, 1 << (m - 2)
 
@@ -443,7 +438,7 @@ def exact_formula_value(
     table.  One half table of beta, shared with ``integer_beta``
     (``_integer_vector``), serves the value and its checks.
     """
-    sines, pref = _formula(beta, formula, index)
+    sines, pref = _formula(beta.beta, formula, index)
     tables = _integer_vector(beta.beta).half_tables()
     a = sines.bit_count()
     if a % 2 == 0:
@@ -571,7 +566,7 @@ def quadrature_check(
     wrong integer from the right one, so such a request is refused as a
     precondition before the first evaluation.
     """
-    sines, pref = _formula(beta, formula, index)
+    sines, pref = _formula(beta.beta, formula, index)
     if tolerance <= 0:
         raise PreconditionError("tolerance must be positive")
     rounding = _rounding_bound(beta.beta, pref)

@@ -51,11 +51,6 @@ class WeightFunction(namedtuple("WeightFunction", "m table")):
             raise PreconditionError("weight table must have 2^(m-2) entries")
         return tuple.__new__(cls, (m, table))
 
-    def value(self, sv: SignVector) -> Fraction:
-        if sv.length != self.m - 2:
-            raise PreconditionError("sign vector length does not match weight")
-        return self.table[sv.bits]
-
 
 class ConstraintSystem(namedtuple("ConstraintSystem", "m unknowns rows")):
     """Deduplicated constraints between signed table entries.
@@ -265,9 +260,9 @@ def weighted_count(
     """Sum of f over the solution set of the pair."""
     # the only user of the scan kernel here; importing it on demand keeps
     # it out of a process that only solves for the weight space
-    from .invariants import enumerate_solutions
+    from .invariants import _scan
 
     if f.m != alpha.m:
         raise PreconditionError("weight length does not match the vector")
-    sols = enumerate_solutions(alpha, pair)
-    return sum((f.table[mask] for mask in sols.masks()), Fraction(0))
+    masks = _scan(alpha, pair, materialize=True).masks
+    return sum((f.table[mask] for mask in masks), Fraction(0))

@@ -193,6 +193,37 @@ def test_closed_form_refuses_its_pair_before_any_table(no_tables):
     }
 
 
+_NINE_DIGITS = ",".join(str(100_000_007 + 2 * k) for k in range(30))
+_DELTA = "delta must be positive and below half the minimum nonzero gap"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integral", "--beta", _NINE_DIGITS, "--formula", "result1"],
+         "this formula needs the pair index"),
+        (["integral", "--beta", _NINE_DIGITS, "--formula", "result2",
+          "--pair-index", "31"], "component index out of range"),
+        (["wall-cross", "--alpha", _NINE_DIGITS, "--l", "3", "--pair", "1,2",
+          "--delta", "0"], _DELTA),
+        (["wall-cross", "--alpha", _NINE_DIGITS, "--l", "3", "--pair", "1,2",
+          "--delta=-1/2"], _DELTA),
+        # degenerate as well, but with no pair to scan
+        (["verify", "--alpha", "1,1"], "solution sets require at least 3 components"),
+        (["primes", "--n", "20", "--pair", "1,21", "--method", "direct"],
+         "pair index 21 exceeds vector length 20"),
+        (["primes", "--n", "20", "--pair", "2,25"],
+         "pair index 25 exceeds vector length 20"),
+    ],
+    ids=["integral-no-index", "integral-index", "wall-cross-zero",
+         "wall-cross-negative", "verify-short", "primes-direct", "primes-both"],
+)
+def test_cheap_refusals_before_any_table(argv, message, no_tables):
+    _, payload = roundtrip(argv)
+    assert payload["error"] == {"type": "precondition", "message": message}
+    assert payload["exit_code"] == 3
+
+
 def test_quadrature_budget_refused_before_any_evaluation(integrand_calls):
     # sum(beta) + 1 = 3,000,074 nodes, just over the budget
     _, payload = roundtrip(

@@ -29,7 +29,6 @@ from signsum import (
     require_generic,
     scalar_abs_diff,
     scalar_add,
-    signed_sum_sign,
     zero_sum_masks,
 )
 
@@ -142,13 +141,6 @@ class TestSignVector:
     def test_mask_sign_convention(self):
         sv = SignVector(3, 0b010)
         assert sv.signs() == (1, -1, 1)
-        assert sv.product() == -1
-        assert sv.negated().signs() == (-1, 1, -1)
-
-    def test_from_signs_round_trip(self):
-        for bits in range(8):
-            sv = SignVector(3, bits)
-            assert SignVector.from_signs(sv.signs()) == SignVector(3, bits)
 
     def test_coordinate_map(self):
         sv = SignVector(2, 0b01, (3, 5))
@@ -164,8 +156,6 @@ class TestSignVector:
         monkeypatch.setenv("SIGNSUM_MAX_M", "4")
         with pytest.raises(PreconditionError):
             SignVector(5, 0)
-        with pytest.raises(PreconditionError):
-            SignVector.from_signs([1] * 5)
 
     def test_solution_rows_skip_the_cap_read(self, monkeypatch):
         """Rows of a validated vector equal checked sign vectors, and
@@ -271,20 +261,6 @@ class TestGenericity:
             require_generic(log_vector([2, 3, 6]))
         require_generic(log_vector([2, 3, 5]))
 
-    def test_signed_sum_sign_log(self):
-        v = log_vector([2, 3, 5])
-        # ln2 + ln3 - ln5 = ln(6/5) > 0
-        assert signed_sum_sign(v, SignVector(3, 0b100)) == 1
-        # ln2 - ln3 - ln5 = ln(2/15) < 0
-        assert signed_sum_sign(v, SignVector(3, 0b110)) == -1
-
-    def test_signed_sum_sign_plain(self):
-        v = rational_vector([2, 3, 4])
-        assert signed_sum_sign(v, SignVector(3, 0)) == 1
-        assert signed_sum_sign(v, SignVector(3, 0b011)) == -1
-        w = rational_vector([1, 2, 3])
-        assert signed_sum_sign(w, SignVector(3, 0b100)) == 0
-
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -297,17 +273,6 @@ class TestGenericity:
 def test_check_generic_matches_oracle(vals):
     v = rational_vector(vals)
     assert check_generic(v).generic == is_generic_values(vals)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=30), st.data())
-def test_sign_vector_product_is_parity(length, data):
-    bits = data.draw(st.integers(min_value=0, max_value=(1 << length) - 1))
-    sv = SignVector(length, bits)
-    prod = 1
-    for s in sv.signs():
-        prod *= s
-    assert sv.product() == prod
 
 
 def test_scalar_frozen_and_positive():

@@ -444,7 +444,8 @@ def _check_scans(alpha, pair, h):
     assert count_solutions(alpha, pair) == expected.count
     assert signed_count(alpha, pair) == expected.signed
     assert parity(alpha, pair) == expected.count & 1
-    assert enumerate_solutions(alpha, pair).masks() == expected.masks
+    sols = enumerate_solutions(alpha, pair).solutions
+    assert tuple(sv.bits for sv in sols) == expected.masks
     if h1 is not None:
         assert extended_signed_count(alpha, pair, h) == expected.extended
 
@@ -709,6 +710,7 @@ def test_verify_thirty_ones_is_degenerate():
 class _PerCallTables(HalfTables):
     def __init__(self, values, bits, fixed=None, is_log=False):
         self.is_log = is_log
+        self.den = 1  # the survey's gap stays in the integer units
         values, bits = list(values), list(bits)
         half = len(values) // 2
         width = max((b.bit_length() for b in bits), default=0)
@@ -811,7 +813,8 @@ def _check_against_per_call_tables(alpha):
             expected.count & 1,
             expected.signed,
         )
-        assert enumerate_solutions(alpha, pair).masks() == expected.masks
+        sols = enumerate_solutions(alpha, pair).solutions
+        assert tuple(sv.bits for sv in sols) == expected.masks
         rest = _rest_positions(alpha.m, i0, j0)
         for h1, pos in enumerate(rest):
             if alpha.m >= 4:

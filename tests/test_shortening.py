@@ -1,12 +1,16 @@
 """Shortened vectors and the splitting identities."""
 
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from signsum import (
     PairSelection,
     PreconditionError,
+    check_generic,
     format_scalar,
     log_vector,
     pair_for_values,
@@ -18,6 +22,7 @@ from signsum import (
     verify_signed_split_even,
     verify_signed_split_odd,
 )
+from signsum.cli import run
 
 from conftest import random_generic_values
 
@@ -123,6 +128,63 @@ class TestCountSplit:
     def test_needs_four(self):
         with pytest.raises(PreconditionError):
             verify_count_split(rational_vector([2, 3, 4]), 1, 2, 3)
+
+
+_PART = st.builds(Fraction, st.integers(1, 40), st.integers(1, 4))
+
+
+@st.composite
+def count_split_domain(draw):
+    """(alpha, i, j, k) with distinct indices and a_k <= a_j - a_i, in
+    either realization: a log component is 1 plus a part, and a_j is
+    a_i a_k times one more."""
+    is_log = draw(st.booleans())
+    m = draw(st.integers(4, 7))
+    i, j, k = draw(st.permutations(range(m)))[:3]
+    vals = [draw(_PART) + (1 if is_log else 0) for _ in range(m)]
+    join = operator.mul if is_log else operator.add
+    vals[j] = join(join(vals[i], vals[k]), vals[j])
+    alpha = (log_vector if is_log else rational_vector)(vals)
+    return alpha, i + 1, j + 1, k + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_split_domain())
+def test_count_split_is_the_general_split_at_j_k(case):
+    """The count split's domain lies inside the general split's at
+    (r, s) = (j, k), and the two agree there, holding."""
+    alpha, i, j, k = case
+    assume(check_generic(alpha).generic)
+    assert verify_count_split(alpha, i, j, k)
+    assert verify_count_split_general(alpha, i, j, j, k)
+
+
+@pytest.mark.parametrize(
+    "identity, alpha, indices, message",
+    [
+        ("count-split", "4,6,7,9", "1,2,3", "need a_k <= a_j - a_i"),
+        ("count-split", "log:2,log:3,log:5,log:7", "1,2,3", "need a_k <= a_j - a_i"),
+        ("signed-even", "2,3,4,8", "4,1,2", "need a_i <= a_j"),
+        ("count-general", "2,3,4,8", "3,1,2,4", "need a_i <= a_j"),
+        ("count-general", "2,3,5,5", "1,2,3,4", "equal shortening components"),
+        ("count-general", "2,3,9,10", "3,4,1,2", "need a_r + a_s >= a_i"),
+        ("count-general", "2,3,4,8", "3,4,1,2", "need |a_r - a_s| >= a_i"),
+        ("signed-odd", "4,6,7,9,11", "1,2,3", "need a_k <= |a_i - a_j|"),
+        ("signed-odd", "5,5,11,2,3", "1,2,3", "need a_k <= 2 a_i"),
+        # degenerate (1 + 2 - 3 = 0) and outside the domain: the value
+        # condition is reported, before the survey
+        ("count-split", "1,2,3,4", "1,2,3", "need a_k <= a_j - a_i"),
+    ],
+)
+def test_value_conditions_refused_before_any_table(
+    identity, alpha, indices, message, no_tables
+):
+    result = run(
+        ["verify-shortening", "--alpha", alpha, "--identity", identity,
+         "--indices", indices]
+    )
+    assert result.exit_code == 3 and result.error["type"] == "precondition"
+    assert message in result.error["message"]
 
 
 class TestSignedSplitEven:

@@ -8,7 +8,6 @@ import pytest
 from signsum import (
     PairSelection,
     PreconditionError,
-    SignVector,
     check_condition_star,
     parity_product_weight,
     rational_vector,
@@ -62,15 +61,15 @@ def pair_quantity(f, eps, pair):
     m = f.m
     i, j = pair
     rest = [p for p in range(m) if p + 1 not in (i, j)]
-    kept = [eps.signs()[p] for p in rest]
-    return eps.signs()[i - 1] * f.value(SignVector.from_signs(kept))
+    kept = sum(1 << k for k, p in enumerate(rest) if eps.signs()[p] == -1)
+    return eps.signs()[i - 1] * f.table[kept]
 
 
 def test_parity_product_values():
     f = parity_product_weight(5)
-    assert f.value(SignVector(3, 0)) == 1
-    assert f.value(SignVector(3, 0b101)) == 1
-    assert f.value(SignVector(3, 0b100)) == -1
+    assert f.table[0] == 1
+    assert f.table[0b101] == 1
+    assert f.table[0b100] == -1
 
 
 def test_weighted_count_pair_independent_odd(rng):
