@@ -280,9 +280,13 @@ def _cmd_integral(args):
     def execute():
         from . import trig
 
-        # the formula and index are refused before the survey builds a table
+        # every refusal that reads only the integers comes before the
+        # survey builds a table
         trig._formula(beta_list, args.formula, args.pair_index)
-        beta = trig.integer_beta(beta_list)
+        values = trig._positive_integers(beta_list)
+        if args.quadrature:
+            trig._quadrature_plan(values, args.formula, args.tol, args.pair_index)
+        beta = trig.integer_beta(values)
         if not args.quadrature:
             exact = trig.exact_formula_value(beta, args.formula, args.pair_index)
             return {"formula": args.formula, "exact": exact}

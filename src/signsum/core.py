@@ -235,9 +235,7 @@ class AlphaVector:
     __slots__ = (
         "components",
         "index_map",
-        "_report",
-        "_zero_groups",
-        "_min_gap",
+        "_survey",
         "_tables",
     )
 
@@ -263,9 +261,7 @@ class AlphaVector:
         self.index_map = tuple(index_map) if index_map is not None else None
         if self.index_map is not None and len(self.index_map) != len(comps):
             raise PreconditionError("index map length mismatch")
-        self._report = None
-        self._zero_groups = None
-        self._min_gap = None
+        self._survey = None
         self._tables = None
 
     @property
@@ -353,27 +349,32 @@ def format_scalar(s: Scalar) -> str:
     return f"log:{body}" if s.is_log else body
 
 
+def _survey(alpha: AlphaVector):
+    """(zero_groups, gap) of the vector's signed sums, cached on it.
+
+    Coordinate 1 is fixed to +1, covering all 2^m sign vectors up to
+    global negation.  The other coordinates split into two half tables
+    of about 2^((m-1)/2) sums each, and a vanishing sum is a collision
+    between them (``_halves.HalfTables.survey``).
+    """
+    if alpha._survey is None:
+        alpha._survey = alpha.half_tables().restrict(1).survey()
+    return alpha._survey
+
+
 def check_generic(alpha: AlphaVector) -> GenericityReport:
     """Test every signed sum for vanishing, up to global negation.
 
-    Coordinate 1 is fixed to +1, covering all 2^m sign vectors.  The
-    other coordinates split into two half tables of about 2^((m-1)/2)
-    sums each, and a vanishing sum is a collision between them.  The
-    witness is the smallest vanishing mask, found without listing the
-    others.  The result is cached on the vector.
+    The witness is the smallest vanishing mask, read off the survey's
+    zero groups without listing the others.
     """
-    if alpha._report is None:
-        groups, gap = alpha.half_tables().restrict(1).survey()
-        alpha._zero_groups = groups
-        alpha._min_gap = gap
-        if groups:
-            from . import _halves
+    groups, _ = _survey(alpha)
+    if not groups:
+        return GenericityReport(True, None)
+    from . import _halves
 
-            witness = SignVector(alpha.m, _halves.first_zero(groups), alpha.index_map)
-            alpha._report = GenericityReport(False, witness)
-        else:
-            alpha._report = GenericityReport(True, None)
-    return alpha._report
+    witness = SignVector(alpha.m, _halves.first_zero(groups), alpha.index_map)
+    return GenericityReport(False, witness)
 
 
 def require_generic(alpha: AlphaVector) -> None:
@@ -390,8 +391,7 @@ def minimum_gap(alpha: AlphaVector) -> Fraction:
     Plain realization: an exact Fraction.  Log realization: the smallest
     product ratio above 1 (the minimum signed sum is its logarithm).
     """
-    check_generic(alpha)
-    return alpha._min_gap
+    return _survey(alpha)[1]
 
 
 def _half_sign_sum(tables, char: int) -> int:
@@ -418,8 +418,7 @@ def zero_sum_masks(alpha: AlphaVector) -> tuple[int, ...]:
     """
     from . import _halves
 
-    check_generic(alpha)
-    return tuple(_halves.zero_masks(alpha._zero_groups))
+    return tuple(_halves.zero_masks(_survey(alpha)[0]))
 
 
 def delete_pair(alpha: AlphaVector, pair: PairSelection) -> AlphaVector:

@@ -24,8 +24,8 @@ from .core import (
     Scalar,
     SignVector,
     _half_sign_sum,
+    _survey,
     check_generic,
-    minimum_gap,
     require_generic,
     zero_sum_masks,
 )
@@ -372,6 +372,12 @@ class WallCrossing(
     __slots__ = ()
 
 
+def _char_total(masks, char: int) -> int:
+    """Sum of (-1)^popcount(mask & char) over ``masks``."""
+    odd = sum((mask & char).bit_count() & 1 for mask in masks)
+    return len(masks) - 2 * odd
+
+
 def wall_crossing_check(
     alpha: AlphaVector,
     l: int,
@@ -399,11 +405,10 @@ def wall_crossing_check(
     refusal = "delta must be positive and below half the minimum nonzero gap"
     if delta is not None and Fraction(delta) <= 0:  # before the survey's table
         raise PreconditionError(refusal)
-    gap = minimum_gap(alpha)
+    groups, gap = _survey(alpha)
     delta = gap / 4 if delta is None else Fraction(delta)
     if not delta < gap / 2:
         raise PreconditionError(refusal)
-    walls = zero_sum_masks(alpha)
 
     base = alpha.components[l0].ratio
     if base <= delta:
@@ -428,23 +433,27 @@ def wall_crossing_check(
     # Each wall solution r moves exactly one sign vector in or out of the
     # solution set.  Which side it lands on is decided by r_l, and its
     # contribution by whether the pair coordinates agree in r (a crossing
-    # of the upper bound) or differ (the lower bound).
-    small, _ = orient_pair(alpha, pair)
-    rest = ((1 << alpha.m) - 1) ^ (1 << i0) ^ (1 << j0)
-    pred_signed = 0
-    pred_count = 0
-    for mask in walls:
-        ri, rj, rl, r_small = (
-            -1 if mask >> pos & 1 else 1 for pos in (i0, j0, l0, small)
-        )
-        pred_count += -r_small * rl
-        prod_rest = -1 if (mask & rest).bit_count() & 1 else 1
-        if ri == rj:
-            norm = (-ri) ** (alpha.m - 1)
-            pred_signed += norm * rl * prod_rest
-        else:
-            norm = r_small ** (alpha.m - 1)
-            pred_signed += -norm * rl * prod_rest
+    # of the upper bound) or differ (the lower bound).  With s and t the
+    # smaller and larger pair positions and P = prod_{k != i,j,l} r_k, r
+    # adds -r_s r_l to the count and, to N, (-r_i)^(m-1) P when r_i = r_j
+    # and -r_s^(m-1) P otherwise.  As r_i r_j is 1 or -1 in the two cases,
+    # both read chi_{all but l}(r) for odd m and -r_s P = -chi_{all but
+    # t,l}(r) for even m, chi_S(r) being the product of r over S.  Each S
+    # has even size, so chi_S is the same on r and -r, and the survey's
+    # one mask per negation class serves.  A zero group pairs every A mask
+    # with every B mask, on disjoint bits, so it adds (sum_A chi_S)(sum_B
+    # chi_S).
+    small, large = orient_pair(alpha, pair)
+    full = (1 << alpha.m) - 1
+
+    def wall_sum(s):
+        return sum(_char_total(am, s) * _char_total(bm, s) for am, bm in groups)
+
+    pred_count = -wall_sum((1 << small) | (1 << l0))
+    if alpha.m % 2:
+        pred_signed = wall_sum(full ^ (1 << l0))
+    else:
+        pred_signed = -wall_sum(full ^ (1 << large) ^ (1 << l0))
 
     if jump_signed != pred_signed or jump_count != pred_count:
         raise InternalCheckError(
@@ -460,5 +469,5 @@ def wall_crossing_check(
         jump_count=jump_count,
         predicted_signed=pred_signed,
         predicted_count=pred_count,
-        wall_masks=tuple(walls),
+        wall_masks=zero_sum_masks(alpha),
     )

@@ -307,6 +307,12 @@ def integer_beta(values) -> BetaApproximation:
     smallest vanishing mask) and the gap come from the one survey in
     ``core``.
     """
+    return approximate_beta(_integer_vector(_positive_integers(values)))
+
+
+def _positive_integers(values) -> tuple[int, ...]:
+    """The values as a tuple of ints, refused unless there is at least one,
+    each is positive and there are no more than the cap allows."""
     bs = tuple(int(v) for v in values)
     if not bs:
         raise PreconditionError("need at least one component")
@@ -314,7 +320,7 @@ def integer_beta(values) -> BetaApproximation:
         raise PreconditionError("components must be positive integers")
     if len(bs) > max_vector_length():
         raise PreconditionError("length exceeds the configured cap")
-    return approximate_beta(_integer_vector(bs))
+    return bs
 
 
 def kernel_pairing(s: int) -> int:
@@ -523,6 +529,17 @@ def _midpoint_mean(sin_freqs, cos_freqs) -> float:
     return math.fsum(f((k + 0.5) * h) for k in range(n)) / n
 
 
+def _quadrature_plan(values, formula: str, tolerance: float, index: int | None):
+    """(sines, prefactor, rounding bound) of the quadrature of a formula on
+    the positive integers ``values``.  Its refusals read only the values,
+    the formula and the tolerance, so raw input is checked before any
+    table."""
+    sines, pref = _formula(values, formula, index)
+    if tolerance <= 0:
+        raise PreconditionError("tolerance must be positive")
+    return sines, pref, _rounding_bound(values, pref)
+
+
 def quadrature_check(
     beta: BetaApproximation,
     formula: str,
@@ -566,10 +583,7 @@ def quadrature_check(
     wrong integer from the right one, so such a request is refused as a
     precondition before the first evaluation.
     """
-    sines, pref = _formula(beta.beta, formula, index)
-    if tolerance <= 0:
-        raise PreconditionError("tolerance must be positive")
-    rounding = _rounding_bound(beta.beta, pref)
+    sines, pref, rounding = _quadrature_plan(beta.beta, formula, tolerance, index)
     exact = exact_formula_value(beta, formula, index)
     sin_fs = [b for k, b in enumerate(beta.beta) if sines >> k & 1]
     cos_fs = [b for k, b in enumerate(beta.beta) if not sines >> k & 1]

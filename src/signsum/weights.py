@@ -3,11 +3,10 @@
 A weight function assigns a rational to each sign vector on m-2 coordinates.
 The admissibility condition asks that for every full sign vector e, the
 quantity e_i * f(-e_j * e restricted away from the pair) does not depend on
-the ordered index pair (i, j).  Each constraint ties two table entries up
-to sign, x_a = +-x_b, or pins one to zero.  This module emits them as one
-chain of rows per sign vector, solves the system as a signed union-find
-(one basis vector per component without a sign conflict), and checks
-candidate weights exhaustively.
+the ordered index pair (i, j): all terms e_i * x_a of one sign vector are
+equal.  This module solves those term sets as a signed union-find (one
+basis vector per component without a sign conflict) and checks candidate
+weights exhaustively.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from .core import (
 
 __all__ = [
     "WeightFunction",
-    "ConstraintSystem",
     "WEIGHTS_MAX_M",
-    "build_constraints",
     "solve_weight_space",
     "check_condition_star",
     "parity_product_weight",
@@ -50,16 +47,6 @@ class WeightFunction(namedtuple("WeightFunction", "m table")):
         if len(table) != 1 << (m - 2):
             raise PreconditionError("weight table must have 2^(m-2) entries")
         return tuple.__new__(cls, (m, table))
-
-
-class ConstraintSystem(namedtuple("ConstraintSystem", "m unknowns rows")):
-    """Deduplicated constraints between signed table entries.
-
-    Rows are canonical tuples: ("eq", a, b, r) meaning x_a = r * x_b with
-    a < b and r in {+1, -1}, and ("zero", a) meaning x_a = 0.
-    """
-
-    __slots__ = ()
 
 
 def _check_m(m: int) -> None:
@@ -93,77 +80,41 @@ def _ordered_pairs(m: int):
     return [(i0, j0) for i0 in range(m) for j0 in range(m) if i0 != j0]
 
 
-def _chain_rows(n: int, term_sets) -> tuple[tuple, ...]:
-    """Rows tying every term of each set to the set's first term.
+def _terms(m: int, pairs, count: int) -> list[tuple[int, ...]]:
+    """Per sign vector mask e below ``count``, the term e_i * x_a of each
+    ordered pair (i, j) of ``pairs``, in order.
 
-    A term is a key: an n-bit entry mask, then a low bit set for a minus
-    sign.  All terms of a set must be equal, which a chain of rows from the
-    smallest term (by mask, plus before minus) to each other term says as
-    well as all pairs of terms do.  An entry that occurs with both signs is
-    forced to zero: by a zero row when it is the first term's entry, by an
-    odd cycle of two eq rows through the first term otherwise.
+    A term is a key: the argument mask a, then a low bit set when e_i is
+    -1, so the table entry x_a is key >> 1 and its sign is read off the
+    low bit.
     """
-    eq, zero = set(), set()
-    for keys in term_sets:
-        first = min(keys)
-        a, minus = first >> 1, first & 1
-        if not minus and first | 1 in keys:
-            zero.add(a)
-        # eq row (a, b, r) packed as a, then b, then a bit set for r = -1
-        head = a << (n + 1)
-        eq.update([head | (k ^ minus) for k in keys if k >> 1 != a])
-    low = (1 << n) - 1
-    rows = [("eq", c >> (n + 1), (c >> 1) & low, -1 if c & 1 else 1) for c in eq]
-    rows += [("zero", a) for a in zero]
-    return tuple(sorted(rows))
-
-
-def build_constraints(m: int) -> ConstraintSystem:
-    """Chain rows for the pair quantity of every sign vector, over the
-    2(m-1) adjacent ordered pairs (k, k+1) and (k+1, k).
-
-    For one sign vector e the ordered pair (i, j) contributes the term
-    e_i * x_a, a the argument mask, and all of e's terms must be equal.
-    Negating e negates every term and leaves its constraints as they are,
-    so only the masks with the top bit clear are walked.
-
-    The adjacent pairs give the solution space of all m(m-1) ordered
-    pairs.  Dropping rows only enlarges the solution space, and the
-    adjacent rows leave dimension 0 for even m and the span of
-    ``parity_product_weight(m)`` for odd m (checked against the all-pairs
-    rows at every m up to ``WEIGHTS_MAX_M``).  That vector is admissible:
-    for odd m the argument -e_j * (e without i and j) has an odd number
-    m - 2 of coordinates, so for every ordered pair (i, j)
-      e_i * prod_{k != i, j} (-e_j e_k) = -e_i e_j prod_{k != i, j} e_k
-                                       = -prod_k e_k.
-    So it lies in the all-pairs space, which lies in the adjacent one.
-    """
-    _check_m(m)
-    n = m - 2
-    half = 1 << (m - 1)
-    adjacent = [(k, k + 1) for k in range(m - 1)]
-    pairs = adjacent + [(j, i) for i, j in adjacent]
     columns = [
-        [(x << 1) | ((e >> i0) & 1) for e, x in enumerate(_argument_masks(m, i0, j0, half))]
+        [(x << 1) | ((e >> i0) & 1) for e, x in enumerate(_argument_masks(m, i0, j0, count))]
         for i0, j0 in pairs
     ]
-    return ConstraintSystem(m, 1 << n, _chain_rows(n, map(set, zip(*columns))))
+    return list(zip(*columns))
 
 
-def _nullspace(system: ConstraintSystem) -> list[tuple[int, ...]]:
-    """Nullspace as a signed union-find over the table entries.
+_SIGNS = (1, -1)
 
-    Every row ties two entries up to sign or pins one to zero, so each
-    connected component of the rows carries one degree of freedom, unless
-    a zero row or an eq row closing a cycle with the wrong sign kills it.
-    ``sign[a]`` gives x_a = sign[a] * x_parent(a); path compression keeps
-    it relative to the root (Galler and Fischer 1964; Tarjan 1975).  Each
-    surviving component gives one basis vector, +-1 on its members with
-    its smallest member at 1, ordered by the component's largest member:
-    the column that elimination with first-column pivots leaves free, so
-    the basis is the one elimination gives.
+
+def _nullspace(n: int, term_sets) -> list[tuple[int, ...]]:
+    """Nullspace of "all terms of each set are equal" over n table entries,
+    as a signed union-find.
+
+    Tying every term of a set to the set's smallest term says as much as
+    tying all pairs of terms.  Each tie x_b = r * x_a joins two entries up
+    to sign, so each connected component carries one degree of freedom,
+    unless a tie closing a cycle with the wrong sign kills it.  An entry
+    that occurs with both signs in one set is tied to itself with -1,
+    which forces it, and its component, to zero.  ``sign[a]`` gives
+    x_a = sign[a] * x_parent(a); path compression keeps it relative to
+    the root (Galler and Fischer 1964; Tarjan 1975).  Each surviving
+    component gives one basis vector, +-1 on its members with its
+    smallest member at 1, ordered by the component's largest member: the
+    column that elimination with first-column pivots leaves free, so the
+    basis is the one elimination gives.
     """
-    n = system.unknowns
     parent = list(range(n))
     sign = [1] * n
     dead = [False] * n
@@ -180,21 +131,24 @@ def _nullspace(system: ConstraintSystem) -> list[tuple[int, ...]]:
             parent[node] = a
         return a
 
-    for row in system.rows:
-        if row[0] == "zero":
-            dead[find(row[1])] = True
-            continue
-        _, a, b, r = row
-        ra, rb = find(a), find(b)
-        # roots keep sign 1, so sign[a] is x_a / x_ra after find
-        rel = sign[a] * r * sign[b]
-        if ra == rb:
-            if rel != 1:
-                dead[ra] = True
-        else:
-            parent[ra] = rb
-            sign[ra] = rel
-            dead[rb] = dead[rb] or dead[ra]
+    for keys in term_sets:
+        first = min(keys)
+        root = find(first >> 1)
+        # roots keep sign 1, so after a find sign[b] is x_b / x_root(b);
+        # the first term is lead * x_root, and so must every term be
+        lead = sign[first >> 1] * _SIGNS[first & 1]
+        for key in keys:
+            b = key >> 1
+            rb = parent[b]
+            if parent[rb] != rb:
+                rb = find(b)
+            rel = lead * sign[b] * _SIGNS[key & 1]  # x_rb = rel * x_root
+            if rb != root:
+                parent[rb] = root
+                sign[rb] = rel
+                dead[root] = dead[root] or dead[rb]
+            elif rel != 1:
+                dead[root] = True
 
     members: dict[int, list[int]] = {}
     for node in range(n):
@@ -212,9 +166,30 @@ def _nullspace(system: ConstraintSystem) -> list[tuple[int, ...]]:
 
 
 def solve_weight_space(m: int) -> tuple[int, list[WeightFunction]]:
-    """Dimension and a normalized basis of the admissible weight space."""
-    system = build_constraints(m)
-    basis = _nullspace(system)
+    """Dimension and a normalized basis of the admissible weight space.
+
+    The terms are taken over the 2(m-1) adjacent ordered pairs (k, k+1)
+    and (k+1, k).  For one sign vector e the ordered pair (i, j)
+    contributes the term e_i * x_a, a the argument mask, and all of e's
+    terms must be equal.  Negating e negates every term and leaves its
+    constraints as they are, so only the masks with the top bit clear
+    are walked.
+
+    The adjacent pairs give the solution space of all m(m-1) ordered
+    pairs.  Dropping terms only enlarges the solution space, and the
+    adjacent terms leave dimension 0 for even m and the span of
+    ``parity_product_weight(m)`` for odd m (checked against all ordered
+    pairs at every m up to ``WEIGHTS_MAX_M``).  That vector is
+    admissible: for odd m the argument -e_j * (e without i and j) has an
+    odd number m - 2 of coordinates, so for every ordered pair (i, j)
+      e_i * prod_{k != i, j} (-e_j e_k) = -e_i e_j prod_{k != i, j} e_k
+                                       = -prod_k e_k.
+    So it lies in the all-pairs space, which lies in the adjacent one.
+    """
+    _check_m(m)
+    adjacent = [(k, k + 1) for k in range(m - 1)]
+    pairs = adjacent + [(j, i) for i, j in adjacent]
+    basis = _nullspace(1 << (m - 2), _terms(m, pairs, 1 << (m - 1)))
     return len(basis), [WeightFunction(m, vec) for vec in basis]
 
 
@@ -227,19 +202,13 @@ def check_condition_star(f: WeightFunction):
     m = f.m
     _check_m(m)
     pairs = _ordered_pairs(m)
-    table = f.table
-    columns = [
-        [
-            -table[x] if (e >> i0) & 1 else table[x]
-            for e, x in enumerate(_argument_masks(m, i0, j0, 1 << m))
-        ]
-        for i0, j0 in pairs
-    ]
+    # a term key reads its entry's value, negated when the low bit is set
+    value = [v for x in f.table for v in (x, -x)]
     ref_pair = (pairs[0][0] + 1, pairs[0][1] + 1)
-    for eps_mask, quantities in enumerate(zip(*columns)):
-        ref = quantities[0]
-        for (i0, j0), q in zip(pairs, quantities):
-            if q != ref:
+    for eps_mask, keys in enumerate(_terms(m, pairs, 1 << m)):
+        ref = value[keys[0]]
+        for (i0, j0), key in zip(pairs, keys):
+            if value[key] != ref:
                 return False, (SignVector(m, eps_mask), ref_pair, (i0 + 1, j0 + 1))
     return True, None
 

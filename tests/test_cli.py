@@ -204,6 +204,12 @@ _DELTA = "delta must be positive and below half the minimum nonzero gap"
          "this formula needs the pair index"),
         (["integral", "--beta", _NINE_DIGITS, "--formula", "result2",
           "--pair-index", "31"], "component index out of range"),
+        (["integral", "--beta", _NINE_DIGITS, "--formula", "result2",
+          "--pair-index", "1", "--quadrature", "--tol", "0"],
+         "tolerance must be positive"),
+        (["integral", "--beta", _NINE_DIGITS, "--formula", "result", "--quadrature"],
+         "quadrature needs 3,000,001,081 evaluations, over its 3,000,000-evaluation"
+         " budget"),
         (["wall-cross", "--alpha", _NINE_DIGITS, "--l", "3", "--pair", "1,2",
           "--delta", "0"], _DELTA),
         (["wall-cross", "--alpha", _NINE_DIGITS, "--l", "3", "--pair", "1,2",
@@ -215,7 +221,8 @@ _DELTA = "delta must be positive and below half the minimum nonzero gap"
         (["primes", "--n", "20", "--pair", "2,25"],
          "pair index 25 exceeds vector length 20"),
     ],
-    ids=["integral-no-index", "integral-index", "wall-cross-zero",
+    ids=["integral-no-index", "integral-index", "integral-tol",
+         "integral-budget", "wall-cross-zero",
          "wall-cross-negative", "verify-short", "primes-direct", "primes-both"],
 )
 def test_cheap_refusals_before_any_table(argv, message, no_tables):

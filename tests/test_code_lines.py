@@ -43,3 +43,12 @@ def test_code_lines_of_a_fixture(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["6", "1", "7"]
     assert lines[-1].split()[1] == "total"
+
+
+def test_missing_path_or_option_exits_two(tmp_path, capsys):
+    tool = _tool()
+    for argv in ([str(tmp_path / "absent.py")], ["--help"], [str(tmp_path), "-h"]):
+        assert tool.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("usage: ")

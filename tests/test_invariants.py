@@ -28,6 +28,7 @@ from signsum import (
     signed_count_even_via_sign_sum,
     verify_invariance,
     wall_crossing_check,
+    zero_sum_masks,
 )
 
 from conftest import brute_force_pair, random_generic_values
@@ -324,6 +325,49 @@ class TestWallCrossing:
         v = log_vector([2, 3, 5])
         with pytest.raises(PreconditionError):
             wall_crossing_check(v, 3, PairSelection(1, 2))
+
+    def test_prediction_matches_the_per_wall_loop(self, rng):
+        # small values, so most vectors sit on many walls
+        seen = set()
+        for _ in range(300):
+            m = rng.randint(4, 11)
+            v = rational_vector([rng.randint(1, 6) for _ in range(m)])
+            i, j = sorted(rng.sample(range(1, m + 1), 2))
+            rest = [k for k in range(1, m + 1) if k not in (i, j)]
+            # l = 1, the bit the survey pins to plus, whenever the pair allows
+            l = 1 if i > 1 and rng.random() < 0.5 else rng.choice(rest)
+            pair = PairSelection(i, j)
+            res = wall_crossing_check(v, l, pair)
+            assert (res.predicted_signed, res.predicted_count) == per_wall_prediction(
+                v, l, pair
+            )
+            if res.predicted_signed and res.predicted_count:
+                seen.add((m % 2, l == 1))
+        assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def per_wall_prediction(alpha, l, pair):
+    """(N jump, count jump) summed wall by wall, decoding each wall's signs.
+
+    Each wall solution r moves one sign vector in or out of the solution
+    set: r_l decides the side, and whether the pair coordinates agree in r
+    (the upper bound) or differ (the lower bound) decides its term.
+    """
+    i0, j0, l0 = pair.i - 1, pair.j - 1, l - 1
+    small, _ = orient_pair(alpha, pair)
+    rest = ((1 << alpha.m) - 1) ^ (1 << i0) ^ (1 << j0)
+    pred_signed = pred_count = 0
+    for mask in zero_sum_masks(alpha):
+        ri, rj, rl, r_small = (
+            -1 if mask >> pos & 1 else 1 for pos in (i0, j0, l0, small)
+        )
+        pred_count += -r_small * rl
+        prod_rest = -1 if (mask & rest).bit_count() & 1 else 1
+        if ri == rj:
+            pred_signed += (-ri) ** (alpha.m - 1) * rl * prod_rest
+        else:
+            pred_signed += -(r_small ** (alpha.m - 1)) * rl * prod_rest
+    return pred_signed, pred_count
 
 
 @settings(max_examples=50, deadline=None)

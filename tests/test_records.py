@@ -32,7 +32,6 @@ from signsum import (
 )
 from signsum.cli import CommandResult
 from signsum.invariants import ScanResult
-from signsum.weights import ConstraintSystem
 
 _ALPHA = rational_vector([2, 3, 4, 8])
 _PAIR = PairSelection(1, 2)
@@ -87,7 +86,6 @@ SAMPLES = [
         dict(base=_ALPHA, replaced_index=2, deleted_index=5, sign="-"),
     ),
     (WeightFunction, dict(m=3, table=(Fraction(1), Fraction(-1)))),
-    (ConstraintSystem, dict(m=3, unknowns=2, rows=(("zero", 0),))),
     (PrimeExample, dict(n=3, primes=(2, 3, 5), alpha=_ALPHA)),
     (
         PrimeReport,

@@ -15,7 +15,6 @@ from signsum import (
     weighted_count,
 )
 from signsum import weights
-from signsum.weights import ConstraintSystem
 
 from conftest import random_generic_values
 
@@ -108,8 +107,13 @@ def test_cap():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the literal constraint generator and the Fraction elimination the
-# library used before the chain rows and the signed union-find.
+# Oracles: the literal term generator, the all-pairs rows and the Fraction
+# elimination the library used before the signed union-find.  A term is the
+# library's key: the entry mask, then a low bit set for a minus sign.
+
+
+def key(sign: int, entry: int) -> int:
+    return entry << 1 | (sign < 0)
 
 
 def _argument_mask(eps_mask: int, m: int, i0: int, j0: int) -> int:
@@ -131,38 +135,38 @@ def _argument_mask(eps_mask: int, m: int, i0: int, j0: int) -> int:
 
 
 def all_pair_rows(term_sets) -> tuple[tuple, ...]:
-    """Every pair of distinct (sign, mask) terms of every set, deduplicated."""
+    """Every pair of distinct terms of every set, deduplicated: ("eq", a,
+    b, r) for x_a = r * x_b with a < b, ("zero", a) for x_a = 0."""
     rows = set()
     for terms in term_sets:
-        uniq = sorted(terms)
+        uniq = sorted(set(terms))
         for a_idx in range(len(uniq)):
-            s1, m1 = uniq[a_idx]
+            m1, s1 = uniq[a_idx] >> 1, -1 if uniq[a_idx] & 1 else 1
             for b_idx in range(a_idx + 1, len(uniq)):
-                s2, m2 = uniq[b_idx]
+                m2, s2 = uniq[b_idx] >> 1, -1 if uniq[b_idx] & 1 else 1
                 if m1 == m2:
                     # distinct terms on the same entry force it to zero
                     rows.add(("zero", m1))
                 else:
-                    a, b = (m1, m2) if m1 < m2 else (m2, m1)
-                    rows.add(("eq", a, b, s1 * s2))
+                    rows.add(("eq", m1, m2, s1 * s2))
     return tuple(sorted(rows))
 
 
-def all_pair_constraints(m: int) -> ConstraintSystem:
-    """The literal system: all pairs of terms of every sign vector."""
+def all_pair_term_sets(m: int) -> list[set[int]]:
+    """The literal term sets: every ordered pair on every sign vector."""
     pairs = [(i0, j0) for i0 in range(m) for j0 in range(m) if i0 != j0]
-    term_sets = []
-    for eps_mask in range(1 << m):
-        terms = set()
-        for i0, j0 in pairs:
-            s = -1 if (eps_mask >> i0) & 1 else 1
-            terms.add((s, _argument_mask(eps_mask, m, i0, j0)))
-        term_sets.append(terms)
-    return ConstraintSystem(m, 1 << (m - 2), all_pair_rows(term_sets))
+    return [
+        {
+            key(-1 if (eps_mask >> i0) & 1 else 1, _argument_mask(eps_mask, m, i0, j0))
+            for i0, j0 in pairs
+        }
+        for eps_mask in range(1 << m)
+    ]
 
 
-def _nullspace(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
-    """Exact nullspace by incremental elimination with first-column pivots.
+def _nullspace(n: int, term_sets) -> list[tuple[Fraction, ...]]:
+    """Exact nullspace of the all-pairs rows of the term sets over n
+    entries, by incremental elimination with first-column pivots.
 
     Rows stay at most 2-sparse, so each insertion touches a handful of
     entries.  Every pivot row's lead is its smallest column, which makes
@@ -189,14 +193,13 @@ def _nullspace(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
                 else:
                     row.pop(c, None)
 
-    for item in system.rows:
+    for item in all_pair_rows(term_sets):
         if item[0] == "zero":
             insert({item[1]: one})
         else:
             _, a, b, r = item
             insert({a: one, b: Fraction(-r)})
 
-    n = system.unknowns
     free_cols = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free_cols:
@@ -213,18 +216,25 @@ def _nullspace(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def random_system(rng) -> ConstraintSystem:
-    """Sparse signed rows over a few unknowns: several components, some
-    pinned to zero, some closing a cycle with an odd number of minus signs."""
-    n = rng.randint(1, 14)
-    rows = set()
+def random_term_sets(rng, n: int) -> list[set[int]]:
+    """A few term sets over n entries: several components, some sets
+    holding an entry with both signs, some closing a cycle with an odd
+    number of minus signs."""
+    sets = []
     for _ in range(rng.randint(0, 2 * n)):
-        if n > 1 and rng.random() < 0.9:
-            a, b = sorted(rng.sample(range(n), 2))
-            rows.add(("eq", a, b, rng.choice((1, -1))))
-        else:
-            rows.add(("zero", rng.randrange(n)))
-    return ConstraintSystem(0, n, tuple(sorted(rows)))
+        entries = rng.sample(range(n), rng.randint(1, min(n, 4)))
+        terms = {key(rng.choice((1, -1)), a) for a in entries}
+        if rng.random() < 0.1:
+            terms |= {key(1, entries[0]), key(-1, entries[0])}
+        sets.append(terms)
+    return sets
+
+
+def adjacent_term_sets(m: int):
+    """The solver's term sets: the adjacent ordered pairs, top bit clear."""
+    adjacent = [(k, k + 1) for k in range(m - 1)]
+    pairs = adjacent + [(j, i) for i, j in adjacent]
+    return weights._terms(m, pairs, 1 << (m - 1))
 
 
 def test_argument_masks_match_the_positional_loop():
@@ -239,39 +249,32 @@ def test_argument_masks_match_the_positional_loop():
                 ]
 
 
+def test_terms_match_the_literal_term_sets():
+    for m in range(3, 9):
+        got = weights._terms(m, weights._ordered_pairs(m), 1 << m)
+        assert [set(keys) for keys in got] == all_pair_term_sets(m)
+
+
 def test_chain_rows_span_the_all_pair_rows_on_random_terms():
-    # small entry sets, so the first term's entry often has both signs
+    # The union-find ties each term to its set's smallest term, a chain of
+    # ties per set.  Small entry sets, so the smallest term's entry often
+    # has both signs.
     rng = random.Random(0x71C4)
     for _ in range(2000):
         n = rng.randint(1, 3)
         term_sets = [
-            {(rng.choice((1, -1)), rng.randrange(1 << n)) for _ in range(rng.randint(1, 4))}
+            {key(rng.choice((1, -1)), rng.randrange(1 << n)) for _ in range(rng.randint(1, 4))}
             for _ in range(rng.randint(1, 4))
         ]
-        keys = [{mask << 1 | (s < 0) for s, mask in terms} for terms in term_sets]
-        chain = ConstraintSystem(0, 1 << n, weights._chain_rows(n, keys))
-        full = ConstraintSystem(0, 1 << n, all_pair_rows(term_sets))
-        assert weights._nullspace(chain) == _nullspace(full), term_sets
-
-
-def all_ordered_pair_constraints(m: int) -> ConstraintSystem:
-    """The chain rows over all m(m-1) ordered pairs, as the library built
-    them before it kept only the adjacent pairs."""
-    half = 1 << (m - 1)
-    columns = [
-        [
-            (x << 1) | ((e >> i0) & 1)
-            for e, x in enumerate(weights._argument_masks(m, i0, j0, half))
-        ]
-        for i0, j0 in weights._ordered_pairs(m)
-    ]
-    rows = weights._chain_rows(m - 2, map(set, zip(*columns)))
-    return ConstraintSystem(m, 1 << (m - 2), rows)
+        assert weights._nullspace(1 << n, term_sets) == _nullspace(
+            1 << n, term_sets
+        ), term_sets
 
 
 @pytest.mark.parametrize("m", range(3, weights.WEIGHTS_MAX_M + 1))
 def test_adjacent_pairs_give_the_all_pairs_weight_space(m):
-    basis = weights._nullspace(all_ordered_pair_constraints(m))
+    terms = weights._terms(m, weights._ordered_pairs(m), 1 << (m - 1))
+    basis = weights._nullspace(1 << (m - 2), terms)
     assert solve_weight_space(m) == (
         len(basis),
         [weights.WeightFunction(m, vec) for vec in basis],
@@ -281,46 +284,53 @@ def test_adjacent_pairs_give_the_all_pairs_weight_space(m):
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_chain_rows_span_the_all_pair_rows(m):
-    assert weights._nullspace(weights.build_constraints(m)) == _nullspace(
-        all_pair_constraints(m)
-    )
+    # the solver's chains of ties over the adjacent pairs against every
+    # pair of terms over every ordered pair and sign vector
+    _, basis = solve_weight_space(m)
+    assert [f.table for f in basis] == _nullspace(1 << (m - 2), all_pair_term_sets(m))
 
 
 def test_union_find_matches_elimination_on_random_systems():
     rng = random.Random(0x3E1F)
     dims = set()
     for _ in range(3000):
-        system = random_system(rng)
-        expected = _nullspace(system)
-        assert weights._nullspace(system) == expected, system
+        n = rng.randint(1, 14)
+        term_sets = random_term_sets(rng, n)
+        expected = _nullspace(n, term_sets)
+        assert weights._nullspace(n, term_sets) == expected, term_sets
         dims.add(len(expected))
     assert len(dims) > 3
 
 
 @pytest.mark.parametrize(
-    "rows,dim",
+    "term_sets,dim",
     [
         # odd cycle kills its component, the singleton survives
-        ((("eq", 0, 1, 1), ("eq", 0, 2, 1), ("eq", 1, 2, -1)), 1),
+        ([{key(1, 0), key(1, 1)}, {key(1, 0), key(1, 2)}, {key(1, 1), key(-1, 2)}], 1),
         # even cycle keeps it
-        ((("eq", 0, 1, -1), ("eq", 0, 2, -1), ("eq", 1, 2, 1)), 2),
-        # a zero row anywhere in a component kills all of it
-        ((("eq", 0, 1, 1), ("eq", 1, 3, -1), ("zero", 3)), 1),
+        ([{key(1, 0), key(-1, 1)}, {key(1, 0), key(-1, 2)}, {key(1, 1), key(1, 2)}], 2),
+        # the same odd cycle within one set of three terms
+        ([{key(1, 0), key(1, 1), key(-1, 1)}], 2),
+        # an entry with both signs kills its whole component
+        ([{key(1, 0), key(1, 1)}, {key(1, 1), key(-1, 3), key(1, 3)}], 1),
+        # both signs on the set's smallest entry, tied to the others
+        ([{key(1, 1), key(-1, 1), key(1, 3)}, {key(-1, 0), key(1, 2)}], 1),
         # two components, ordered by their largest member
-        ((("eq", 0, 3, -1), ("eq", 1, 2, 1)), 2),
+        ([{key(1, 0), key(-1, 3)}, {key(1, 1), key(1, 2)}], 2),
     ],
 )
-def test_union_find_small_systems(rows, dim):
-    system = ConstraintSystem(0, 4, tuple(sorted(rows)))
-    basis = weights._nullspace(system)
+def test_union_find_small_systems(term_sets, dim):
+    basis = weights._nullspace(4, term_sets)
     assert len(basis) == dim
-    assert basis == _nullspace(system)
+    assert basis == _nullspace(4, term_sets)
 
 
 @pytest.mark.parametrize("m", range(3, 11))
 def test_union_find_matches_elimination_on_weight_systems(m):
-    system = weights.build_constraints(m)
-    assert weights._nullspace(system) == _nullspace(system)
+    term_sets = adjacent_term_sets(m)
+    assert weights._nullspace(1 << (m - 2), term_sets) == _nullspace(
+        1 << (m - 2), term_sets
+    )
 
 
 @pytest.mark.parametrize("m", [11, 12])

@@ -9,7 +9,9 @@ comment lines and docstrings are left out.  Standard library only.
 
 Each PATH is a .py file or a directory whose *.py files are counted
 (not recursively); the default is src/signsum.  Prints one
-"<count> <file>" line per module and then "<total> total".
+"<count> <file>" line per module and then "<total> total".  A PATH that
+does not exist (an option such as --help is read as one) gets a one-line
+usage message on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ def main(argv: list[str]) -> int:
     paths = [Path(p) for p in argv] or [Path("src/signsum")]
     files = []
     for path in paths:
+        if not path.exists():
+            print(f"usage: code_lines.py [PATH ...] (no such path: {path})", file=sys.stderr)
+            return 2
         files.extend(sorted(path.glob("*.py")) if path.is_dir() else [path])
     total = 0
     for path in files:
