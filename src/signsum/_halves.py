@@ -184,10 +184,10 @@ class HalfTables:
     def _swapped(self):
         """The same sums with the roles of A and B exchanged.
 
-        The scans below run one bisection of B per entry of A, so they
-        iterate over the smaller half.  Log keys are x^2 in A and 2 x^2
+        ``window`` runs one bisection of B per entry of A, so it
+        iterates over the smaller half.  Log keys are x^2 in A and 2 x^2
         in B, so they convert on the way.  A's mask bits no longer lie
-        below B's, which the order-free scans do not need.
+        below B's, which ``window`` does not need.
         """
         view = object.__new__(HalfTables)
         vars(view).update(vars(self))
@@ -285,10 +285,10 @@ class HalfTables:
 
         Returns (total, touched): each sign weighted by
         (-1)^popcount(mask & char), as in ``window``, and whether some
-        full sum vanishes.
+        full sum vanishes.  It scans A whatever the sizes: its caller
+        ``core._half_sign_sum`` pins coordinate 0, so A is no larger than
+        B there, and the order of the scan does not change the total.
         """
-        if len(self.a_keys) > len(self.b_keys):
-            return self._swapped().sign_sum(char)
         _, lt, gt, touched = self._runs(self._zero)
         wa, prefix = self._weights(char)
         top = prefix[-1]

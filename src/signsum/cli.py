@@ -614,6 +614,11 @@ def run(argv) -> CommandResult:
     An output integer longer than the interpreter's digit limit for
     string conversion cannot be printed, so it is a precondition failure.
     """
+    return _envelope(argv)[0]
+
+
+def _envelope(argv) -> tuple[CommandResult, str]:
+    """``run``'s result and its JSON text, serialized once."""
     args = SimpleNamespace(command=None)
     inputs = None
     try:
@@ -621,7 +626,7 @@ def run(argv) -> CommandResult:
         inputs, execute = _COMMANDS[args.command].handler(args)
         try:
             result = CommandResult(args.command, inputs, execute(), None, 0)
-            result.to_json()
+            return result, result.to_json()
         except ValueError as exc:
             if "integer string conversion" not in str(exc):
                 raise
@@ -629,9 +634,8 @@ def run(argv) -> CommandResult:
                 "an output exceeds the"
                 f" {sys.get_int_max_str_digits()}-digit integer limit"
             ) from None
-        return result
     except ParseError as exc:
-        return CommandResult(
+        result = CommandResult(
             args.command, inputs, None, {"type": "parse", "message": str(exc)}, 2
         )
     except DegenerateVectorError as exc:
@@ -640,9 +644,9 @@ def run(argv) -> CommandResult:
             "message": str(exc),
             "witness": list(exc.witness.signs()),
         }
-        return CommandResult(args.command, inputs, None, error, 3)
+        result = CommandResult(args.command, inputs, None, error, 3)
     except PreconditionError as exc:
-        return CommandResult(
+        result = CommandResult(
             args.command,
             inputs,
             None,
@@ -650,14 +654,15 @@ def run(argv) -> CommandResult:
             3,
         )
     except SignsumError as exc:  # InternalCheckError and any other bug
-        return CommandResult(
+        result = CommandResult(
             args.command, inputs, None, {"type": "internal", "message": str(exc)}, 4
         )
+    return result, result.to_json()
 
 
 def main(argv=None) -> int:
-    result = run(sys.argv[1:] if argv is None else argv)
-    sys.stdout.write(result.to_json() + "\n")
+    result, text = _envelope(sys.argv[1:] if argv is None else argv)
+    sys.stdout.write(text + "\n")
     if result.error is not None:
         sys.stderr.write(result.error["message"] + "\n")
     return result.exit_code

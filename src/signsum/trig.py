@@ -78,21 +78,14 @@ class BetaApproximation(namedtuple("BetaApproximation", "beta q bound")):
     components, ``q`` the power-of-two scale, and ``bound`` a positive
     rational no larger than the smallest |signed sum| of the original
     vector (exact in the plain realization, a certified lower bound in
-    the log realization).  Closeness and order preservation are verified
-    at the construction sites; closeness implies sign preservation (see
-    ``approximate_beta``).
+    the log realization).  ``approximate_beta`` verifies closeness, which
+    implies sign preservation, and its exact rounding preserves order.
     """
 
     __slots__ = ()
 
     def __new__(cls, beta: tuple[int, ...], q: Fraction, bound: Fraction):
-        bs = tuple(int(b) for b in beta)
-        if not bs:
-            raise PreconditionError("approximation needs at least one component")
-        if len(bs) > max_vector_length():
-            raise PreconditionError("approximation exceeds the configured cap")
-        if any(b < 1 for b in bs):
-            raise PreconditionError("approximation components must be positive")
+        bs = _positive_integers(beta)
         q, bound = Fraction(q), Fraction(bound)
         if q <= 0 or bound <= 0:
             raise PreconditionError("scale and bound must be positive")
@@ -110,18 +103,6 @@ _PREC_CAP = 1 << 16
 def _round_half_up(q: int, x: Fraction) -> int:
     """Nearest integer to q*x, ties upward."""
     return (2 * q * x.numerator + x.denominator) // (2 * x.denominator)
-
-
-def _order_preserved(keys, betas) -> bool:
-    # equal keys need equal betas, strictly ordered keys must not reverse
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if keys[a] == keys[b]:
-            if betas[a] != betas[b]:
-                return False
-        elif betas[a] > betas[b]:
-            return False
-    return True
 
 
 def _dyadic(v: int, bits: int, prec: int, up: bool) -> Fraction:
@@ -223,13 +204,17 @@ def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
     """Integer approximation preserving order, ties, and every sum sign.
 
     Doubles q starting from 1 and takes beta_k as the nearest integer to
-    q*alpha_k, accepting the first q for which the closeness bound and
-    the component ordering with its ties check out exactly.  Closeness
-    |beta_k/q - alpha_k| < bound/m for every k preserves all 2^m
-    signed-sum signs: by the triangle inequality a signed sum moves by
-    less than m * bound/m = bound, and bound is at most its distance from
-    zero.  Termination is guaranteed for generic input because every
-    defect shrinks like 1/q while the gap stays fixed.
+    q*alpha_k, accepting the first q for which the closeness bound checks
+    out exactly.  Closeness |beta_k/q - alpha_k| < bound/m for every k
+    preserves all 2^m signed-sum signs: by the triangle inequality a
+    signed sum moves by less than m * bound/m = bound, and bound is at
+    most its distance from zero.  Order and ties need no check: each
+    beta_k is the exact rounding, half up, of q*alpha_k (a log bracket
+    is accepted only when both its ends round alike, and the rounding of
+    log(r) lies between theirs), and rounding half up is monotone, so
+    equal components get equal betas and no pair is reversed.
+    Termination is guaranteed for generic input because every defect
+    shrinks like 1/q while the gap stays fixed.
 
     Every decision reads a certified enclosure (lo, hi) of its component:
     the exact (v, v) in the plain realization, a bracket of log(r) in
@@ -280,8 +265,7 @@ def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
                 break
             betas.append(b)
         else:
-            if _order_preserved(keys, betas):
-                return BetaApproximation(tuple(betas), Fraction(q), bound)
+            return BetaApproximation(tuple(betas), Fraction(q), bound)
         q <<= 1
     raise InternalCheckError("scale search exceeded the safety cap")
 
@@ -335,30 +319,25 @@ def kernel_pairing(s: int) -> int:
 
 
 def _check_window_forms(tables, value: int) -> None:
-    """Cross-check the kernel value against the two window counts.
+    """Cross-check the kernel value against a window count.
 
     Splitting off the last component B turns the sign sum into a count
-    of sign vectors whose partial sum lies in a symmetric window, with
-    two admissible widths B-1 and B.  No partial sum can land on the
-    boundary (the full vector has no vanishing signed sum), so the two
-    counts agree with each other and with the kernel value.  ``tables``
-    are the unrestricted half tables of beta.
+    of sign vectors whose partial sum t lies in the window |t| < B.  The
+    paper's second width, |t| <= B, adds only the partial sums t = +-B,
+    which are full sums at zero; the window reports those as touched,
+    and they cannot occur for a generic vector, so one window settles
+    both.  ``tables`` are the unrestricted half tables of beta.
     """
     n = len(tables.values)
     last = tables.values[-1]
-    # the sums with the last component at plus are t + B for the partial
-    # sums t; integer t: |t| <= w - 1 is -w < t < w, i.e. B - w < t + B < B + w
+    # the sums with the last component at plus are t + B, so |t| < B is
+    # 0 < t + B < 2B, and t = -B, B are the full sums t + B = 0, t - B = 0
     pinned = tables.restrict(1 << (n - 1))
-    full = (1 << n) - 1
-    (narrow,), _, _ = pinned.window(0, 2 * last, [full])
-    (wide,), _, _ = pinned.window(-1, 2 * last + 1, [full])
-    for name, s in (("narrow", narrow), ("wide", wide)):
-        if s % 2:
-            raise InternalCheckError(f"{name} window sum must be even")
-        if -(s // 2) != value:
-            raise InternalCheckError(
-                f"{name} window form disagrees with the kernel value"
-            )
+    (s,), _, touched = pinned.window(0, 2 * last, [(1 << n) - 1])
+    if touched:
+        raise InternalCheckError("a partial sum sits on the window's edge")
+    if s != -2 * value:
+        raise InternalCheckError("window form disagrees with the kernel value")
 
 
 def _formula(values, formula: str, index: int | None) -> tuple[int, int]:
@@ -440,16 +419,15 @@ def exact_formula_value(
     (-1)^((a-1)/2) / 2^m times the sign sum of the sines' character,
     four times ``_half_sign_sum``, and the prefactor 2^(m-2) leaves
     plus or minus that half.  For "result" on even length the sign sum
-    vanishes by pairwise cancellation, which is asserted on the whole
-    table.  One half table of beta, shared with ``integer_beta``
-    (``_integer_vector``), serves the value and its checks.
+    vanishes, as the terms of e and -e cancel in pairs (the same argument
+    makes ``closed_form_g`` 0); the window cross-check confirms the 0.
+    One half table of beta, shared with ``integer_beta``
+    (``_integer_vector``), serves the value and its check.
     """
     sines, pref = _formula(beta.beta, formula, index)
     tables = _integer_vector(beta.beta).half_tables()
     a = sines.bit_count()
     if a % 2 == 0:
-        if tables.sign_sum(sines) != (0, False):
-            raise InternalCheckError("even-length sign sum must cancel")
         value = 0
     else:
         half = _half_sign_sum(tables, sines)

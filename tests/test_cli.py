@@ -71,6 +71,9 @@ HAPPY = [
     ["integral", "--beta", "2,3,4,8", "--formula", "result"],
     ["approx-beta", "--alpha", "log:2,log:3,log:5"],
     ["approx-beta", "--alpha", "7/2,9/4,5"],
+    # ties and a near tie that rounds to one beta
+    ["approx-beta", "--alpha", "7/2,7/2,5,9/4"],
+    ["approx-beta", "--alpha", "log:3,log:301/100,log:5,log:7"],
     ["primes", "--n", "5"],
     ["primes", "--n", "6", "--pair", "1,4", "--method", "moebius"],
     ["wall-cross", "--alpha", "1,2,3", "--l", "3", "--pair", "1,2"],

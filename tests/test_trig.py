@@ -41,7 +41,6 @@ from signsum.trig import (
     _Q_CAP,
     _log_enclosure,
     _log_fixed,
-    _order_preserved,
 )
 
 from conftest import is_generic_values, random_generic_ints, random_generic_values
@@ -265,6 +264,19 @@ def _round_half_up(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
+def _order_preserved(keys, betas) -> bool:
+    """Equal keys have equal betas and strictly ordered keys do not
+    reverse, which the library's exact monotone rounding makes certain."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if keys[a] == keys[b]:
+            if betas[a] != betas[b]:
+                return False
+        elif betas[a] > betas[b]:
+            return False
+    return True
+
+
 def _certified_round(q: int, ratio: Fraction) -> int:
     """floor(q*log(ratio) + 1/2), certified by interval refinement.
 
@@ -423,6 +435,42 @@ def test_search_matches_the_earlier_search(inputs):
     assert _search_outcome(approximate_beta, alpha) == _search_outcome(
         earlier, alpha
     )
+
+
+def test_search_keeps_ties_and_order():
+    """approximate_beta makes no order check: its exact rounding gives
+    equal components equal betas and reverses no pair, also where two
+    distinct components closer than gap/m round to one beta."""
+    assert approximate_beta(rational_vector([Fraction(1001, 1000), 1, 3, 7])).beta == (
+        1, 1, 3, 7
+    )
+    rng = random.Random(20)
+    seen = {False: set(), True: set()}
+    for i in range(300):
+        is_log = i % 2 == 1
+        m = rng.randint(3, 7)
+        vals = [Fraction(rng.randint(2, 60), rng.randint(1, 9)) for _ in range(m)]
+        if is_log:
+            vals = [v if v > 1 else v + 2 for v in vals]
+        kind = rng.choice(("tie", "near", "none"))
+        if kind == "tie":
+            vals.append(rng.choice(vals))
+        elif kind == "near":
+            vals.append(rng.choice(vals) * (1 + Fraction(1, 10 ** rng.randint(2, 6))))
+        rng.shuffle(vals)
+        alpha = (log_vector if is_log else rational_vector)(vals)
+        try:
+            require_generic(alpha)
+        except DegenerateVectorError:
+            continue
+        keys, betas = alpha.ratios(), approximate_beta(alpha).beta
+        assert _order_preserved(keys, betas), (vals, is_log, betas)
+        pairs = [(x, y) for x in range(len(keys)) for y in range(x)]
+        if any(keys[x] == keys[y] for x, y in pairs):
+            seen[is_log].add("tie")
+        if any(keys[x] != keys[y] and betas[x] == betas[y] for x, y in pairs):
+            seen[is_log].add("shared")
+    assert seen == {False: {"tie", "shared"}, True: {"tie", "shared"}}
 
 
 @pytest.fixture
@@ -715,6 +763,16 @@ def test_window_forms_cross_check():
     _check_window_forms(HalfTables((2, 3, 4)), 1)
     with pytest.raises(InternalCheckError):
         _check_window_forms(HalfTables((2, 3, 4)), 2)
+
+
+def test_window_forms_refuse_a_partial_sum_on_the_edge():
+    from signsum._halves import HalfTables
+    from signsum.trig import _check_window_forms
+
+    # 1 + 2 - 3 = 0: the partial sums over (1, 2) reach -3 and 3
+    for value in range(-4, 5):
+        with pytest.raises(InternalCheckError):
+            _check_window_forms(HalfTables((1, 2, 3)), value)
 
 
 def _random_generic_beta(rng, m, lo, hi):
