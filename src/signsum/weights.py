@@ -4,9 +4,9 @@ A weight function assigns a rational to each sign vector on m-2 coordinates.
 The admissibility condition asks that for every full sign vector e, the
 quantity e_i * f(-e_j * e restricted away from the pair) does not depend on
 the ordered index pair (i, j): all terms e_i * x_a of one sign vector are
-equal.  This module solves those term sets as a signed union-find (one
-basis vector per component without a sign conflict) and checks candidate
-weights exhaustively.
+equal.  The admissible weights are known in closed form (the multiples of
+the parity product for odd m, none for even m), so this module returns
+them without solving, and checks candidate weights exhaustively.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ __all__ = [
     "weighted_count",
 ]
 
-# 2^(m-2) unknowns; the generator walks 2^(m-1) sign vectors against the
-# 2(m-1) adjacent ordered pairs, so its cost about doubles per step of m.
+# bounds check_condition_star's walk of 2^(m-1) sign vectors against the
+# m(m-1) ordered pairs, and the 2^(m-2) table entries a basis prints
 WEIGHTS_MAX_M = 12
 
 
@@ -95,102 +95,41 @@ def _terms(m: int, pairs, count: int) -> list[tuple[int, ...]]:
     return list(zip(*columns))
 
 
-_SIGNS = (1, -1)
-
-
-def _nullspace(n: int, term_sets) -> list[tuple[int, ...]]:
-    """Nullspace of "all terms of each set are equal" over n table entries,
-    as a signed union-find.
-
-    Tying every term of a set to the set's smallest term says as much as
-    tying all pairs of terms.  Each tie x_b = r * x_a joins two entries up
-    to sign, so each connected component carries one degree of freedom,
-    unless a tie closing a cycle with the wrong sign kills it.  An entry
-    that occurs with both signs in one set is tied to itself with -1,
-    which forces it, and its component, to zero.  ``sign[a]`` gives
-    x_a = sign[a] * x_parent(a); path compression keeps it relative to
-    the root (Galler and Fischer 1964; Tarjan 1975).  Each surviving
-    component gives one basis vector, +-1 on its members with its
-    smallest member at 1, ordered by the component's largest member: the
-    column that elimination with first-column pivots leaves free, so the
-    basis is the one elimination gives.
-    """
-    parent = list(range(n))
-    sign = [1] * n
-    dead = [False] * n
-
-    def find(a: int) -> int:
-        path = []
-        while parent[a] != a:
-            path.append(a)
-            a = parent[a]
-        acc = 1
-        for node in reversed(path):
-            acc *= sign[node]
-            sign[node] = acc
-            parent[node] = a
-        return a
-
-    for keys in term_sets:
-        first = min(keys)
-        root = find(first >> 1)
-        # roots keep sign 1, so after a find sign[b] is x_b / x_root(b);
-        # the first term is lead * x_root, and so must every term be
-        lead = sign[first >> 1] * _SIGNS[first & 1]
-        for key in keys:
-            b = key >> 1
-            rb = parent[b]
-            if parent[rb] != rb:
-                rb = find(b)
-            rel = lead * sign[b] * _SIGNS[key & 1]  # x_rb = rel * x_root
-            if rb != root:
-                parent[rb] = root
-                sign[rb] = rel
-                dead[root] = dead[root] or dead[rb]
-            elif rel != 1:
-                dead[root] = True
-
-    members: dict[int, list[int]] = {}
-    for node in range(n):
-        root = find(node)
-        if not dead[root]:
-            members.setdefault(root, []).append(node)
-    basis = []
-    for group in sorted(members.values(), key=lambda g: g[-1]):
-        vec = [0] * n
-        lead = sign[group[0]]
-        for node in group:
-            vec[node] = sign[node] * lead
-        basis.append(tuple(vec))
-    return basis
-
-
 def solve_weight_space(m: int) -> tuple[int, list[WeightFunction]]:
-    """Dimension and a normalized basis of the admissible weight space.
+    """Dimension and a normalized basis of the admissible weight space:
+    (0, []) for even m, (1, [parity_product_weight(m)]) for odd m.
 
-    The terms are taken over the 2(m-1) adjacent ordered pairs (k, k+1)
-    and (k+1, k).  For one sign vector e the ordered pair (i, j)
-    contributes the term e_i * x_a, a the argument mask, and all of e's
-    terms must be equal.  Negating e negates every term and leaves its
-    constraints as they are, so only the masks with the top bit clear
-    are walked.
+    Write t_ij(e) = e_i * f(-e_j * e_ij) for the term of the ordered pair
+    (i, j) on the sign vector e, e_ij being e with coordinates i and j
+    deleted; f is admissible when all terms of each e are equal.  The
+    adjacent pairs (k, k+1) and (k+1, k) alone force the answer.
 
-    The adjacent pairs give the solution space of all m(m-1) ordered
-    pairs.  Dropping terms only enlarges the solution space, and the
-    adjacent terms leave dimension 0 for even m and the span of
-    ``parity_product_weight(m)`` for odd m (checked against all ordered
-    pairs at every m up to ``WEIGHTS_MAX_M``).  That vector is
-    admissible: for odd m the argument -e_j * (e without i and j) has an
-    odd number m - 2 of coordinates, so for every ordered pair (i, j)
+    Step 1: f is odd.  At e_k = 1 and e_{k+1} = -1 both adjacent terms
+    read off the same rest r = e_{k,k+1}: t_{k,k+1} = f(r) and
+    t_{k+1,k} = -f(-r).  So f(-r) = -f(r) for every r, and
+    f(-c * x) = -c * f(x) for c = +-1.
+
+    Step 2: f is odd in every coordinate.  By step 1,
+    t_{k,k+1} = -e_k e_{k+1} * f(e_{k,k+1}).  Equating it with
+    t_{k+1,k+2} = -e_{k+1} e_{k+2} * f(e_{k+1,k+2}) and dividing by
+    -e_{k+1} gives e_k * f(p, e_{k+2}, q) = e_{k+2} * f(p, e_k, q), where
+    p holds the coordinates below k and q those above k+2.  At e_k = 1
+    and e_{k+2} = -1 this says that negating coordinate k of f's
+    argument negates f, for every k = 0, ..., m-3.
+
+    Step 3: a function odd in every coordinate is c * prod x_k, since
+    only the full Walsh character survives.  Negating all m-2
+    coordinates then gives c * (-1)^(m-2) = -c by step 1, so c = 0 for
+    even m.  For odd m the parity product is admissible: the argument
+    -e_j * e_ij has an odd number m - 2 of coordinates, so for every
+    ordered pair (i, j)
       e_i * prod_{k != i, j} (-e_j e_k) = -e_i e_j prod_{k != i, j} e_k
                                        = -prod_k e_k.
-    So it lies in the all-pairs space, which lies in the adjacent one.
     """
     _check_m(m)
-    adjacent = [(k, k + 1) for k in range(m - 1)]
-    pairs = adjacent + [(j, i) for i, j in adjacent]
-    basis = _nullspace(1 << (m - 2), _terms(m, pairs, 1 << (m - 1)))
-    return len(basis), [WeightFunction(m, vec) for vec in basis]
+    if m % 2 == 0:
+        return 0, []
+    return 1, [parity_product_weight(m)]
 
 
 def check_condition_star(f: WeightFunction):
@@ -198,6 +137,13 @@ def check_condition_star(f: WeightFunction):
 
     Returns (True, None) or (False, (eps, (i, j), (i2, j2))) where the two
     1-based ordered pairs give different values of the pair quantity on eps.
+
+    Only the masks with the top bit clear are walked.  Negating eps
+    leaves every argument -e_j * e_ij as it is and negates every e_i, so
+    it negates every term: a mask fails exactly when its complement
+    does.  A mask with the top bit set has its complement below it, so
+    the first failing mask of the full walk has the top bit clear, and
+    the verdict and the witness are those of the full walk.
     """
     m = f.m
     _check_m(m)
@@ -205,7 +151,7 @@ def check_condition_star(f: WeightFunction):
     # a term key reads its entry's value, negated when the low bit is set
     value = [v for x in f.table for v in (x, -x)]
     ref_pair = (pairs[0][0] + 1, pairs[0][1] + 1)
-    for eps_mask, keys in enumerate(_terms(m, pairs, 1 << m)):
+    for eps_mask, keys in enumerate(_terms(m, pairs, 1 << (m - 1))):
         ref = value[keys[0]]
         for (i0, j0), key in zip(pairs, keys):
             if value[key] != ref:

@@ -8,6 +8,8 @@ import pytest
 from signsum import (
     PairSelection,
     PreconditionError,
+    SignVector,
+    WeightFunction,
     check_condition_star,
     parity_product_weight,
     rational_vector,
@@ -52,16 +54,74 @@ def test_parity_product_fails_at_four():
 
 
 def pair_quantity(f, eps, pair):
-    """Recompute the constrained quantity directly from the definition.
+    """Recompute the constrained quantity e_i * f(-e_j * e without i, j)
+    directly from the definition.
 
-    The constraint quantifies over ordered pairs, and the sign factor
-    belongs to the first pair member alone.
+    The constraint quantifies over ordered pairs: the sign factor belongs
+    to the first pair member, and the second one multiplies f's argument.
     """
     m = f.m
     i, j = pair
-    rest = [p for p in range(m) if p + 1 not in (i, j)]
-    kept = sum(1 << k for k, p in enumerate(rest) if eps.signs()[p] == -1)
-    return eps.signs()[i - 1] * f.table[kept]
+    signs = eps.signs()
+    arg = [-signs[j - 1] * signs[p] for p in range(m) if p + 1 not in (i, j)]
+    kept = sum(1 << k for k, s in enumerate(arg) if s == -1)
+    return signs[i - 1] * f.table[kept]
+
+
+def first_disagreement(f):
+    """The full walk of the definition: the first sign vector, over all
+    2^m of them, on which an ordered pair's quantity differs from that of
+    (1, 2), with that pair; None when there is none."""
+    m = f.m
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+    for mask in range(1 << m):
+        eps = SignVector(m, mask)
+        ref = pair_quantity(f, eps, pairs[0])
+        for pair in pairs:
+            if pair_quantity(f, eps, pair) != ref:
+                return eps, pairs[0], pair
+    return None
+
+
+def candidate_tables(rng, m):
+    """Random tables, scaled parity products (zero included) and scaled
+    parity products with one entry's sign flipped."""
+    size = 1 << (m - 2)
+    parity = parity_product_weight(m).table
+    tables = [tuple(Fraction(0) for _ in range(size))]
+    for _ in range(6):
+        tables.append(tuple(Fraction(rng.randint(-3, 3)) for _ in range(size)))
+        # random signs times one scale: at small m sometimes +-parity
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        tables.append(tuple(scale * rng.choice((1, -1)) for _ in range(size)))
+        scale *= rng.choice((1, -1))
+        scaled = [scale * p for p in parity]
+        tables.append(tuple(scaled))
+        flip = rng.randrange(size)
+        scaled[flip] = -scaled[flip]
+        tables.append(tuple(scaled))
+    return tables
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_exhaustive_check_agrees_with_the_closed_form(m):
+    rng = random.Random(0x9A7E + m)
+    parity = parity_product_weight(m).table
+    verdicts = set()
+    for table in candidate_tables(rng, m):
+        f = WeightFunction(m, table)
+        ok, witness = check_condition_star(f)
+        # the admissible tables are the multiples of the parity product
+        # for odd m, and the zero table alone for even m
+        c = table[0]
+        in_space = all(x == c * p for x, p in zip(table, parity))
+        assert ok == (in_space and (m % 2 == 1 or c == 0)), table
+        assert witness == first_disagreement(f), table
+        if not ok:
+            eps, pair_a, pair_b = witness
+            assert pair_quantity(f, eps, pair_a) != pair_quantity(f, eps, pair_b)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_parity_product_values():
@@ -85,7 +145,7 @@ def test_weighted_count_pair_independent_odd(rng):
 
 
 def test_weighted_count_constant_one_gives_count(rng):
-    from signsum import WeightFunction, count_solutions
+    from signsum import count_solutions
 
     m = 5
     ones = WeightFunction(m, tuple(Fraction(1) for _ in range(1 << (m - 2))))
@@ -107,8 +167,9 @@ def test_cap():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the literal term generator, the all-pairs rows and the Fraction
-# elimination the library used before the signed union-find.  A term is the
+# Oracles: the literal term generator, the all-pairs rows, the Fraction
+# elimination and the signed union-find, the two solvers the library used
+# before it returned the weight space in closed form.  A term is the
 # library's key: the entry mask, then a low bit set for a minus sign.
 
 
@@ -164,7 +225,7 @@ def all_pair_term_sets(m: int) -> list[set[int]]:
     ]
 
 
-def _nullspace(n: int, term_sets) -> list[tuple[Fraction, ...]]:
+def elimination_nullspace(n: int, term_sets) -> list[tuple[Fraction, ...]]:
     """Exact nullspace of the all-pairs rows of the term sets over n
     entries, by incremental elimination with first-column pivots.
 
@@ -216,6 +277,76 @@ def _nullspace(n: int, term_sets) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+_SIGNS = (1, -1)
+
+
+def union_find_nullspace(n: int, term_sets) -> list[tuple[int, ...]]:
+    """Nullspace of "all terms of each set are equal" over n table entries,
+    as a signed union-find.
+
+    Tying every term of a set to the set's smallest term says as much as
+    tying all pairs of terms.  Each tie x_b = r * x_a joins two entries up
+    to sign, so each connected component carries one degree of freedom,
+    unless a tie closing a cycle with the wrong sign kills it.  An entry
+    that occurs with both signs in one set is tied to itself with -1,
+    which forces it, and its component, to zero.  ``sign[a]`` gives
+    x_a = sign[a] * x_parent(a); path compression keeps it relative to
+    the root (Galler and Fischer 1964; Tarjan 1975).  Each surviving
+    component gives one basis vector, +-1 on its members with its
+    smallest member at 1, ordered by the component's largest member: the
+    column that elimination with first-column pivots leaves free, so the
+    basis is the one elimination gives.
+    """
+    parent = list(range(n))
+    sign = [1] * n
+    dead = [False] * n
+
+    def find(a: int) -> int:
+        path = []
+        while parent[a] != a:
+            path.append(a)
+            a = parent[a]
+        acc = 1
+        for node in reversed(path):
+            acc *= sign[node]
+            sign[node] = acc
+            parent[node] = a
+        return a
+
+    for keys in term_sets:
+        first = min(keys)
+        root = find(first >> 1)
+        # roots keep sign 1, so after a find sign[b] is x_b / x_root(b);
+        # the first term is lead * x_root, and so must every term be
+        lead = sign[first >> 1] * _SIGNS[first & 1]
+        for key in keys:
+            b = key >> 1
+            rb = parent[b]
+            if parent[rb] != rb:
+                rb = find(b)
+            rel = lead * sign[b] * _SIGNS[key & 1]  # x_rb = rel * x_root
+            if rb != root:
+                parent[rb] = root
+                sign[rb] = rel
+                dead[root] = dead[root] or dead[rb]
+            elif rel != 1:
+                dead[root] = True
+
+    members: dict[int, list[int]] = {}
+    for node in range(n):
+        root = find(node)
+        if not dead[root]:
+            members.setdefault(root, []).append(node)
+    basis = []
+    for group in sorted(members.values(), key=lambda g: g[-1]):
+        vec = [0] * n
+        lead = sign[group[0]]
+        for node in group:
+            vec[node] = sign[node] * lead
+        basis.append(tuple(vec))
+    return basis
+
+
 def random_term_sets(rng, n: int) -> list[set[int]]:
     """A few term sets over n entries: several components, some sets
     holding an entry with both signs, some closing a cycle with an odd
@@ -231,7 +362,8 @@ def random_term_sets(rng, n: int) -> list[set[int]]:
 
 
 def adjacent_term_sets(m: int):
-    """The solver's term sets: the adjacent ordered pairs, top bit clear."""
+    """The adjacent ordered pairs' term sets, top bit clear: the terms
+    that ``solve_weight_space``'s proof uses."""
     adjacent = [(k, k + 1) for k in range(m - 1)]
     pairs = adjacent + [(j, i) for i, j in adjacent]
     return weights._terms(m, pairs, 1 << (m - 1))
@@ -266,28 +398,33 @@ def test_chain_rows_span_the_all_pair_rows_on_random_terms():
             {key(rng.choice((1, -1)), rng.randrange(1 << n)) for _ in range(rng.randint(1, 4))}
             for _ in range(rng.randint(1, 4))
         ]
-        assert weights._nullspace(1 << n, term_sets) == _nullspace(
+        assert union_find_nullspace(1 << n, term_sets) == elimination_nullspace(
             1 << n, term_sets
         ), term_sets
 
 
 @pytest.mark.parametrize("m", range(3, weights.WEIGHTS_MAX_M + 1))
 def test_adjacent_pairs_give_the_all_pairs_weight_space(m):
-    terms = weights._terms(m, weights._ordered_pairs(m), 1 << (m - 1))
-    basis = weights._nullspace(1 << (m - 2), terms)
-    assert solve_weight_space(m) == (
-        len(basis),
-        [weights.WeightFunction(m, vec) for vec in basis],
-    )
-    assert len(basis) == m % 2
+    # the closed form against the union-find over every ordered pair, and
+    # over the adjacent pairs its proof uses
+    closed_form = solve_weight_space(m)
+    assert closed_form[0] == m % 2
+    for terms in (
+        weights._terms(m, weights._ordered_pairs(m), 1 << (m - 1)),
+        adjacent_term_sets(m),
+    ):
+        basis = union_find_nullspace(1 << (m - 2), terms)
+        assert closed_form == (len(basis), [WeightFunction(m, vec) for vec in basis])
 
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_chain_rows_span_the_all_pair_rows(m):
-    # the solver's chains of ties over the adjacent pairs against every
-    # pair of terms over every ordered pair and sign vector
+    # the closed form against every pair of terms over every ordered pair
+    # and sign vector
     _, basis = solve_weight_space(m)
-    assert [f.table for f in basis] == _nullspace(1 << (m - 2), all_pair_term_sets(m))
+    assert [f.table for f in basis] == elimination_nullspace(
+        1 << (m - 2), all_pair_term_sets(m)
+    )
 
 
 def test_union_find_matches_elimination_on_random_systems():
@@ -296,8 +433,8 @@ def test_union_find_matches_elimination_on_random_systems():
     for _ in range(3000):
         n = rng.randint(1, 14)
         term_sets = random_term_sets(rng, n)
-        expected = _nullspace(n, term_sets)
-        assert weights._nullspace(n, term_sets) == expected, term_sets
+        expected = elimination_nullspace(n, term_sets)
+        assert union_find_nullspace(n, term_sets) == expected, term_sets
         dims.add(len(expected))
     assert len(dims) > 3
 
@@ -320,15 +457,15 @@ def test_union_find_matches_elimination_on_random_systems():
     ],
 )
 def test_union_find_small_systems(term_sets, dim):
-    basis = weights._nullspace(4, term_sets)
+    basis = union_find_nullspace(4, term_sets)
     assert len(basis) == dim
-    assert basis == _nullspace(4, term_sets)
+    assert basis == elimination_nullspace(4, term_sets)
 
 
 @pytest.mark.parametrize("m", range(3, 11))
 def test_union_find_matches_elimination_on_weight_systems(m):
     term_sets = adjacent_term_sets(m)
-    assert weights._nullspace(1 << (m - 2), term_sets) == _nullspace(
+    assert union_find_nullspace(1 << (m - 2), term_sets) == elimination_nullspace(
         1 << (m - 2), term_sets
     )
 
