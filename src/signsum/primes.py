@@ -9,7 +9,10 @@ primorial.  Both routes are implemented and checked against each other.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
+from itertools import accumulate
+from math import isqrt, prod
 
 from .core import (
     InternalCheckError,
@@ -73,13 +76,17 @@ def prime_alpha(n: int) -> PrimeExample:
 def mobius_sum(n: int, i: int, j: int) -> int:
     """Signed count via a Mobius sum over smooth numbers.
 
-    Sums the Mobius value over squarefree integers whose prime factors
-    all lie among the first n primes, coprime to p_i * p_j, strictly
-    between sqrt(P)/p_i and sqrt(P) with P the primorial, then flips the
-    sign for odd n.  Every window comparison is done by squaring in big
-    integers; P is squarefree, so neither boundary can be hit and the
-    open window is decided exactly.  Non-squarefree integers contribute
-    nothing and are never generated.
+    Sums the Mobius value over squarefree integers d whose prime factors
+    all lie among the first n primes, coprime to p_i * p_j, with
+    sqrt(P)/p_i < d < sqrt(P) for P the primorial, then flips the sign
+    for odd n.  P is squarefree, so sqrt(P) is irrational and, with
+    r = isqrt(P), the window is exactly the integers r // p_i < d <= r
+    (nested floors: floor(floor(x) / k) = floor(x / k) for a positive
+    integer k).  The allowed primes go alternately to two halves, each
+    listing its squarefree products with their Mobius signs.  A first
+    half product d_A then adds mu(d_A) times the second half's Mobius
+    sum over (r // p_i) // d_A < d_B <= r // d_A, two bisections into
+    the sorted second half's prefix sums.
     """
     n = _check_n(n)
     i, j = int(i), int(j)
@@ -88,25 +95,19 @@ def mobius_sum(n: int, i: int, j: int) -> int:
     if not 1 <= i < j <= n:
         raise PreconditionError("pair indices must satisfy 1 <= i < j <= n")
     primes = _first_primes(n)
-    big_p = 1
-    for p in primes:
-        big_p *= p
-    pi = primes[i - 1]
-    pi_sq = pi * pi
+    root = isqrt(prod(primes))
+    low = root // primes[i - 1]
     allowed = [p for k, p in enumerate(primes) if k not in (i - 1, j - 1)]
-    total = 0
-
-    def extend(pos: int, t: int, factors: int) -> None:
-        nonlocal total
-        if t * t * pi_sq > big_p:
-            total += 1 if factors % 2 == 0 else -1
-        for idx in range(pos, len(allowed)):
-            tq = t * allowed[idx]
-            if tq * tq >= big_p:
-                break  # ascending primes: every later product is larger
-            extend(idx + 1, tq, factors + 1)
-
-    extend(0, 1, 0)
+    halves = ([(1, 1)], [(1, 1)])
+    for k, p in enumerate(allowed):
+        half = halves[k % 2]
+        half.extend([(d * p, -mu) for d, mu in half])
+    keys, signs = zip(*sorted(halves[1]))
+    sums = list(accumulate(signs, initial=0))
+    total = sum(
+        mu * (sums[bisect_right(keys, root // d)] - sums[bisect_right(keys, low // d)])
+        for d, mu in halves[0]
+    )
     return -total if n % 2 else total
 
 

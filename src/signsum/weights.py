@@ -56,9 +56,9 @@ def _check_m(m: int) -> None:
         )
 
 
-def _argument_masks(m: int, i0: int, j0: int, count: int) -> list[int]:
+def _argument_masks(m: int, i0: int, j0: int, masks: range) -> list[int]:
     """Bitmask of the weight argument -e_j * (e with the pair deleted), for
-    every sign vector mask e below ``count``.
+    every sign vector mask e in ``masks``.
 
     Deleting bits i0 and j0 keeps the bits below the pair, shifts the bits
     between them down by one and those above by two.  A kept coordinate
@@ -72,7 +72,7 @@ def _argument_masks(m: int, i0: int, j0: int, count: int) -> list[int]:
     return [
         ((e & below) | ((e & between) >> 1) | ((e >> (hi + 1)) << (hi - 1)))
         ^ flip[(e >> j0) & 1]
-        for e in range(count)
+        for e in masks
     ]
 
 
@@ -80,8 +80,8 @@ def _ordered_pairs(m: int):
     return [(i0, j0) for i0 in range(m) for j0 in range(m) if i0 != j0]
 
 
-def _terms(m: int, pairs, count: int) -> list[tuple[int, ...]]:
-    """Per sign vector mask e below ``count``, the term e_i * x_a of each
+def _terms(m: int, pairs, masks: range) -> list[tuple[int, ...]]:
+    """Per sign vector mask e in ``masks``, the term e_i * x_a of each
     ordered pair (i, j) of ``pairs``, in order.
 
     A term is a key: the argument mask a, then a low bit set when e_i is
@@ -89,7 +89,7 @@ def _terms(m: int, pairs, count: int) -> list[tuple[int, ...]]:
     low bit.
     """
     columns = [
-        [(x << 1) | ((e >> i0) & 1) for e, x in enumerate(_argument_masks(m, i0, j0, count))]
+        [(x << 1) | ((e >> i0) & 1) for e, x in zip(masks, _argument_masks(m, i0, j0, masks))]
         for i0, j0 in pairs
     ]
     return list(zip(*columns))
@@ -148,14 +148,22 @@ def check_condition_star(f: WeightFunction):
     m = f.m
     _check_m(m)
     pairs = _ordered_pairs(m)
-    # a term key reads its entry's value, negated when the low bit is set
-    value = [v for x in f.table for v in (x, -x)]
+    # a term key reads its entry's value, negated when the low bit is set,
+    # as a (numerator, denominator) pair: a Fraction is kept in lowest
+    # terms, so pairs are equal exactly when the values are, and compare
+    # as int tuples
+    value = [v for n, d in map(Fraction.as_integer_ratio, f.table) for v in ((n, d), (-n, d))]
     ref_pair = (pairs[0][0] + 1, pairs[0][1] + 1)
-    for eps_mask, keys in enumerate(_terms(m, pairs, 1 << (m - 1))):
-        ref = value[keys[0]]
-        for (i0, j0), key in zip(pairs, keys):
-            if value[key] != ref:
-                return False, (SignVector(m, eps_mask), ref_pair, (i0 + 1, j0 + 1))
+    # doubling blocks [0, 1), [1, 2), [2, 4), ...: a failing weight stops
+    # in the block of its first failing mask, a passing one builds each
+    # mask's terms once
+    for top in range(m):
+        masks = range((1 << top) >> 1, 1 << top)
+        for eps_mask, keys in zip(masks, _terms(m, pairs, masks)):
+            ref = value[keys[0]]
+            for (i0, j0), key in zip(pairs, keys):
+                if value[key] != ref:
+                    return False, (SignVector(m, eps_mask), ref_pair, (i0 + 1, j0 + 1))
     return True, None
 
 

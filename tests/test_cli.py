@@ -76,6 +76,9 @@ HAPPY = [
     ["approx-beta", "--alpha", "log:3,log:301/100,log:5,log:7"],
     ["primes", "--n", "5"],
     ["primes", "--n", "6", "--pair", "1,4", "--method", "moebius"],
+    # the divisor count at the cap, at both parities of n
+    ["primes", "--n", "20", "--pair", "1,16", "--method", "moebius"],
+    ["primes", "--n", "19", "--pair", "4,11"],
     ["wall-cross", "--alpha", "1,2,3", "--l", "3", "--pair", "1,2"],
     ["wall-cross", "--alpha", "2,3,4,8", "--l", "3", "--pair", "1,2"],
     ["rademacher", "--i", "3", "--t", "5/16"],

@@ -11,11 +11,39 @@ from signsum import (
     signed_count,
     verify_prime_example,
 )
+from signsum.primes import _first_primes
 
 # Values pinned from two independent brute-force enumerations (sign-vector
 # products with exact big-integer comparisons, and squarefree divisor
 # counting).  The odd-length value is pair-independent.
 ODD_COMMON = {3: 1, 5: -1, 7: 3, 9: -8, 11: 22, 13: -53, 15: 158}
+
+
+def mobius_walk(n, i, j):
+    """The Mobius sum by a pruned recursive walk over the squarefree
+    products of the allowed primes, each window comparison made by
+    squaring in big integers."""
+    primes = _first_primes(n)
+    big_p = 1
+    for p in primes:
+        big_p *= p
+    pi = primes[i - 1]
+    pi_sq = pi * pi
+    allowed = [p for k, p in enumerate(primes) if k not in (i - 1, j - 1)]
+    total = 0
+
+    def extend(pos: int, t: int, factors: int) -> None:
+        nonlocal total
+        if t * t * pi_sq > big_p:
+            total += 1 if factors % 2 == 0 else -1
+        for idx in range(pos, len(allowed)):
+            tq = t * allowed[idx]
+            if tq * tq >= big_p:
+                break  # ascending primes: every later product is larger
+            extend(idx + 1, tq, factors + 1)
+
+    extend(0, 1, 0)
+    return -total if n % 2 else total
 
 
 class TestPrimeAlpha:
@@ -63,16 +91,36 @@ class TestMobiusSum:
         with pytest.raises(PreconditionError):
             mobius_sum(5, 3, 1)
 
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_window_count_matches_the_walk_on_every_pair(self, n):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert mobius_sum(n, i, j) == mobius_walk(n, i, j), (i, j)
+
+    # spot pairs, large and small i among them, where the walk takes at
+    # most about 50 ms: it visits every allowed product below sqrt(P)
+    @pytest.mark.parametrize(
+        "n,i,j",
+        [
+            (17, 1, 2), (17, 1, 17), (17, 2, 9), (17, 16, 17),
+            (18, 1, 2), (18, 1, 18), (18, 2, 3), (18, 17, 18),
+            (19, 1, 2), (19, 9, 18), (19, 18, 19),
+            (20, 1, 2), (20, 1, 3), (20, 2, 3),
+        ],
+    )
+    def test_window_count_matches_the_walk_at_large_n(self, n, i, j):
+        assert mobius_sum(n, i, j) == mobius_walk(n, i, j)
+
 
 class TestRouteAgreement:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", range(3, 21))
     def test_all_pairs_agree(self, n):
         report = verify_prime_example(n)
         assert len(report.rows) == n * (n - 1) // 2
         for i, j, direct, via_mobius in report.rows:
             assert direct == via_mobius
 
-    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
     def test_odd_common_value(self, n):
         report = verify_prime_example(n)
         assert report.common == ODD_COMMON[n]

@@ -366,7 +366,7 @@ def adjacent_term_sets(m: int):
     that ``solve_weight_space``'s proof uses."""
     adjacent = [(k, k + 1) for k in range(m - 1)]
     pairs = adjacent + [(j, i) for i, j in adjacent]
-    return weights._terms(m, pairs, 1 << (m - 1))
+    return weights._terms(m, pairs, range(1 << (m - 1)))
 
 
 def test_argument_masks_match_the_positional_loop():
@@ -375,7 +375,7 @@ def test_argument_masks_match_the_positional_loop():
             for j0 in range(m):
                 if i0 == j0:
                     continue
-                got = weights._argument_masks(m, i0, j0, 1 << m)
+                got = weights._argument_masks(m, i0, j0, range(1 << m))
                 assert got == [
                     _argument_mask(e, m, i0, j0) for e in range(1 << m)
                 ]
@@ -383,7 +383,7 @@ def test_argument_masks_match_the_positional_loop():
 
 def test_terms_match_the_literal_term_sets():
     for m in range(3, 9):
-        got = weights._terms(m, weights._ordered_pairs(m), 1 << m)
+        got = weights._terms(m, weights._ordered_pairs(m), range(1 << m))
         assert [set(keys) for keys in got] == all_pair_term_sets(m)
 
 
@@ -410,7 +410,7 @@ def test_adjacent_pairs_give_the_all_pairs_weight_space(m):
     closed_form = solve_weight_space(m)
     assert closed_form[0] == m % 2
     for terms in (
-        weights._terms(m, weights._ordered_pairs(m), 1 << (m - 1)),
+        weights._terms(m, weights._ordered_pairs(m), range(1 << (m - 1))),
         adjacent_term_sets(m),
     ):
         basis = union_find_nullspace(1 << (m - 2), terms)
@@ -476,3 +476,24 @@ def test_large_m_dimension(m):
     assert dimension == m % 2
     if m % 2:
         assert basis[0].table == parity_product_weight(m).table
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_block_walk_keeps_the_full_walks_witness(m):
+    # The check builds terms in doubling blocks of sign vector masks.  A
+    # weight admissible on the masks below 2^top, but not on all, first
+    # fails in the block [2^top, 2^(top+1)) or later; the masks below
+    # 2^(m-2) already force the closed form, so the last block a failure
+    # can start in is [2^(m-3), 2^(m-2)), and mask 0 never fails.
+    first_failures = set()
+    for top in range(m - 2):
+        terms = weights._terms(m, weights._ordered_pairs(m), range(1 << top))
+        basis = union_find_nullspace(1 << (m - 2), terms)
+        for vec in basis[:3] + basis[-3:]:
+            f = WeightFunction(m, vec)
+            witness = first_disagreement(f)
+            assert check_condition_star(f) == (witness is None, witness), vec
+            if witness is not None:
+                assert witness[0].bits >= 1 << top
+                first_failures.add(witness[0].bits.bit_length())
+    assert first_failures == set(range(1, m - 1))
