@@ -227,30 +227,17 @@ class HalfTables:
         gt = list(map(bisect_right, repeat(keys), ts))
         return ts, lt, gt, lt != gt
 
-    def _weights(self, char):
-        """A weights and B prefix sums of (-1)^popcount(mask & char).
+    def window(self, lo, hi, materialize=False):
+        """Counts of the full sums strictly between lo < hi.
 
-        A char that covers every free coordinate reads the stored parity
-        signs; any other is counted bit by bit.
-        """
-        if (char & self.free) == self.free:
-            wa, wb = self.a_signs, self.b_signs
-        else:
-            wa = [_SIGNS[(a & char).bit_count() & 1] for a in self.a_masks]
-            wb = (_SIGNS[(b & char).bit_count() & 1] for b in self.b_masks)
-        return wa, list(accumulate(wb, initial=0))
-
-    def window(self, lo, hi, chars, materialize=False):
-        """Weighted counts of the full sums strictly between lo < hi.
-
-        Returns (totals, masks, touched).  ``totals`` has one entry per
-        character mask c in ``chars``, each full sum weighted by
-        (-1)^popcount(mask & c); c = 0 counts.  ``masks`` lists the masks
-        inside the window, unordered, when ``materialize`` is set, else
-        None.  ``touched`` tells whether some full sum equals lo or hi.
+        Returns (count, signed, masks, touched).  ``signed`` weights each
+        sum by its stored parity sign, (-1)^popcount(mask).  ``masks``
+        lists the masks inside the window, unordered, when
+        ``materialize`` is set, else None.  ``touched`` tells whether
+        some full sum equals lo or hi.
         """
         if len(self.a_keys) > len(self.b_keys):
-            return self._swapped().window(lo, hi, chars, materialize)
+            return self._swapped().window(lo, hi, materialize)
         ts_lo, ts_hi = self._thresholds(lo), self._thresholds(hi)
         keys = self.b_keys
         starts = list(map(bisect_right, repeat(keys), ts_lo))
@@ -262,35 +249,37 @@ class HalfTables:
         before = map(keys.__getitem__, [s - 1 for s in starts])
         after = map(keys.__getitem__, [e - n for e in ends])
         touched = any(map(eq, before, ts_lo)) or any(map(eq, after, ts_hi))
-        totals = []
-        for c in chars:
-            if not c:
-                # lo < hi, so no run is reversed
-                totals.append(sum(ends) - sum(starts))
-                continue
-            wa, prefix = self._weights(c)
-            totals.append(
-                sum(w * (prefix[e] - prefix[s]) for w, s, e in zip(wa, starts, ends))
-            )
+        # lo < hi, so no run is reversed
+        count = sum(ends) - sum(starts)
+        prefix = list(accumulate(self.b_signs, initial=0))
+        runs = zip(self.a_signs, starts, ends)
+        signed = sum(w * (prefix[e] - prefix[s]) for w, s, e in runs)
         masks = None
         if materialize:
             bm = self.b_masks
             masks = [
                 a | b for a, s, e in zip(self.a_masks, starts, ends) for b in bm[s:e]
             ]
-        return totals, masks, touched
+        return count, signed, masks, touched
 
     def sign_sum(self, char):
         """Weighted total of the sign of every full sum.
 
         Returns (total, touched): each sign weighted by
-        (-1)^popcount(mask & char), as in ``window``, and whether some
-        full sum vanishes.  It scans A whatever the sizes: its caller
-        ``core._half_sign_sum`` pins coordinate 0, so A is no larger than
-        B there, and the order of the scan does not change the total.
+        (-1)^popcount(mask & char), and whether some full sum vanishes.
+        A char that covers every free coordinate reads the stored parity
+        signs; any other is counted bit by bit.  It scans A whatever the
+        sizes: its caller ``core._half_sign_sum`` pins coordinate 0, so A
+        is no larger than B there, and the order of the scan does not
+        change the total.
         """
         _, lt, gt, touched = self._runs(self._zero)
-        wa, prefix = self._weights(char)
+        if (char & self.free) == self.free:
+            wa, wb = self.a_signs, self.b_signs
+        else:
+            wa = [_SIGNS[(a & char).bit_count() & 1] for a in self.a_masks]
+            wb = (_SIGNS[(b & char).bit_count() & 1] for b in self.b_masks)
+        prefix = list(accumulate(wb, initial=0))
         top = prefix[-1]
         # weight above the zero bound minus weight below it
         total = sum(w * (top - prefix[g] - prefix[l]) for w, l, g in zip(wa, lt, gt))

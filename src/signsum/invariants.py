@@ -56,10 +56,9 @@ class SolutionSet(namedtuple("SolutionSet", "pair solutions source signed")):
     __slots__ = ()
 
 
-class ScanResult(namedtuple("ScanResult", "count signed extended masks")):
-    """One pair scan: the count, the signed count, the extended count
-    (0 when not asked for) and the sorted solution masks (None when not
-    materialized)."""
+class ScanResult(namedtuple("ScanResult", "count signed masks")):
+    """One pair scan: the count, the signed count and the sorted solution
+    masks (None when not materialized)."""
 
     __slots__ = ()
 
@@ -84,8 +83,8 @@ def _rest_masks(masks, i0: int, j0: int) -> list[int]:
     return sorted((x & low) | (x >> 1 & mid) | (x >> 2 & high) for x in masks)
 
 
-def _scan(alpha, pair, materialize=False, h0=None) -> ScanResult:
-    """Count, signed count and extended count of one pair's solutions.
+def _scan(alpha, pair, materialize=False) -> ScanResult:
+    """Count and signed count of one pair's solutions.
 
     The vector's half tables, restricted to the sums with both pair
     coordinates at plus, hold each rest sum s as s + v_i + v_j, so the
@@ -93,10 +92,10 @@ def _scan(alpha, pair, materialize=False, h0=None) -> ScanResult:
     smaller restricted half meets the window in one run of the sorted
     other, found by bisection, so the scan costs about 2^((m-2)/2)
     bisections plus one O(2^(m/2)) filtering pass instead of 2^(m-2)
-    steps.
-    ``h0`` is the 0-based position of the extended count's extra sign.
-    A full sum on either bound would mean a vanishing signed sum of the
-    whole vector, impossible once it is generic.
+    steps.  The pair bits are clear in every entry, so the window's
+    parity signs are those of the rest.  A full sum on either bound
+    would mean a vanishing signed sum of the whole vector, impossible
+    once it is generic.
     """
     i0, j0 = _pair_positions(alpha, pair)
     require_generic(alpha)
@@ -107,20 +106,14 @@ def _scan(alpha, pair, materialize=False, h0=None) -> ScanResult:
     else:
         lo, hi = 2 * max(vi, vj), 2 * (vi + vj)
     pinned = (1 << i0) | (1 << j0)
-    # the pair bits are clear in every entry, so the full mask counts the rest
-    full = (1 << alpha.m) - 1
-    chars = [0, full] if h0 is None else [0, full, full ^ (1 << h0)]
-    totals, masks, touched = tables.restrict(pinned).window(
-        lo, hi, chars, materialize
+    count, signed, masks, touched = tables.restrict(pinned).window(
+        lo, hi, materialize
     )
     if touched:
         raise InternalCheckError("boundary equality on a generic vector")
-    return ScanResult(
-        totals[0],
-        totals[1],
-        totals[2] if h0 is not None else 0,
-        tuple(_rest_masks(masks, i0, j0)) if materialize else None,
-    )
+    if materialize:
+        masks = tuple(_rest_masks(masks, i0, j0))
+    return ScanResult(count, signed, masks)
 
 
 def enumerate_solutions(alpha: AlphaVector, pair: PairSelection) -> SolutionSet:
@@ -203,15 +196,38 @@ def extended_signed_count(
     alpha: AlphaVector, pair: PairSelection, h: int
 ) -> int:
     """Signed count with one extra sign factor at the coordinate holding
-    component h; pair-independent for even m over pairs avoiding h."""
+    component h: the sum of e_h prod_k e_k over the pair's solutions,
+    k running over the m - 2 coordinates outside the pair.
+
+    A sign-sum closed form.  Let T_c sum c(e) over the sign vectors e
+    with <e, a> > 0, for a product c of signs, chi be the product of all
+    m signs and I the larger pair member (``orient_pair``).  The window
+    step of ``_moment_rows`` with chi e_h in place of chi (h avoids the
+    pair, so e_h rides along) gives ext = (T_{chi e_h e_I} - T_{chi
+    e_h}) / 2.  Negating e maps the sums above zero onto the sums below
+    it, none vanishing on a generic vector, and multiplies a product of
+    k signs by (-1)^k.  So T_c = 0 for a nonempty c of even size, and
+    for odd size T_c is half of sum_e c(e) sgn(<e, a>), i.e. twice
+    ``_half_sign_sum``.  chi e_h has m - 1 signs and chi e_h e_I has
+    m - 2, hence:
+
+    - even m: ext = -_half_sign_sum(chi e_h), the same for every pair
+      avoiding h;
+    - odd m: ext = _half_sign_sum(chi e_h e_I), the same for every pair
+      with larger member I.
+    """
     if alpha.m < 4:
         raise PreconditionError("extended count requires at least 4 components")
-    _pair_positions(alpha, pair)
+    _, large = orient_pair(alpha, pair)
     if not 1 <= h <= alpha.m:
         raise PreconditionError("extra index out of range")
     if h in (pair.i, pair.j):
         raise PreconditionError("extra index must avoid the pair")
-    return _scan(alpha, pair, h0=h - 1).extended
+    require_generic(alpha)
+    char = ((1 << alpha.m) - 1) ^ (1 << (h - 1))
+    if alpha.m % 2:
+        return _half_sign_sum(alpha.half_tables(), char ^ (1 << large))
+    return -_half_sign_sum(alpha.half_tables(), char)
 
 
 class PairInvariants(namedtuple("PairInvariants", "pair count parity signed")):

@@ -326,14 +326,15 @@ def _check_window_forms(tables, value: int) -> None:
     paper's second width, |t| <= B, adds only the partial sums t = +-B,
     which are full sums at zero; the window reports those as touched,
     and they cannot occur for a generic vector, so one window settles
-    both.  ``tables`` are the unrestricted half tables of beta.
+    both.  Its parity-signed count is -2 times the value.  ``tables``
+    are the unrestricted half tables of beta.
     """
     n = len(tables.values)
     last = tables.values[-1]
     # the sums with the last component at plus are t + B, so |t| < B is
     # 0 < t + B < 2B, and t = -B, B are the full sums t + B = 0, t - B = 0
     pinned = tables.restrict(1 << (n - 1))
-    (s,), _, touched = pinned.window(0, 2 * last, [(1 << n) - 1])
+    _, s, _, touched = pinned.window(0, 2 * last)
     if touched:
         raise InternalCheckError("a partial sum sits on the window's edge")
     if s != -2 * value:

@@ -10,6 +10,8 @@ the tables the library used to build per pair and per pinned coordinate.
 """
 
 import math
+import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -51,11 +53,17 @@ from signsum._halves import (
 )
 from signsum.cli import run
 from signsum.core import _half_sign_sum
-from signsum.invariants import ScanResult, _rest_positions
+from signsum.invariants import _rest_positions
+
+from conftest import random_generic_values
 
 
 # ---------------------------------------------------------------------------
 # Oracles: the exhaustive walks, as the library had them.
+
+# one walk: the count, the signed count, the extended count (0 without an
+# extra sign) and the sorted solution masks (None when not materialized)
+WalkScan = namedtuple("WalkScan", "count signed extended masks")
 
 
 def _gray_walk(vals):
@@ -251,7 +259,7 @@ def _merge_chunks(run, total, materialize):
     count, signed, ext, masks = run(0, total)
     if masks is not None:
         masks = tuple(sorted(masks))
-    return ScanResult(count, signed, ext, masks)
+    return WalkScan(count, signed, ext, masks)
 
 
 def _half_sign_terms(alpha, fixed_pos: int):
@@ -436,6 +444,10 @@ def _check_scans(alpha, pair, h):
         witness = _survey(alpha)[0][0]
         for fn in (count_solutions, signed_count, parity, enumerate_solutions):
             assert _outcome(fn, alpha, pair) == ("degenerate", witness, alpha.m)
+        if alpha.m >= 4:
+            assert _outcome(extended_signed_count, alpha, pair, h) == (
+                "degenerate", witness, alpha.m
+            )
         return
     walk = _scan_log if alpha.is_log else _scan_rational
     rest = _rest_positions(alpha.m, i0, j0)
@@ -485,6 +497,33 @@ def _check_closed_forms(alpha, pair):
 def test_pair_scans_match_walks(alpha, data):
     pair, h = _pair_and_extra(data, alpha.m)
     _check_scans(alpha, pair, h)
+
+
+@pytest.mark.parametrize("is_log", [False, True], ids=["plain", "log"])
+@pytest.mark.parametrize("m", range(4, 13))
+def test_extended_count_matches_walk_without_a_window(m, is_log, monkeypatch):
+    """The extended count is a sign sum: with the pair window gone it
+    still equals the walk on every pair and extra index."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the extended count opened a pair window")
+
+    monkeypatch.setattr(HalfTables, "window", forbidden)
+    rng = random.Random(m)
+    while True:
+        if is_log:
+            draws = [(rng.randint(1, 3), rng.randint(1, 9)) for _ in range(m)]
+            alpha = log_vector([Fraction(d + e, d) for d, e in draws])
+        else:
+            alpha = rational_vector(random_generic_values(rng, m))
+        if _generic_by_oracle(alpha):
+            break
+    walk = _scan_log if is_log else _scan_rational
+    for pair in _pairs(m):
+        i0, j0 = pair.i - 1, pair.j - 1
+        for h1, pos in enumerate(_rest_positions(m, i0, j0)):
+            expected = walk(alpha, i0, j0, False, h1).extended
+            assert extended_signed_count(alpha, pair, pos + 1) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -580,23 +619,21 @@ def test_approximate_beta_preserves_signs_log(ratios):
     st.lists(st.integers(-6, 6), min_size=0, max_size=7),
     st.integers(-20, 20),
     st.integers(1, 20),
-    st.booleans(),
 )
-def test_window_counts_and_boundary_hits(values, lo, width, weighted):
-    """Any window, boundary hits included: totals count the open window,
-    and ``touched`` reports a sum on either bound."""
+def test_window_counts_and_boundary_hits(values, lo, width):
+    """Any window, boundary hits included: the count and the parity-signed
+    count cover the open window, and ``touched`` reports a sum on either
+    bound."""
     hi = lo + width
-    n = len(values)
-    char = (1 << n) - 1 if weighted else 0
     tables = HalfTables(values)
-    (total,), masks, touched = tables.window(lo, hi, [char], materialize=True)
+    count, signed, masks, touched = tables.window(lo, hi, materialize=True)
     inside, on_bound = [], False
     for mask, s in _gray_walk(values):
         if lo < s < hi:
             inside.append(mask)
         on_bound = on_bound or s in (lo, hi)
-    assert sorted(masks) == sorted(inside)
-    assert total == sum(-1 if (mk & char).bit_count() & 1 else 1 for mk in inside)
+    assert sorted(masks) == sorted(inside) and count == len(inside)
+    assert signed == sum(-1 if mk.bit_count() & 1 else 1 for mk in inside)
     assert touched == on_bound
 
 
@@ -610,7 +647,7 @@ def test_log_window_counts_and_boundary_hits(ratios, lo, step):
     """The log window compares products exactly, bounds hit or not."""
     hi = lo * step
     tables = HalfTables(ratios, is_log=True)
-    (count,), masks, touched = tables.window(lo, hi, [0], materialize=True)
+    count, _, masks, touched = tables.window(lo, hi, materialize=True)
     inside, on_bound = [], False
     for mask, x, y in _product_walk(ratios):
         r = Fraction(x, y)
@@ -624,9 +661,9 @@ def test_log_window_counts_and_boundary_hits(ratios, lo, step):
 def test_log_boundary_hit_is_exact():
     # 2 * 3 / 5 = 6/5 sits exactly on the lower bound
     tables = HalfTables([Fraction(2), Fraction(3), Fraction(5)], is_log=True)
-    _, _, touched = tables.window(Fraction(6, 5), Fraction(100), [0])
+    *_, touched = tables.window(Fraction(6, 5), Fraction(100))
     assert touched
-    _, _, touched = tables.window(Fraction(6, 5) + Fraction(1, 10**30), Fraction(100), [0])
+    *_, touched = tables.window(Fraction(6, 5) + Fraction(1, 10**30), Fraction(100))
     assert not touched
 
 
@@ -749,7 +786,10 @@ def pinned(values, fixed_pos, is_log=False):
 
 
 def per_pair_scan(alpha, pair, h1=None):
-    """The pair scan on its own tables over the m-2 rest coordinates."""
+    """The pair scan on its own tables over the m-2 rest coordinates.
+
+    The extended count, with ``h1`` the rest position of the extra sign,
+    weights the materialized masks."""
     i0, j0 = pair.i - 1, pair.j - 1
     rest = _rest_positions(alpha.m, i0, j0)
     values, _ = coordinates(alpha.ratios(), alpha.is_log)
@@ -763,16 +803,13 @@ def per_pair_scan(alpha, pair, h1=None):
         [1 << k for k in range(len(rest))],
         is_log=alpha.is_log,
     )
-    full = (1 << len(rest)) - 1
-    chars = [0, full] if h1 is None else [0, full, full ^ (1 << h1)]
-    totals, masks, touched = tables.window(lo, hi, chars, True)
+    count, signed, masks, touched = tables.window(lo, hi, True)
     assert not touched
-    return ScanResult(
-        totals[0],
-        totals[1],
-        totals[2] if h1 is not None else 0,
-        tuple(sorted(masks)),
-    )
+    ext = 0
+    if h1 is not None:
+        char = ((1 << len(rest)) - 1) ^ (1 << h1)
+        ext = sum(-1 if (mk & char).bit_count() & 1 else 1 for mk in masks)
+    return WalkScan(count, signed, ext, tuple(sorted(masks)))
 
 
 def _pairs(m):

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signsum import (
+    DegenerateVectorError,
     InternalCheckError,
     PairSelection,
     PreconditionError,
+    check_generic,
     closed_form_g,
     count_solutions,
     count_via_sign_sum,
@@ -207,29 +209,83 @@ class TestExtendedSignedCount:
         assert extended_signed_count(v, PairSelection(1, 2), 3) == 0
         assert extended_signed_count(v, PairSelection(1, 2), 4) == 0
 
-    def test_matches_negated_complement_pair(self):
-        # the m = 4, h = max case: the remaining coordinate pairs with h
-        v = rational_vector([2, 3, 4, 8])
-        lhs = extended_signed_count(v, PairSelection(1, 2), 4)
-        assert lhs == -signed_count(v, PairSelection(3, 4))
+    @staticmethod
+    def _vector(rng, m, is_log):
+        if not is_log:
+            return rational_vector(random_generic_values(rng, m))
+        while True:
+            v = log_vector([rng.randint(2, 40) for _ in range(m)])
+            if check_generic(v).generic:
+                return v
+
+    @staticmethod
+    def _pairs(m):
+        pairs = itertools.combinations(range(1, m + 1), 2)
+        return [PairSelection(i, j) for i, j in pairs]
+
+    def test_matches_negated_complement_pair(self, rng):
+        # even m: ext(p, h) = -N(q) for every pair q whose larger member is h
+        for _ in range(12):
+            m = rng.choice([4, 6, 8, 10])
+            v = rational_vector(random_generic_values(rng, m))
+            pairs = self._pairs(m)
+            for q in pairs:
+                h = orient_pair(v, q)[1] + 1
+                n = signed_count(v, q)
+                for p in pairs:
+                    if h not in p:
+                        assert extended_signed_count(v, p, h) == -n
 
     def test_pair_independent_for_even(self, rng):
-        for _ in range(15):
-            m = rng.choice([4, 6])
-            v = rational_vector(random_generic_values(rng, m))
+        for k in range(30):
+            m = rng.choice([4, 6, 8])
+            v = self._vector(rng, m, is_log=k % 2)
             for h in range(1, m + 1):
                 vals = {
-                    extended_signed_count(v, PairSelection(i, j), h)
-                    for i in range(1, m + 1)
-                    for j in range(i + 1, m + 1)
-                    if h not in (i, j)
+                    extended_signed_count(v, p, h)
+                    for p in self._pairs(m)
+                    if h not in p
                 }
                 assert len(vals) == 1
+
+    def test_depends_on_the_larger_member_for_odd(self, rng):
+        for k in range(30):
+            m = rng.choice([5, 7, 9])
+            v = self._vector(rng, m, is_log=k % 2)
+            for h in range(1, m + 1):
+                by_large = {}
+                for p in self._pairs(m):
+                    if h not in p:
+                        large = orient_pair(v, p)[1]
+                        by_large.setdefault(large, set()).add(
+                            extended_signed_count(v, p, h)
+                        )
+                assert all(len(vals) == 1 for vals in by_large.values())
 
     def test_h_must_avoid_pair(self):
         v = rational_vector([2, 3, 4, 8])
         with pytest.raises(PreconditionError):
             extended_signed_count(v, PairSelection(1, 2), 2)
+
+    def test_refusals_in_order(self):
+        # each input breaks every later precondition as well; the vectors
+        # are degenerate throughout, and the survey comes last
+        cases = [
+            ([1, 1, 2], (1, 5), 9, "extended count requires at least 4 components"),
+            ([1, 1, 1, 1], (1, 5), 9, "pair index 5 exceeds vector length 4"),
+            ([1, 1, 1, 1], (1, 2), 9, "extra index out of range"),
+            ([1, 1, 1, 1], (1, 2), 0, "extra index out of range"),
+            ([1, 1, 1, 1], (1, 2), 2, "extra index must avoid the pair"),
+        ]
+        for values, pair, h, message in cases:
+            with pytest.raises(PreconditionError) as exc:
+                extended_signed_count(rational_vector(values), PairSelection(*pair), h)
+            assert str(exc.value) == message
+        v = rational_vector([1, 1, 1, 1])
+        with pytest.raises(DegenerateVectorError) as exc:
+            extended_signed_count(v, PairSelection(1, 2), 3)
+        assert str(exc.value) == "vector has a vanishing signed sum"
+        assert exc.value.witness == check_generic(v).witness
 
 
 class TestInvarianceLaws:

@@ -44,7 +44,7 @@ SAMPLES = [
     (GenericityReport, dict(generic=False, witness=_SV)),
     (PairSelection, dict(i=1, j=2)),
     (SolutionSet, dict(pair=_PAIR, solutions=(_SV,), source=_ALPHA, signed=-1)),
-    (ScanResult, dict(count=1, signed=-1, extended=0, masks=(1,))),
+    (ScanResult, dict(count=1, signed=-1, masks=(1,))),
     (PairInvariants, dict(pair=_PAIR, count=1, parity=1, signed=-1)),
     (
         InvariantReport,
