@@ -4,8 +4,9 @@ Every signed-sum question in the package ranges over the 2^n sign
 vectors of some n coordinates.  Splitting the coordinates into halves A
 and B writes each full sum as a + b, with a from A's table and b from
 B's, each of about 2^(n/2) entries.  With B sorted, the full sums that
-one entry a forms lie below, on and above a bound in three consecutive
-runs of B, found by two bisections, and prefix sums over B turn a
+one entry a forms lie at or below and above a bound in two consecutive
+runs of B, split by one bisection; a sum on the bound shows as a B key
+beside the cut equal to the threshold.  Prefix sums over B turn a
 weighted total over a run into two lookups.  Windows, weighted sign
 totals, the degree-1 moments of the sums above zero, vanishing sums and
 the closest approach to zero thus cost O(2^(n/2) n) instead of O(2^n).
@@ -17,7 +18,8 @@ is a rational r > 1 standing for log r.  A log table entry is the
 integer x collecting the numerator of every plus coordinate and the
 denominator of every minus coordinate.  The opposite collection is P/x,
 with P the product of every numerator and denominator in the table, so
-the entry's signed sum is log(x^2/P), increasing in x.  Keys, bounds and
+the entry's signed sum is log(x^2/P), increasing in x.  Both halves key
+an entry by 2 x^2, so A and B trade places unchanged.  Keys, bounds and
 thresholds are integers in both realizations, and every decision is an
 exact integer comparison.
 
@@ -143,10 +145,10 @@ class HalfTables:
             moves = [_log_moves(r, 1 << k, n) for k, r in enumerate(values)]
             xa, self.a_masks = _table(moves[:half], 1, n)
             xb, self.b_masks = _table(moves[half:], 1, n)
-            # full sum a + b = log(x_a^2 x_b^2 / P); B keys are doubled so
-            # that an inexact threshold can sit strictly between two keys
+            # full sum a + b = log(x_a^2 x_b^2 / P); keys are doubled, so
+            # even, and an inexact threshold, odd, sits between two keys
             self.p = p
-            self.a_keys = [x * x for x in xa]
+            self.a_keys = [2 * x * x for x in xa]
             self.b_keys = [2 * x * x for x in xb]
             self._zero = Fraction(1)
         else:
@@ -185,19 +187,15 @@ class HalfTables:
         """The same sums with the roles of A and B exchanged.
 
         ``window`` runs one bisection of B per entry of A, so it
-        iterates over the smaller half.  Log keys are x^2 in A and 2 x^2
-        in B, so they convert on the way.  A's mask bits no longer lie
+        iterates over the smaller half.  Both halves share one key form,
+        so the lists just trade places.  A's mask bits no longer lie
         below B's, which ``window`` does not need.
         """
         view = object.__new__(HalfTables)
         vars(view).update(vars(self))
         view.a_masks, view.b_masks = self.b_masks, self.a_masks
+        view.a_keys, view.b_keys = self.b_keys, self.a_keys
         view.a_signs, view.b_signs = self.b_signs, self.a_signs
-        if self.is_log:
-            view.a_keys = [k >> 1 for k in self.b_keys]
-            view.b_keys = [k << 1 for k in self.a_keys]
-        else:
-            view.a_keys, view.b_keys = self.b_keys, self.a_keys
         return view
 
     def _thresholds(self, bound):
@@ -206,26 +204,34 @@ class HalfTables:
         The full sum is below, on or above the bound exactly when the B
         key is below, equal to or above t.  Plain bounds are integers;
         log bounds are Fractions standing for their logarithm.  In the
-        log realization t = 2q or 2q+1 with q the floor of the bound's
-        square-ratio quotient, odd exactly when no key can meet it.
+        log realization the keys multiply to 4 x_a^2 x_b^2, so t = 2q or
+        2q+1 with q the floor of num P / (den x_a^2), odd exactly when no
+        key can meet it.
         """
         if self.is_log:
-            num, den = bound.numerator * self.p, bound.denominator
+            num, den = 2 * bound.numerator * self.p, bound.denominator
             return [
                 2 * q + (r > 0)
                 for q, r in (divmod(num, den * a) for a in self.a_keys)
             ]
         return [bound - a for a in self.a_keys]
 
-    def _runs(self, bound):
-        """(thresholds, lt, gt, touched): per A entry, B[:lt] is below the
-        bound, B[lt:gt] on it and B[gt:] above it.  ``touched`` tells
-        whether any full sum meets the bound."""
+    def _cut(self, bound, side):
+        """(ends, hit): per A entry, where ``bound`` cuts B.
+
+        ``side`` is ``bisect_right``, leaving B[end:] above the bound, or
+        ``bisect_left``, leaving B[:end] below it.  ``hit`` tells whether
+        some full sum equals the bound, which shows in the B key beside
+        an end: the one before it for ``bisect_right``, the one at it for
+        ``bisect_left``.  Index -1 (end 0) and the wrap of end n to 0
+        read a key beyond the bound, which never matches.
+        """
         ts = self._thresholds(bound)
         keys = self.b_keys
-        lt = list(map(bisect_left, repeat(keys), ts))
-        gt = list(map(bisect_right, repeat(keys), ts))
-        return ts, lt, gt, lt != gt
+        ends = list(map(side, repeat(keys), ts))
+        shift = 1 if side is bisect_right else len(keys)
+        beside = map(keys.__getitem__, [e - shift for e in ends])
+        return ends, any(map(eq, beside, ts))
 
     def window(self, lo, hi, materialize=False):
         """Counts of the full sums strictly between lo < hi.
@@ -234,21 +240,13 @@ class HalfTables:
         sum by its stored parity sign, (-1)^popcount(mask).  ``masks``
         lists the masks inside the window, unordered, when
         ``materialize`` is set, else None.  ``touched`` tells whether
-        some full sum equals lo or hi.
+        some full sum equals lo or hi.  One cut per bound: per A entry
+        the window is B[start:end].
         """
         if len(self.a_keys) > len(self.b_keys):
             return self._swapped().window(lo, hi, materialize)
-        ts_lo, ts_hi = self._thresholds(lo), self._thresholds(hi)
-        keys = self.b_keys
-        starts = list(map(bisect_right, repeat(keys), ts_lo))
-        ends = list(map(bisect_left, repeat(keys), ts_hi))
-        # a bound is hit where the key just before a run, or just after
-        # it, equals the threshold; index -1 (s = 0) and the wrap of e = n
-        # to 0 read a key beyond the bound, which never matches
-        n = len(keys)
-        before = map(keys.__getitem__, [s - 1 for s in starts])
-        after = map(keys.__getitem__, [e - n for e in ends])
-        touched = any(map(eq, before, ts_lo)) or any(map(eq, after, ts_hi))
+        starts, hit_lo = self._cut(lo, bisect_right)
+        ends, hit_hi = self._cut(hi, bisect_left)
         # lo < hi, so no run is reversed
         count = sum(ends) - sum(starts)
         prefix = list(accumulate(self.b_signs, initial=0))
@@ -260,7 +258,7 @@ class HalfTables:
             masks = [
                 a | b for a, s, e in zip(self.a_masks, starts, ends) for b in bm[s:e]
             ]
-        return count, signed, masks, touched
+        return count, signed, masks, hit_lo or hit_hi
 
     def sign_sum(self, char):
         """Weighted total of the sign of every full sum.
@@ -268,12 +266,15 @@ class HalfTables:
         Returns (total, touched): each sign weighted by
         (-1)^popcount(mask & char), and whether some full sum vanishes.
         A char that covers every free coordinate reads the stored parity
-        signs; any other is counted bit by bit.  It scans A whatever the
-        sizes: its caller ``core._half_sign_sum`` pins coordinate 0, so A
-        is no larger than B there, and the order of the scan does not
-        change the total.
+        signs; any other is counted bit by bit.  One cut at zero: per A
+        entry, B[g:] is above zero and B[:g] at or below it.  Callers
+        refuse touched tables, so then no sum lies on zero and B[:g] is
+        below it, giving the entry w * (top - 2 prefix[g]).  It scans A
+        whatever the sizes: its caller ``core._half_sign_sum`` pins
+        coordinate 0, so A is no larger than B there, and the order of
+        the scan does not change the total.
         """
-        _, lt, gt, touched = self._runs(self._zero)
+        gt, touched = self._cut(self._zero, bisect_right)
         if (char & self.free) == self.free:
             wa, wb = self.a_signs, self.b_signs
         else:
@@ -282,7 +283,7 @@ class HalfTables:
         prefix = list(accumulate(wb, initial=0))
         top = prefix[-1]
         # weight above the zero bound minus weight below it
-        total = sum(w * (top - prefix[g] - prefix[l]) for w, l, g in zip(wa, lt, gt))
+        total = sum(w * (top - 2 * prefix[g]) for w, g in zip(wa, gt))
         return total, touched
 
     def moments(self):
@@ -293,7 +294,7 @@ class HalfTables:
         parity sign, ``ones`` and ``chis`` are [T, T_0, ..., T_(n-1)]:
         T sums w(e) over the full sums above zero and T_k sums w(e) e_k,
         with e_k = -1 where mask bit k is set.  ``touched`` tells whether
-        some full sum vanishes.  One bisection pass: an A entry a sees
+        some full sum vanishes.  One cut at zero: an A entry a sees
         B[gt_a:] above zero and contributes c_a = w_a * (the weight of
         that run) with its A coordinates' signs; a B entry at index j
         sees the A entries with gt_a <= j and contributes
@@ -301,7 +302,7 @@ class HalfTables:
         thresholds fall as the A keys rise, so those A entries are a
         suffix of A, read off by bisection.  O(n 2^(n/2)) in all.
         """
-        _, _, gt, touched = self._runs(self._zero)
+        gt, touched = self._cut(self._zero, bisect_right)
         rising = gt[::-1]
         # per B index, how many A entries from the end see it above zero
         seen = list(map(bisect_right, repeat(rising), range(len(self.b_keys))))
@@ -341,10 +342,14 @@ class HalfTables:
         so in the units of the vector's own components; log, the smallest
         ratio above 1 among exp(|sum|).  Both are Fractions.  The nearest
         nonzero sums of an A entry are the B keys just outside its run
-        on the zero bound.
+        on the zero bound, so the survey bisects on both sides of zero
+        rather than taking one ``_cut``.  A log key product a * key is
+        4 x_a^2 x_b^2, the full ratio times 4P.
         """
-        ts, lt, gt, _ = self._runs(self._zero)
+        ts = self._thresholds(self._zero)
         keys, bm = self.b_keys, self.b_masks
+        lt = list(map(bisect_left, repeat(keys), ts))
+        gt = list(map(bisect_right, repeat(keys), ts))
         groups = []
         rows = zip(self.a_masks, lt, gt)
         for (l, g), run in groupby(rows, key=lambda row: row[1:]):
@@ -352,8 +357,7 @@ class HalfTables:
                 groups.append(([a for a, _, _ in run], bm[l:g]))
         n = len(keys)
         if self.is_log:
-            # a * key = 2 x_a^2 x_b^2, the full ratio times 2P
-            two_p = 2 * self.p
+            four_p = 4 * self.p
             above = min(
                 (a * keys[g] for a, g in zip(self.a_keys, gt) if g < n), default=None
             )
@@ -362,9 +366,9 @@ class HalfTables:
             )
             gaps = []
             if above is not None:
-                gaps.append(Fraction(above, two_p))
+                gaps.append(Fraction(above, four_p))
             if below is not None:
-                gaps.append(Fraction(two_p, below))
+                gaps.append(Fraction(four_p, below))
             return groups, min(gaps)
         above = min((keys[g] - t for t, g in zip(ts, gt) if g < n), default=None)
         below = min((t - keys[l - 1] for t, l in zip(ts, lt) if l), default=None)

@@ -118,21 +118,16 @@ def _cmd_compute(args):
         from . import invariants
 
         # one scan, materialized only when the rows are asked for
-        if not args.solutions:
-            row = invariants.pair_invariants(alpha, pair)
-            return {"N": row.signed, "count": row.count, "parity": row.parity}
-        scan = invariants._scan(alpha, pair, materialize=True)
-        return {
-            "N": scan.signed,
-            "count": scan.count,
-            "parity": scan.count & 1,
-            "solutions": _sign_rows(scan.masks, alpha.m - 2),
-            "coordinates": [
+        scan = invariants._scan(alpha, pair, materialize=args.solutions)
+        out = {"N": scan.signed, "count": scan.count, "parity": scan.count & 1}
+        if args.solutions:
+            out["solutions"] = _sign_rows(scan.masks, alpha.m - 2)
+            out["coordinates"] = [
                 alpha.original_index(p)
                 for p in range(alpha.m)
                 if p not in (pair.i - 1, pair.j - 1)
-            ],
-        }
+            ]
+        return out
 
     return inputs, execute
 

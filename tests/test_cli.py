@@ -400,11 +400,44 @@ def test_internal_error_maps_to_four(monkeypatch, validator):
         raise InternalCheckError("forced failure")
 
     # the function compute's single scan goes through
-    monkeypatch.setattr(invariants, "pair_invariants", boom)
+    monkeypatch.setattr(invariants, "_scan", boom)
     result, payload = roundtrip(["compute", "--alpha", "2,3,4", "--pair", "1,2"])
     assert result.exit_code == 4
     assert payload["error"] == {"type": "internal", "message": "forced failure"}
     validator.validate(payload)
+
+
+def test_one_window_per_request(monkeypatch):
+    """``compute`` asks the kernel for one window, with or without
+    ``--solutions``, whichever half it scans; ``closed-form`` asks for
+    none.  A window that hands itself to its swapped view counts once."""
+    from signsum import _halves
+
+    window = _halves.HalfTables.window
+    calls, depth = [], [0]
+
+    def counted(self, *args, **kwargs):
+        if not depth[0]:
+            calls.append(args)
+        depth[0] += 1
+        try:
+            return window(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_halves.HalfTables, "window", counted)
+    compute = ["compute", "--alpha", "4,6,7,9,11"]
+    for argv, expected in (
+        (compute + ["--pair", "1,2"], 1),
+        (compute + ["--pair", "4,5"], 1),
+        (compute + ["--pair", "1,2", "--solutions"], 1),
+        (compute + ["--pair", "4,5", "--solutions"], 1),
+        (["closed-form", "--alpha", "4,6,7,9,11", "--pair", "1,2"], 0),
+        (["closed-form", "--alpha", "4,6,7,9,11"], 0),
+    ):
+        calls.clear()
+        assert run(argv).exit_code == 0
+        assert len(calls) == expected, argv
 
 
 def test_run_reports_unknown_flag_as_parse_error():

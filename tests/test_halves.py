@@ -11,6 +11,7 @@ the tables the library used to build per pair and per pinned coordinate.
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
@@ -667,6 +668,86 @@ def test_log_boundary_hit_is_exact():
     assert not touched
 
 
+def _cut_oracle(keys, ts, side):
+    """Per threshold, the keys at or below it (``bisect_right``) or below
+    it (``bisect_left``), counted one by one; and whether any key equals
+    its threshold."""
+    if side is bisect_right:
+        ends = [sum(k <= t for k in keys) for t in ts]
+    else:
+        ends = [sum(k < t for k in keys) for t in ts]
+    return ends, any(t in keys for t in ts)
+
+
+_SIDES = pytest.mark.parametrize(
+    "side", [bisect_right, bisect_left], ids=["right", "left"]
+)
+
+
+@_SIDES
+@pytest.mark.parametrize("seed", range(25))
+def test_cut_matches_a_linear_scan(seed, side):
+    """Thresholds below the first key, on it, between keys, on an inner
+    key, on the last key and above it, one A entry at a time and all
+    together: the lone entries reach end 0 and end n, where the key
+    beside the end wraps around."""
+    rng = random.Random(seed)
+    # even keys with repeats, so an odd threshold falls between two keys
+    keys = sorted(2 * rng.randint(0, 8) for _ in range(rng.randint(1, 12)))
+    ts = [keys[0] - 1, keys[0], rng.choice(keys), keys[-1], keys[-1] + 1]
+    if keys[-1] > keys[0]:
+        ts.append(rng.randrange(keys[0] + 1, keys[-1], 2))
+    bound = rng.randint(-20, 20)
+    tables = object.__new__(HalfTables)
+    tables.is_log, tables.b_keys = False, keys
+    for t in ts:
+        tables.a_keys = [bound - t]
+        assert tables._cut(bound, side) == _cut_oracle(keys, [t], side)
+    tables.a_keys = [bound - t for t in ts]
+    assert tables._cut(bound, side) == _cut_oracle(keys, ts, side)
+
+
+def _ratio_of(ratios, mask):
+    """exp of the signed sum: each ratio, inverted where its bit is set."""
+    value = Fraction(1)
+    for k, r in enumerate(ratios):
+        value = value / r if mask >> k & 1 else value * r
+    return value
+
+
+@_SIDES
+@pytest.mark.parametrize("seed", range(12))
+def test_log_cut_matches_the_products(seed, side):
+    """Log tables, with bounds on a product (even thresholds), just off
+    one (odd thresholds) and outside them all, against the products read
+    from the masks."""
+    rng = random.Random(seed)
+    ratios = [
+        Fraction(d + rng.randint(1, 12), d)
+        for d in (rng.randint(1, 4) for _ in range(rng.randint(2, 6)))
+    ]
+    tables = HalfTables(ratios, is_log=True)
+    products = [
+        [_ratio_of(ratios, a | b) for b in tables.b_masks] for a in tables.a_masks
+    ]
+    flat = sorted({v for row in products for v in row})
+    on = rng.choice(flat)
+    bounds = [flat[0] / 2, flat[0], on, on * Fraction(10**6 + 1, 10**6), flat[-1],
+              flat[-1] * 2]
+    odd = False
+    for bound in bounds:
+        ts = tables._thresholds(bound)
+        odd = odd or any(t & 1 for t in ts)
+        if side is bisect_right:
+            ends = [sum(v <= bound for v in row) for row in products]
+        else:
+            ends = [sum(v < bound for v in row) for row in products]
+        hit = any(bound in row for row in products)
+        assert tables._cut(bound, side) == (ends, hit)
+        assert tables._cut(bound, side) == _cut_oracle(tables.b_keys, ts, side)
+    assert odd
+
+
 def test_coordinates_scale_to_common_denominator():
     values, den = coordinates([Fraction(1, 2), Fraction(2, 3), Fraction(5)], False)
     assert (values, den) == ([3, 4, 30], 6)
@@ -761,7 +842,7 @@ class _PerCallTables(HalfTables):
             xa, self.a_masks = _table(moves[:half], x0, width)
             xb, self.b_masks = _table(moves[half:], 1, width)
             self.p = p
-            self.a_keys = [x * x for x in xa]
+            self.a_keys = [2 * x * x for x in xa]
             self.b_keys = [2 * x * x for x in xb]
             self._zero = Fraction(1)
         else:

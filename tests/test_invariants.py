@@ -554,18 +554,21 @@ def test_moment_rows_match_every_pair_scan_at_larger_m(m, is_log):
 @pytest.mark.parametrize("values", [INTRO, [2, 3, 4, 8], [3, 5, 7, 11, 13, 17, 19, 23, 29]])
 def test_moment_pass_with_a_shifted_run_start_is_caught(values, monkeypatch):
     """Every run above zero starting one B entry late: the adjacent-pair
-    scans see the wrong moments."""
+    scans see the wrong moments.  Only zero-bound cuts shift; the pair
+    windows' bounds are never zero, so those scans see the true runs."""
     from signsum import _halves, check_generic
 
     alpha = rational_vector(values)
     check_generic(alpha)  # the survey reads the unmutated runs
-    runs = _halves.HalfTables._runs
+    cut = _halves.HalfTables._cut
 
-    def late(self, bound):
-        ts, lt, gt, touched = runs(self, bound)
-        n = len(self.b_keys)
-        return ts, lt, [min(g + 1, n) for g in gt], touched
+    def late(self, bound, side):
+        ends, hit = cut(self, bound, side)
+        if bound == self._zero:
+            n = len(self.b_keys)
+            ends = [min(e + 1, n) for e in ends]
+        return ends, hit
 
-    monkeypatch.setattr(_halves.HalfTables, "_runs", late)
+    monkeypatch.setattr(_halves.HalfTables, "_cut", late)
     with pytest.raises(InternalCheckError, match="moment row disagrees"):
         verify_invariance(alpha)
