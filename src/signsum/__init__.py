@@ -29,37 +29,36 @@ _SOURCES = {
         "SignVector",
         "SignsumError",
         "check_generic",
-        "compare_scalars",
-        "delete_pair",
         "format_scalar",
         "log_vector",
         "max_vector_length",
-        "minimum_gap",
+        "orient_pair",
         "parse_scalar",
         "parse_vector",
         "rational_vector",
         "require_generic",
-        "scalar_abs_diff",
-        "scalar_add",
-        "zero_sum_masks",
     ),
     "invariants": (
         "InvariantReport",
         "PairInvariants",
         "SolutionSet",
-        "WallCrossing",
-        "closed_form_g",
         "count_solutions",
-        "count_via_sign_sum",
         "enumerate_solutions",
-        "extended_signed_count",
-        "orient_pair",
         "pair_invariants",
         "parity",
         "signed_count",
-        "signed_count_even_via_sign_sum",
         "verify_invariance",
+    ),
+    "forms": (
+        "closed_form_g",
+        "count_via_sign_sum",
+        "extended_signed_count",
+        "signed_count_even_via_sign_sum",
+    ),
+    "walls": (
+        "WallCrossing",
         "wall_crossing_check",
+        "zero_sum_masks",
     ),
     "weights": (
         "WeightFunction",
@@ -70,7 +69,11 @@ _SOURCES = {
     ),
     "shortening": (
         "ShortenedVector",
+        "compare_scalars",
+        "delete_pair",
         "pair_for_values",
+        "scalar_abs_diff",
+        "scalar_add",
         "shorten",
         "verify_count_split",
         "verify_count_split_general",
@@ -88,6 +91,7 @@ _SOURCES = {
         "integral_count",
         "kernel_pairing",
         "kernel_pairing_quadrature",
+        "minimum_gap",
         "quadrature_check",
         "rademacher",
     ),

@@ -14,7 +14,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-# The half-table kernel ``_halves`` is imported inside the three functions
+# The half-table kernel ``_halves`` is imported inside the two functions
 # that use it, so a request that builds no table (``weights``,
 # ``rademacher``) never compiles it.
 
@@ -35,14 +35,9 @@ __all__ = [
     "format_scalar",
     "rational_vector",
     "log_vector",
-    "scalar_add",
-    "scalar_abs_diff",
-    "compare_scalars",
     "check_generic",
     "require_generic",
-    "minimum_gap",
-    "zero_sum_masks",
-    "delete_pair",
+    "orient_pair",
 ]
 
 
@@ -131,33 +126,6 @@ class Scalar(namedtuple("Scalar", "ratio is_log")):
 
     def __ge__(self, other):
         return self.ratio >= self._other(other).ratio
-
-
-def compare_scalars(a: Scalar, b: Scalar) -> int:
-    """Exact three-way comparison of values: -1, 0, or +1."""
-    b = a._other(b)
-    if a.ratio == b.ratio:
-        return 0
-    return -1 if a.ratio < b.ratio else 1
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    """Value a + b; in log form the arguments multiply."""
-    b = a._other(b)
-    if a.is_log:
-        return Scalar(a.ratio * b.ratio, True)
-    return Scalar(a.ratio + b.ratio, False)
-
-
-def scalar_abs_diff(a: Scalar, b: Scalar) -> Scalar:
-    """Value |a - b|; rejects a == b, which would produce a zero component."""
-    b = a._other(b)
-    if a.ratio == b.ratio:
-        raise PreconditionError("difference of equal components is zero")
-    if a.is_log:
-        hi, lo = (a.ratio, b.ratio) if a.ratio > b.ratio else (b.ratio, a.ratio)
-        return Scalar(hi / lo, True)
-    return Scalar(abs(a.ratio - b.ratio), False)
 
 
 class SignVector(namedtuple("SignVector", "length bits coordinate_map")):
@@ -337,7 +305,7 @@ def parse_scalar(text: str, expect_log: bool | None = None) -> Scalar:
 def parse_vector(text: str) -> AlphaVector:
     """Parse a comma-separated vector using the scalar grammar."""
     parts = text.split(",")
-    if not parts or any(not p.strip() for p in parts):
+    if any(not p.strip() for p in parts):
         raise ParseError("vector must be a comma-separated list of scalars")
     first = parse_scalar(parts[0])
     rest = [parse_scalar(p, expect_log=first.is_log) for p in parts[1:]]
@@ -347,6 +315,52 @@ def parse_vector(text: str) -> AlphaVector:
 def format_scalar(s: Scalar) -> str:
     body = str(s.ratio)
     return f"log:{body}" if s.is_log else body
+
+
+def _format_vector(alpha: AlphaVector) -> str:
+    return ",".join(format_scalar(c) for c in alpha.components)
+
+
+def _ascii(token: str) -> str:
+    """The token, or ValueError unless it is ASCII without "_": ``int``
+    and ``Fraction`` also read other scripts' digits and "_" between
+    digits, which the input grammar does not take."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return token
+
+
+def _parse_pair(text: str) -> PairSelection:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParseError("pair must be two comma-separated indices")
+    try:
+        i, j = (int(_ascii(p.strip())) for p in parts)
+    except ValueError:
+        raise ParseError(f"malformed pair {text!r}") from None
+    return PairSelection(i, j)
+
+
+def _parse_int_list(text: str, what: str) -> list[int]:
+    parts = text.split(",")
+    if any(not p.strip() for p in parts):
+        raise ParseError(f"{what} must be a comma-separated list of integers")
+    try:
+        return [int(_ascii(p.strip())) for p in parts]
+    except ValueError:
+        raise ParseError(f"malformed {what} {text!r}") from None
+
+
+def _parse_rational(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(_ascii(text.strip()))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"malformed {what} {text!r}") from None
+
+
+def _sign_rows(masks, length: int) -> list[list[int]]:
+    """Each mask as its row of ``length`` signs, -1 where a bit is set."""
+    return [[-1 if mask >> k & 1 else 1 for k in range(length)] for mask in masks]
 
 
 def _survey(alpha: AlphaVector):
@@ -385,15 +399,6 @@ def require_generic(alpha: AlphaVector) -> None:
         )
 
 
-def minimum_gap(alpha: AlphaVector) -> Fraction:
-    """Smallest nonzero distance of any signed sum from zero.
-
-    Plain realization: an exact Fraction.  Log realization: the smallest
-    product ratio above 1 (the minimum signed sum is its logarithm).
-    """
-    return _survey(alpha)[1]
-
-
 def _half_sign_sum(tables, char: int) -> int:
     """A quarter of the sum of (-1)^popcount(mask(e) & char) sgn(<e,v>)
     over all sign vectors e, read from a vector's unrestricted tables.
@@ -410,28 +415,19 @@ def _half_sign_sum(tables, char: int) -> int:
     return total // 2
 
 
-def zero_sum_masks(alpha: AlphaVector) -> tuple[int, ...]:
-    """Bitmasks of vanishing signed sums, one per negation class, sorted.
-
-    Listed from the survey's cached zero groups on each call, so the cost
-    is the number of vanishing sums; the genericity test never lists them.
-    """
-    from . import _halves
-
-    return tuple(_halves.zero_masks(_survey(alpha)[0]))
-
-
-def delete_pair(alpha: AlphaVector, pair: PairSelection) -> AlphaVector:
-    """Drop the pair's two coordinates, keeping original index labels."""
+def _pair_positions(alpha: AlphaVector, pair: PairSelection) -> tuple[int, int]:
     if alpha.m < 3:
-        raise PreconditionError("pair deletion requires at least 3 components")
+        raise PreconditionError("solution sets require at least 3 components")
     pair.validate(alpha.m)
-    skip = (pair.i - 1, pair.j - 1)
-    comps = []
-    imap = []
-    for pos, c in enumerate(alpha.components):
-        if pos in skip:
-            continue
-        comps.append(c)
-        imap.append(alpha.original_index(pos))
-    return AlphaVector(comps, index_map=imap)
+    return pair.i - 1, pair.j - 1
+
+
+def orient_pair(alpha: AlphaVector, pair: PairSelection) -> tuple[int, int]:
+    """0-based (smaller, larger) positions of the pair, by component value.
+
+    Ties resolve to the lower index as the smaller element.
+    """
+    i0, j0 = _pair_positions(alpha, pair)
+    if alpha.components[i0] <= alpha.components[j0]:
+        return i0, j0
+    return j0, i0

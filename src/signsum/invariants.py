@@ -6,47 +6,42 @@ set collects the sign vectors e on the remaining m-2 coordinates with
     |a_i - a_j|  <  sum_k e_k a_k  <  a_i + a_j,
 
 both inequalities strict.  This module enumerates that set exactly, computes
-the signed count N (sum of coordinate products), the count parity, and the
-closed-form sign-sum routes to the same numbers, and verifies the laws that
-make N and the parity invariants of the vector rather than of the pair.
+the signed count N (sum of coordinate products) and the count parity, and
+verifies the laws that make N and the parity invariants of the vector rather
+than of the pair.  The closed-form sign-sum routes to the same numbers are
+in ``forms``, the wall-crossing check in ``walls``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .core import (
     AlphaVector,
     InternalCheckError,
     PairSelection,
     PreconditionError,
-    Scalar,
     SignVector,
-    _half_sign_sum,
-    _survey,
-    check_generic,
+    _format_vector,
+    _pair_positions,
+    _parse_pair,
+    _sign_rows,
+    format_scalar,
+    orient_pair,
+    parse_vector,
     require_generic,
-    zero_sum_masks,
 )
 
 __all__ = [
     "SolutionSet",
     "PairInvariants",
     "InvariantReport",
-    "WallCrossing",
     "enumerate_solutions",
     "pair_invariants",
     "count_solutions",
     "signed_count",
     "parity",
-    "closed_form_g",
-    "count_via_sign_sum",
-    "signed_count_even_via_sign_sum",
-    "extended_signed_count",
     "verify_invariance",
-    "wall_crossing_check",
-    "orient_pair",
 ]
 
 class SolutionSet(namedtuple("SolutionSet", "pair solutions source signed")):
@@ -61,13 +56,6 @@ class ScanResult(namedtuple("ScanResult", "count signed masks")):
     masks (None when not materialized)."""
 
     __slots__ = ()
-
-
-def _pair_positions(alpha: AlphaVector, pair: PairSelection) -> tuple[int, int]:
-    if alpha.m < 3:
-        raise PreconditionError("solution sets require at least 3 components")
-    pair.validate(alpha.m)
-    return pair.i - 1, pair.j - 1
 
 
 def _rest_positions(m: int, i0: int, j0: int) -> list[int]:
@@ -146,88 +134,6 @@ def signed_count(alpha: AlphaVector, pair: PairSelection) -> int:
 def parity(alpha: AlphaVector, pair: PairSelection) -> int:
     """Solution count mod 2; the same for every pair."""
     return _scan(alpha, pair).count & 1
-
-
-def closed_form_g(alpha: AlphaVector) -> int:
-    """The sign-sum closed form: -(1/4) sum over all e of sgn(<e,a>) prod e.
-
-    Equals the signed count for every pair when m is odd.  For even m the
-    e and -e terms cancel pairwise, so the value is identically 0.
-    """
-    if alpha.m < 3:
-        raise PreconditionError("closed form requires at least 3 components")
-    require_generic(alpha)
-    if alpha.m % 2 == 0:
-        return 0
-    return -_half_sign_sum(alpha.half_tables(), (1 << alpha.m) - 1)
-
-
-def orient_pair(alpha: AlphaVector, pair: PairSelection) -> tuple[int, int]:
-    """0-based (smaller, larger) positions of the pair, by component value.
-
-    Ties resolve to the lower index as the smaller element.
-    """
-    i0, j0 = _pair_positions(alpha, pair)
-    if alpha.components[i0] <= alpha.components[j0]:
-        return i0, j0
-    return j0, i0
-
-
-def count_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> int:
-    """Solution count as (1/4) sum of e_i sgn(<e,a>) over all e, with i the
-    smaller pair coordinate."""
-    small, _ = orient_pair(alpha, pair)
-    require_generic(alpha)
-    return _half_sign_sum(alpha.half_tables(), 1 << small)
-
-
-def signed_count_even_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> int:
-    """Signed count for even m as (1/4) sum of e_j sgn(<e,a>) prod e, with j
-    the larger pair coordinate."""
-    if alpha.m % 2:
-        raise PreconditionError("this route requires even length")
-    _, large = orient_pair(alpha, pair)
-    require_generic(alpha)
-    # e_j times the sign product is the sign product without e_j
-    return _half_sign_sum(alpha.half_tables(), ((1 << alpha.m) - 1) ^ (1 << large))
-
-
-def extended_signed_count(
-    alpha: AlphaVector, pair: PairSelection, h: int
-) -> int:
-    """Signed count with one extra sign factor at the coordinate holding
-    component h: the sum of e_h prod_k e_k over the pair's solutions,
-    k running over the m - 2 coordinates outside the pair.
-
-    A sign-sum closed form.  Let T_c sum c(e) over the sign vectors e
-    with <e, a> > 0, for a product c of signs, chi be the product of all
-    m signs and I the larger pair member (``orient_pair``).  The window
-    step of ``_moment_rows`` with chi e_h in place of chi (h avoids the
-    pair, so e_h rides along) gives ext = (T_{chi e_h e_I} - T_{chi
-    e_h}) / 2.  Negating e maps the sums above zero onto the sums below
-    it, none vanishing on a generic vector, and multiplies a product of
-    k signs by (-1)^k.  So T_c = 0 for a nonempty c of even size, and
-    for odd size T_c is half of sum_e c(e) sgn(<e, a>), i.e. twice
-    ``_half_sign_sum``.  chi e_h has m - 1 signs and chi e_h e_I has
-    m - 2, hence:
-
-    - even m: ext = -_half_sign_sum(chi e_h), the same for every pair
-      avoiding h;
-    - odd m: ext = _half_sign_sum(chi e_h e_I), the same for every pair
-      with larger member I.
-    """
-    if alpha.m < 4:
-        raise PreconditionError("extended count requires at least 4 components")
-    _, large = orient_pair(alpha, pair)
-    if not 1 <= h <= alpha.m:
-        raise PreconditionError("extra index out of range")
-    if h in (pair.i, pair.j):
-        raise PreconditionError("extra index must avoid the pair")
-    require_generic(alpha)
-    char = ((1 << alpha.m) - 1) ^ (1 << (h - 1))
-    if alpha.m % 2:
-        return _half_sign_sum(alpha.half_tables(), char ^ (1 << large))
-    return -_half_sign_sum(alpha.half_tables(), char)
 
 
 class PairInvariants(namedtuple("PairInvariants", "pair count parity signed")):
@@ -373,117 +279,60 @@ def verify_invariance(alpha: AlphaVector) -> InvariantReport:
     )
 
 
-class WallCrossing(
-    namedtuple(
-        "WallCrossing",
-        "pair perturbed delta jump_signed jump_count predicted_signed"
-        " predicted_count wall_masks",
-    )
-):
-    """Measured and predicted jumps across a degeneracy wall.
+def _cmd_compute(args):
+    alpha = parse_vector(args.alpha)
+    pair = _parse_pair(args.pair)
+    inputs = {
+        "alpha": _format_vector(alpha),
+        "pair": [pair.i, pair.j],
+        "solutions": bool(args.solutions),
+    }
 
-    Jumps are value(a with a_l - delta) minus value(a with a_l + delta).
-    """
+    def execute():
+        # one scan, materialized only when the rows are asked for
+        scan = _scan(alpha, pair, materialize=args.solutions)
+        out = {"N": scan.signed, "count": scan.count, "parity": scan.count & 1}
+        if args.solutions:
+            out["solutions"] = _sign_rows(scan.masks, alpha.m - 2)
+            out["coordinates"] = [
+                alpha.original_index(p)
+                for p in range(alpha.m)
+                if p not in (pair.i - 1, pair.j - 1)
+            ]
+        return out
 
-    __slots__ = ()
+    return inputs, execute
 
 
-def _char_total(masks, char: int) -> int:
-    """Sum of (-1)^popcount(mask & char) over ``masks``."""
-    odd = sum((mask & char).bit_count() & 1 for mask in masks)
-    return len(masks) - 2 * odd
+def _cmd_verify(args):
+    alpha = parse_vector(args.alpha)
+    inputs = {"alpha": _format_vector(alpha)}
 
+    def execute():
+        report = verify_invariance(alpha)
+        return {
+            "m": report.m,
+            "parity_invariant": report.parity_invariant,
+            "parity": report.parity,
+            "N_invariant": report.n_invariant,
+            "N": report.signed,
+            "N_by_max_omitted": None
+            if report.n_by_max_omitted is None
+            else {format_scalar(k): v for k, v in report.n_by_max_omitted.items()},
+            "count_by_min_omitted": {
+                format_scalar(k): v for k, v in report.count_by_min_omitted.items()
+            },
+            "abs_N_invariant": report.abs_n_invariant,
+            "violations": list(report.violations),
+            "rows": [
+                {
+                    "pair": [row.pair.i, row.pair.j],
+                    "count": row.count,
+                    "parity": row.parity,
+                    "N": row.signed,
+                }
+                for row in report.rows
+            ],
+        }
 
-def wall_crossing_check(
-    alpha: AlphaVector,
-    l: int,
-    pair: PairSelection,
-    delta: Fraction | None = None,
-) -> WallCrossing:
-    """Measure the solution-set jumps when coordinate l crosses its wall.
-
-    The input may sit on a wall (some vanishing signed sums) or be generic
-    (no walls, all jumps zero).  Both perturbed endpoints must be generic,
-    which holds automatically for any delta below half the minimum nonzero
-    gap.  The measured jumps are compared against the wall-solution sums
-    predicted by the crossing analysis; a mismatch raises, since it would
-    mean the enumeration and the prediction disagree.
-    """
-    if alpha.is_log:
-        raise PreconditionError("wall crossing requires the plain realization")
-    i0, j0 = _pair_positions(alpha, pair)
-    if not 1 <= l <= alpha.m:
-        raise PreconditionError("perturbed index out of range")
-    l0 = l - 1
-    if l0 in (i0, j0):
-        raise PreconditionError("perturbed index must avoid the pair")
-
-    refusal = "delta must be positive and below half the minimum nonzero gap"
-    if delta is not None and Fraction(delta) <= 0:  # before the survey's table
-        raise PreconditionError(refusal)
-    groups, gap = _survey(alpha)
-    delta = gap / 4 if delta is None else Fraction(delta)
-    if not delta < gap / 2:
-        raise PreconditionError(refusal)
-
-    base = alpha.components[l0].ratio
-    if base <= delta:
-        raise PreconditionError("delta would drive the component nonpositive")
-
-    def perturbed(sign):
-        comps = list(alpha.components)
-        comps[l0] = Scalar(base + sign * delta, False)
-        return AlphaVector(comps, index_map=alpha.index_map)
-
-    minus = perturbed(-1)
-    plus = perturbed(+1)
-    for endpoint in (minus, plus):
-        if not check_generic(endpoint).generic:
-            raise InternalCheckError("perturbed endpoint is degenerate")
-
-    scan_minus = _scan(minus, pair)
-    scan_plus = _scan(plus, pair)
-    jump_signed = scan_minus.signed - scan_plus.signed
-    jump_count = scan_minus.count - scan_plus.count
-
-    # Each wall solution r moves exactly one sign vector in or out of the
-    # solution set.  Which side it lands on is decided by r_l, and its
-    # contribution by whether the pair coordinates agree in r (a crossing
-    # of the upper bound) or differ (the lower bound).  With s and t the
-    # smaller and larger pair positions and P = prod_{k != i,j,l} r_k, r
-    # adds -r_s r_l to the count and, to N, (-r_i)^(m-1) P when r_i = r_j
-    # and -r_s^(m-1) P otherwise.  As r_i r_j is 1 or -1 in the two cases,
-    # both read chi_{all but l}(r) for odd m and -r_s P = -chi_{all but
-    # t,l}(r) for even m, chi_S(r) being the product of r over S.  Each S
-    # has even size, so chi_S is the same on r and -r, and the survey's
-    # one mask per negation class serves.  A zero group pairs every A mask
-    # with every B mask, on disjoint bits, so it adds (sum_A chi_S)(sum_B
-    # chi_S).
-    small, large = orient_pair(alpha, pair)
-    full = (1 << alpha.m) - 1
-
-    def wall_sum(s):
-        return sum(_char_total(am, s) * _char_total(bm, s) for am, bm in groups)
-
-    pred_count = -wall_sum((1 << small) | (1 << l0))
-    if alpha.m % 2:
-        pred_signed = wall_sum(full ^ (1 << l0))
-    else:
-        pred_signed = -wall_sum(full ^ (1 << large) ^ (1 << l0))
-
-    if jump_signed != pred_signed or jump_count != pred_count:
-        raise InternalCheckError(
-            "measured wall jumps disagree with the crossing prediction: "
-            f"measured ({jump_signed}, {jump_count}), "
-            f"predicted ({pred_signed}, {pred_count})"
-        )
-    return WallCrossing(
-        pair=pair,
-        perturbed=l,
-        delta=delta,
-        jump_signed=jump_signed,
-        jump_count=jump_count,
-        predicted_signed=pred_signed,
-        predicted_count=pred_count,
-        wall_masks=zero_sum_masks(alpha),
-    )
+    return inputs, execute

@@ -17,11 +17,12 @@ from math import isqrt, prod
 from .core import (
     InternalCheckError,
     PreconditionError,
+    _parse_pair,
     check_generic,
     log_vector,
     max_vector_length,
 )
-from .invariants import verify_invariance
+from .invariants import signed_count, verify_invariance
 
 __all__ = [
     "PRIMES_MAX_N",
@@ -148,3 +149,30 @@ def verify_prime_example(n: int) -> PrimeReport:
     if report.n_by_max_omitted is not None:
         by_larger = {int(k.ratio): v for k, v in report.n_by_max_omitted.items()}
     return PrimeReport(n, example.primes, tuple(rows), report.signed, by_larger)
+
+
+def _cmd_primes(args):
+    pair = _parse_pair(args.pair)
+    inputs = {"n": args.n, "pair": [pair.i, pair.j], "method": args.method}
+
+    def execute():
+        direct = via_mobius = None
+        if args.method in ("direct", "both"):
+            # the pair is refused before prime_alpha's survey builds a table
+            pair.validate(_check_n(args.n))
+            example = prime_alpha(args.n)
+            direct = signed_count(example.alpha, pair)
+        if args.method in ("moebius", "both"):
+            via_mobius = mobius_sum(args.n, pair.i, pair.j)
+        agree = None
+        if direct is not None and via_mobius is not None:
+            agree = direct == via_mobius
+        return {
+            "n": args.n,
+            "pair": [pair.i, pair.j],
+            "N_direct": direct,
+            "N_moebius": via_mobius,
+            "agree": agree,
+        }
+
+    return inputs, execute

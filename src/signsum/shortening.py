@@ -20,18 +20,19 @@ from .core import (
     AlphaVector,
     InternalCheckError,
     PairSelection,
+    ParseError,
     PreconditionError,
     Scalar,
+    _format_vector,
+    _parse_int_list,
     check_generic,
-    compare_scalars,
-    delete_pair,
+    format_scalar,
+    parse_vector,
     require_generic,
-    scalar_abs_diff,
-    scalar_add,
 )
 
-# The verifiers import what they need from ``invariants`` when they run,
-# so that ``shorten`` alone does not load the scan module.
+# The verifiers import what they need from ``invariants`` and ``forms``
+# when they run, so that ``shorten`` alone does not load them.
 
 __all__ = [
     "ShortenedVector",
@@ -41,7 +42,39 @@ __all__ = [
     "verify_signed_split_even",
     "verify_count_split_general",
     "verify_signed_split_odd",
+    "compare_scalars",
+    "scalar_add",
+    "scalar_abs_diff",
+    "delete_pair",
 ]
+
+
+def compare_scalars(a: Scalar, b: Scalar) -> int:
+    """Exact three-way comparison of values: -1, 0, or +1."""
+    b = a._other(b)
+    if a.ratio == b.ratio:
+        return 0
+    return -1 if a.ratio < b.ratio else 1
+
+
+def scalar_add(a: Scalar, b: Scalar) -> Scalar:
+    """Value a + b; in log form the arguments multiply."""
+    b = a._other(b)
+    if a.is_log:
+        return Scalar(a.ratio * b.ratio, True)
+    return Scalar(a.ratio + b.ratio, False)
+
+
+def scalar_abs_diff(a: Scalar, b: Scalar) -> Scalar:
+    """Value |a - b|; rejects a == b, which would produce a zero component."""
+    b = a._other(b)
+    if a.ratio == b.ratio:
+        raise PreconditionError("difference of equal components is zero")
+    if a.is_log:
+        hi, lo = (a.ratio, b.ratio) if a.ratio > b.ratio else (b.ratio, a.ratio)
+        return Scalar(hi / lo, True)
+    return Scalar(abs(a.ratio - b.ratio), False)
+
 
 class ShortenedVector(
     namedtuple("ShortenedVector", "base replaced_index deleted_index sign")
@@ -107,6 +140,22 @@ def shorten(alpha: AlphaVector, j: int, k: int, sign: str) -> ShortenedVector:
         deleted_index=alpha.original_index(k - 1),
         sign=sign,
     )
+
+
+def delete_pair(alpha: AlphaVector, pair: PairSelection) -> AlphaVector:
+    """Drop the pair's two coordinates, keeping original index labels."""
+    if alpha.m < 3:
+        raise PreconditionError("pair deletion requires at least 3 components")
+    pair.validate(alpha.m)
+    skip = (pair.i - 1, pair.j - 1)
+    comps = []
+    imap = []
+    for pos, c in enumerate(alpha.components):
+        if pos in skip:
+            continue
+        comps.append(c)
+        imap.append(alpha.original_index(pos))
+    return AlphaVector(comps, index_map=imap)
 
 
 def pair_for_values(alpha: AlphaVector, va: Scalar, vb: Scalar) -> PairSelection:
@@ -176,7 +225,8 @@ def verify_signed_split_even(alpha: AlphaVector, i: int, j: int, k: int) -> bool
         raise PreconditionError("need a_i <= a_j")
     require_generic(alpha)
 
-    from .invariants import closed_form_g, signed_count
+    from .forms import closed_form_g
+    from .invariants import signed_count
 
     lhs = signed_count(alpha, PairSelection(i, j))
     sgn = compare_scalars(aj, ak)
@@ -254,7 +304,8 @@ def verify_signed_split_odd(
         raise PreconditionError("need a_k <= |a_i - a_j|")
     require_generic(alpha)
 
-    from .invariants import closed_form_g, signed_count
+    from .forms import closed_form_g
+    from .invariants import signed_count
 
     lhs = closed_form_g(alpha)
     g_plus = shorten(alpha, i, j, "+")
@@ -269,3 +320,52 @@ def verify_signed_split_odd(
         g_minus.base, pair_for_values(g_minus.base, ak, g_minus.new_scalar)
     )
     return "stated", lhs == minus_term - plus_term
+
+
+def _cmd_shorten(args):
+    alpha = parse_vector(args.alpha)
+    inputs = {
+        "alpha": _format_vector(alpha),
+        "j": args.j,
+        "k": args.k,
+        "sign": args.sign,
+    }
+
+    def execute():
+        shortened = shorten(alpha, args.j, args.k, args.sign)
+        base = shortened.base
+        return {
+            "gamma": _format_vector(base),
+            "coordinates": [base.original_index(p) for p in range(base.m)],
+            "replaced_index": shortened.replaced_index,
+            "deleted_index": shortened.deleted_index,
+            "sign": shortened.sign,
+            "new_component": format_scalar(shortened.new_scalar),
+        }
+
+    return inputs, execute
+
+
+def _cmd_verify_shortening(args):
+    from .cli import _COMMANDS  # the identity table is the option's choices
+
+    alpha = parse_vector(args.alpha)
+    indices = _parse_int_list(args.indices, "indices")
+    identities = _COMMANDS[args.command].options["--identity"].choices
+    arity, verifier = identities[args.identity]
+    if len(indices) != arity:
+        raise ParseError(f"identity {args.identity} takes {arity} indices")
+    inputs = {
+        "alpha": _format_vector(alpha),
+        "identity": args.identity,
+        "indices": indices,
+    }
+
+    def execute():
+        holds = globals()[verifier](alpha, *indices)
+        outputs = {"identity": args.identity, "holds": holds}
+        if isinstance(holds, tuple):  # signed-odd also names its orientation
+            outputs["orientation"], outputs["holds"] = holds
+        return outputs
+
+    return inputs, execute

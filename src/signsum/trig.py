@@ -28,10 +28,15 @@ from functools import lru_cache
 from .core import (
     AlphaVector,
     InternalCheckError,
+    ParseError,
     PreconditionError,
+    _format_vector,
     _half_sign_sum,
+    _parse_int_list,
+    _parse_rational,
+    _survey,
     max_vector_length,
-    minimum_gap,
+    parse_vector,
     rational_vector,
     require_generic,
 )
@@ -49,6 +54,7 @@ __all__ = [
     "integral_count",
     "exact_formula_value",
     "quadrature_check",
+    "minimum_gap",
 ]
 
 
@@ -198,6 +204,15 @@ def _decide(box: list, test):
         if prec > _PREC_CAP:
             raise InternalCheckError("certification stalled")
         box[:3] = *_log_enclosure(box[3], prec), prec
+
+
+def minimum_gap(alpha: AlphaVector) -> Fraction:
+    """Smallest nonzero distance of any signed sum from zero.
+
+    Plain realization: an exact Fraction.  Log realization: the smallest
+    product ratio above 1 (the minimum signed sum is its logarithm).
+    """
+    return _survey(alpha)[1]
 
 
 def approximate_beta(alpha: AlphaVector) -> BetaApproximation:
@@ -583,3 +598,63 @@ def kernel_pairing_quadrature(s: int, tolerance: float = 1e-8) -> QuadratureResu
         numeric = -numeric
     limit = tolerance + rounding
     return QuadratureResult(numeric, exact, abs(numeric - exact) < limit)
+
+
+def _cmd_integral(args):
+    beta_list = _parse_int_list(args.beta, "beta")
+    if not math.isfinite(args.tol):
+        raise ParseError(f"argument --tol: must be finite, got {args.tol!r}")
+    inputs = {"beta": beta_list, "formula": args.formula}
+    if args.pair_index is not None:
+        inputs["pair_index"] = args.pair_index
+    if args.quadrature:
+        inputs["quadrature"] = True
+        inputs["tolerance"] = args.tol
+
+    def execute():
+        # every refusal that reads only the integers comes before the
+        # survey builds a table
+        _formula(beta_list, args.formula, args.pair_index)
+        values = _positive_integers(beta_list)
+        if args.quadrature:
+            _quadrature_plan(values, args.formula, args.tol, args.pair_index)
+        beta = integer_beta(values)
+        if not args.quadrature:
+            exact = exact_formula_value(beta, args.formula, args.pair_index)
+            return {"formula": args.formula, "exact": exact}
+        check = quadrature_check(beta, args.formula, args.tol, args.pair_index)
+        return {
+            "formula": args.formula,
+            "exact": check.exact,
+            "numeric": check.numeric,
+            "agree": check.agree,
+            "tolerance": args.tol,
+        }
+
+    return inputs, execute
+
+
+def _cmd_approx_beta(args):
+    alpha = parse_vector(args.alpha)
+    inputs = {"alpha": _format_vector(alpha)}
+
+    def execute():
+        approx = approximate_beta(alpha)
+        return {
+            "m": approx.m,
+            "beta": list(approx.beta),
+            "q": str(approx.q),
+            "bound": str(approx.bound),
+        }
+
+    return inputs, execute
+
+
+def _cmd_rademacher(args):
+    t = _parse_rational(args.t, "t")
+    inputs = {"i": args.i, "t": str(t)}
+
+    def execute():
+        return {"value": rademacher(args.i, t)}
+
+    return inputs, execute

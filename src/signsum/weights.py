@@ -189,3 +189,17 @@ def weighted_count(
         raise PreconditionError("weight length does not match the vector")
     masks = _scan(alpha, pair, materialize=True).masks
     return sum((f.table[mask] for mask in masks), Fraction(0))
+
+
+def _cmd_weights(args):
+    inputs = {"m": args.m}
+
+    def execute():
+        dimension, basis = solve_weight_space(args.m)
+        return {
+            "m": args.m,
+            "dimension": dimension,
+            "basis": [[str(v) for v in f.table] for f in basis],
+        }
+
+    return inputs, execute

@@ -105,11 +105,11 @@ def integrand_calls(monkeypatch):
 def no_tables(monkeypatch):
     """Any half-table build or sign sum fails the test: a cheap refusal
     must come before them."""
-    from signsum import _halves, core, invariants, trig
+    from signsum import _halves, core, forms, trig
 
     def forbidden(*args, **kwargs):
         raise AssertionError("table work before a cheap precondition")
 
     monkeypatch.setattr(_halves, "HalfTables", forbidden)
-    for module in (core, invariants, trig):
+    for module in (core, forms, trig):
         monkeypatch.setattr(module, "_half_sign_sum", forbidden)

@@ -461,18 +461,42 @@ def cli_bytes(argv):
 
 
 # modules that only some subcommands run
-OPERATION_MODULES = ("invariants", "trig", "weights", "shortening", "primes")
+OPERATION_MODULES = (
+    "invariants", "forms", "walls", "trig", "weights", "shortening", "primes"
+)
+
+CODE_LINES = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+
+# Defines ``signsum_lines(*extra)``: the loaded signsum modules and the
+# code-only line total (tools/code_lines.py) of their files and of the
+# files in ``extra``, the source a process without a bytecode cache
+# compiles.  Call it last: the counter loads ``ast`` and ``tokenize``.
+LINES_PROBE = f"""
+import runpy, sys
+def signsum_lines(*extra):
+    loaded = sorted(
+        m for m in sys.modules if m == "signsum" or m.startswith("signsum."))
+    count = runpy.run_path({str(CODE_LINES)!r})["code_lines"]
+    files = [sys.modules[m].__file__ for m in loaded] + list(extra)
+    return loaded, sum(count(open(f, encoding="utf-8").read()) for f in files)
+"""
+
+# code-only lines that ``import signsum.cli`` may compile: the option
+# table, the parser, the envelope and the core records and grammar
+CLI_IMPORT_LINES = 650
 
 
 def test_cli_import_skips_mpmath_and_thread_pool():
-    """Neither mpmath nor a thread pool is imported, and no operation
-    module is imported before a subcommand runs it."""
+    """Neither mpmath nor a thread pool is imported, no operation module
+    is imported before a subcommand runs it, and the modules imported
+    hold at most ``CLI_IMPORT_LINES`` code-only lines."""
     unwanted = ("mpmath", "concurrent.futures") + tuple(
         f"signsum.{name}" for name in OPERATION_MODULES
     )
-    probe = (
-        "import sys, signsum.cli; "
-        f"print([m for m in {unwanted!r} if m in sys.modules])"
+    probe = LINES_PROBE + (
+        "import json, signsum.cli\n"
+        f"found = [m for m in {unwanted!r} if m in sys.modules]\n"
+        "print(json.dumps([found, signsum_lines()[1]]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -482,22 +506,30 @@ def test_cli_import_skips_mpmath_and_thread_pool():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    found, lines = json.loads(proc.stdout)
+    assert found == []
+    assert lines <= CLI_IMPORT_LINES
 
 
 # Runs ``python -m signsum ARG...`` in this process and, at exit, writes
-# three things to stderr as its last line: the loaded signsum modules;
+# four things to stderr as its last line: the loaded signsum modules;
 # which of these modules, none of which a subcommand needs, got loaded:
 # ``dataclasses`` and ``inspect`` (with its ast, dis and tokenize),
 # ``argparse`` with the ``gettext`` and ``locale`` it loads, and
-# ``mpmath``; and whether the process entry froze the heap, which also
-# shows that the exit handlers still run.
-MODULE_PROBE = """
-import atexit, gc, json, runpy, sys
+# ``mpmath``; whether the process entry froze the heap, which also
+# shows that the exit handlers still run; and the code-only line total
+# of the loaded signsum modules and the entry module ``__main__.py``.
+MODULE_PROBE = LINES_PROBE + """
+import atexit, gc, json, os
 heavy = ("dataclasses", "inspect", "argparse", "gettext", "locale", "mpmath")
-atexit.register(lambda: sys.stderr.write("\\n" + json.dumps([sorted(
-    m for m in sys.modules if m == "signsum" or m.startswith("signsum.")),
-    [m for m in heavy if m in sys.modules], gc.get_freeze_count() > 0])))
+def report():
+    found = [m for m in heavy if m in sys.modules]
+    frozen = gc.get_freeze_count() > 0
+    entry = os.path.join(os.path.dirname(sys.modules["signsum"].__file__),
+                         "__main__.py")
+    loaded, lines = signsum_lines(entry)
+    sys.stderr.write("\\n" + json.dumps([loaded, found, frozen, lines]))
+atexit.register(report)
 runpy.run_module("signsum", run_name="__main__", alter_sys=True)
 """
 
@@ -510,7 +542,7 @@ COLD_REQUESTS = [
      {"invariants", "_halves"}),
     (["verify", "--alpha", "2,3,4,8"], {"invariants", "_halves"}),
     (["closed-form", "--alpha", "2,3,4,8", "--pair", "1,2"],
-     {"invariants", "_halves"}),
+     {"forms", "_halves"}),
     (["weights", "--m", "5"], {"weights"}),
     (["shorten", "--alpha", "4,6,7,9,11", "--j", "2", "--k", "4", "--sign", "-"],
      {"shortening", "_halves"}),
@@ -520,7 +552,7 @@ COLD_REQUESTS = [
     (["approx-beta", "--alpha", "7/2,9/4,5"], {"trig", "_halves"}),
     (["primes", "--n", "5"], {"primes", "invariants", "_halves"}),
     (["wall-cross", "--alpha", "2,3,4,8", "--l", "3", "--pair", "1,2"],
-     {"invariants", "_halves"}),
+     {"walls", "invariants", "_halves"}),
     (["rademacher", "--i", "3", "--t", "5/16"], {"trig"}),
 ]
 
@@ -530,6 +562,10 @@ COLD_LOG_REQUESTS = [
     (["approx-beta", "--alpha", "log:2,log:3,log:5"], {"trig", "_halves"}),
     (["verify", "--alpha", "log:2,log:3,log:5,log:7/2"], {"invariants", "_halves"}),
 ]
+
+
+# code-only lines a cold request may compile, by subcommand
+COLD_LINES = {"compute": 1100, "verify": 1100}
 
 
 def test_cold_requests_cover_every_subcommand():
@@ -551,10 +587,13 @@ def test_cold_process_loads_only_its_modules(argv, operations):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (run(argv).to_json() + "\n").encode()
-    loaded, heavy, frozen = json.loads(proc.stderr.decode().rsplit("\n", 1)[1])
+    loaded, heavy, frozen, lines = json.loads(
+        proc.stderr.decode().rsplit("\n", 1)[1]
+    )
     assert set(loaded) == ALWAYS_LOADED | {f"signsum.{name}" for name in operations}
     assert heavy == []
     assert frozen
+    assert lines <= COLD_LINES.get(argv[0], lines)
 
 
 # 15 odd components keep every signed sum odd, hence generic

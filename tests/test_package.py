@@ -70,6 +70,41 @@ def test_names_load_their_module_on_first_access():
     assert name == "signsum.invariants"
 
 
+def test_library_modules_never_load_the_cli():
+    """A fresh import of any module that defines public names loads no
+    ``signsum.cli``: only the command line's handlers may reach for it."""
+    probe = (
+        "import importlib, json, sys\n"
+        f"for name in {list(signsum._SOURCES)!r}:\n"
+        "    importlib.import_module('signsum.' + name)\n"
+        "    if 'signsum.cli' in sys.modules:\n"
+        "        print(json.dumps(name))\n"
+        "        break\n"
+        "else:\n"
+        "    print(json.dumps(None))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) is None
+
+
+@pytest.mark.parametrize("module", list(signsum._SOURCES))
+def test_module_all_is_its_sources_entry(module):
+    """Each module exports exactly the public names the package resolves
+    to it, besides its upper-case limits, so a moved name cannot stay
+    behind in its old module's ``__all__``."""
+    exported = importlib.import_module(f"signsum.{module}").__all__
+    assert sorted(n for n in exported if not n.isupper()) == sorted(
+        signsum._SOURCES[module]
+    )
+
+
 def test_package_imports_only_the_standard_library():
     """Every absolute import in the package, lazy ones included, names a
     standard-library module: the package declares no dependencies, and

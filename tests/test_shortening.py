@@ -309,12 +309,12 @@ class TestSignedSplitOdd:
     def test_failure_reports_the_stated_orientation(self, monkeypatch):
         """A sign defect in the left side is a failure, not the mirror
         identity holding: the answer is ("stated", False)."""
-        from signsum import invariants
+        from signsum import forms
 
-        g = invariants.closed_form_g
+        g = forms.closed_form_g
         v = rational_vector([4, 6, 7, 9, 11])  # g = -2
         assert verify_signed_split_odd(v, 1, 5, 2) == ("stated", True)
-        monkeypatch.setattr(invariants, "closed_form_g", lambda alpha: -g(alpha))
+        monkeypatch.setattr(forms, "closed_form_g", lambda alpha: -g(alpha))
         assert verify_signed_split_odd(v, 1, 5, 2) == ("stated", False)
 
     def test_rejects_even_length(self):
