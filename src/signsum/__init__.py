@@ -15,7 +15,7 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# defining module of every public name
+# defining module of every public name; each module's __all__ reads its entry
 _SOURCES = {
     "core": (
         "AlphaVector",

@@ -94,9 +94,9 @@ def _log_moves(ratio, bit, width):
 _SIGNS = (1, -1)
 
 
-def _parities(masks):
-    """(-1)^popcount(mask) per mask."""
-    return [_SIGNS[m.bit_count() & 1] for m in masks]
+def char_signs(masks, char=-1):
+    """(-1)^popcount(mask & char) per mask; by default the parity sign."""
+    return [_SIGNS[(m & char).bit_count() & 1] for m in masks]
 
 
 def _kept(mask, masks, *columns):
@@ -156,8 +156,8 @@ class HalfTables:
             self.a_keys, self.a_masks = _table(moves[:half], 0, n)
             self.b_keys, self.b_masks = _table(moves[half:], 0, n)
             self._zero = 0
-        self.a_signs = _parities(self.a_masks)
-        self.b_signs = _parities(self.b_masks)
+        self.a_signs = char_signs(self.a_masks)
+        self.b_signs = char_signs(self.b_masks)
         self.a_bits = (1 << half) - 1
         self.free = (1 << n) - 1
 
@@ -266,20 +266,19 @@ class HalfTables:
         Returns (total, touched): each sign weighted by
         (-1)^popcount(mask & char), and whether some full sum vanishes.
         A char that covers every free coordinate reads the stored parity
-        signs; any other is counted bit by bit.  One cut at zero: per A
-        entry, B[g:] is above zero and B[:g] at or below it.  Callers
-        refuse touched tables, so then no sum lies on zero and B[:g] is
-        below it, giving the entry w * (top - 2 prefix[g]).  It scans A
-        whatever the sizes: its caller ``core._half_sign_sum`` pins
-        coordinate 0, so A is no larger than B there, and the order of
-        the scan does not change the total.
+        signs; any other takes its signs from ``char_signs``.  One cut at
+        zero: per A entry, B[g:] is above zero and B[:g] at or below it.
+        Callers refuse touched tables, so then no sum lies on zero and
+        B[:g] is below it, giving the entry w * (top - 2 prefix[g]).  It
+        scans A whatever the sizes: its caller ``core._half_sign_sum`` pins
+        coordinate 0, so A is no larger than B there, and the order of the
+        scan does not change the total.
         """
         gt, touched = self._cut(self._zero, bisect_right)
         if (char & self.free) == self.free:
             wa, wb = self.a_signs, self.b_signs
         else:
-            wa = [_SIGNS[(a & char).bit_count() & 1] for a in self.a_masks]
-            wb = (_SIGNS[(b & char).bit_count() & 1] for b in self.b_masks)
+            wa, wb = char_signs(self.a_masks, char), char_signs(self.b_masks, char)
         prefix = list(accumulate(wb, initial=0))
         top = prefix[-1]
         # weight above the zero bound minus weight below it

@@ -50,13 +50,14 @@ class CommandResult(
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# One option of a subcommand: the field it sets, the converter of its value
-# (None keeps the text), whether it is required, else its default, the
-# values it accepts (None: any; of a mapping, its keys) and whether it is a
-# flag, taking no value.
+# One option of a subcommand: the converter of its value (None keeps the
+# text), whether it is required, else its default, the values it accepts
+# (None: any; of a mapping, its keys) and whether it is a flag, taking no
+# value.  It sets the field named as argparse's dest: the option's name
+# without "--" and with "-" as "_".
 _Option = namedtuple(
     "_Option",
-    "field convert required default choices flag",
+    "convert required default choices flag",
     defaults=(None, False, None, None, False),
 )
 
@@ -67,27 +68,27 @@ _Option = namedtuple(
 # what it imports.
 _Command = namedtuple("_Command", "module options")
 
-_ALPHA = {"--alpha": _Option("alpha", required=True)}
+_ALPHA = {"--alpha": _Option(required=True)}
 
 _COMMANDS = {
     "compute": _Command(
         "invariants",
         {
             **_ALPHA,
-            "--pair": _Option("pair", required=True),
-            "--solutions": _Option("solutions", default=False, flag=True),
+            "--pair": _Option(required=True),
+            "--solutions": _Option(default=False, flag=True),
         },
     ),
     "verify": _Command("invariants", _ALPHA),
-    "closed-form": _Command("forms", {**_ALPHA, "--pair": _Option("pair")}),
-    "weights": _Command("weights", {"--m": _Option("m", int, required=True)}),
+    "closed-form": _Command("forms", {**_ALPHA, "--pair": _Option()}),
+    "weights": _Command("weights", {"--m": _Option(int, required=True)}),
     "shorten": _Command(
         "shortening",
         {
             **_ALPHA,
-            "--j": _Option("j", int, required=True),
-            "--k": _Option("k", int, required=True),
-            "--sign": _Option("sign", required=True, choices=("+", "-")),
+            "--j": _Option(int, required=True),
+            "--k": _Option(int, required=True),
+            "--sign": _Option(required=True, choices=("+", "-")),
         },
     ),
     "verify-shortening": _Command(
@@ -96,7 +97,6 @@ _COMMANDS = {
             **_ALPHA,
             # each identity: its index count and its verifier in shortening
             "--identity": _Option(
-                "identity",
                 required=True,
                 choices={
                     "count-split": (3, "verify_count_split"),
@@ -105,44 +105,42 @@ _COMMANDS = {
                     "signed-odd": (3, "verify_signed_split_odd"),
                 },
             ),
-            "--indices": _Option("indices", required=True),
+            "--indices": _Option(required=True),
         },
     ),
     "integral": _Command(
         "trig",
         {
-            "--beta": _Option("beta", required=True),
+            "--beta": _Option(required=True),
             "--formula": _Option(
-                "formula", required=True, choices=("result", "result1", "result2")
+                required=True, choices=("result", "result1", "result2")
             ),
-            "--pair-index": _Option("pair_index", int),
-            "--quadrature": _Option("quadrature", default=False, flag=True),
-            "--tol": _Option("tol", float, default=1e-8),
+            "--pair-index": _Option(int),
+            "--quadrature": _Option(default=False, flag=True),
+            "--tol": _Option(float, default=1e-8),
         },
     ),
     "approx-beta": _Command("trig", _ALPHA),
     "primes": _Command(
         "primes",
         {
-            "--n": _Option("n", int, required=True),
-            "--pair": _Option("pair", default="1,2"),
-            "--method": _Option(
-                "method", default="both", choices=("direct", "moebius", "both")
-            ),
+            "--n": _Option(int, required=True),
+            "--pair": _Option(default="1,2"),
+            "--method": _Option(default="both", choices=("direct", "moebius", "both")),
         },
     ),
     "wall-cross": _Command(
         "walls",
         {
             **_ALPHA,
-            "--l": _Option("l", int, required=True),
-            "--pair": _Option("pair", required=True),
-            "--delta": _Option("delta"),
+            "--l": _Option(int, required=True),
+            "--pair": _Option(required=True),
+            "--delta": _Option(),
         },
     ),
     "rademacher": _Command(
         "trig",
-        {"--i": _Option("i", int, required=True), "--t": _Option("t", required=True)},
+        {"--i": _Option(int, required=True), "--t": _Option(required=True)},
     ),
 }
 
@@ -234,7 +232,7 @@ def _parse_args(argv, args=None) -> SimpleNamespace:
     kinds = [_classify(token, options) for token in tokens[:end]]
     if end < len(tokens):  # "--" itself is no value; every token after it is
         kinds += ["--"] + [None] * (len(tokens) - end - 1)
-    fields = {}
+    given = {}
     i = 0
     while i < len(tokens):
         name, inline = kinds[i] if isinstance(kinds[i], tuple) else (None, None)
@@ -246,26 +244,22 @@ def _parse_args(argv, args=None) -> SimpleNamespace:
         if option.flag:
             if inline is not None:
                 raise ParseError(f"argument {name}: ignored explicit argument {inline!r}")
-            fields[option.field] = True
+            given[name] = True
         elif inline is not None:
-            fields[option.field] = _value(name, option, inline)
+            given[name] = _value(name, option, inline)
         elif i < len(tokens) and kinds[i] is None:
-            fields[option.field] = _value(name, option, tokens[i])
+            given[name] = _value(name, option, tokens[i])
             i += 1
         else:
             raise ParseError(f"argument {name}: expected one argument")
-    missing = [
-        name
-        for name, option in options.items()
-        if option.required and option.field not in fields
-    ]
+    missing = [n for n, opt in options.items() if opt.required and n not in given]
     if missing:
         raise ParseError(f"the following arguments are required: {', '.join(missing)}")
     if extras:
         raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
-    for option in options.values():
-        fields.setdefault(option.field, option.default)
-    vars(args).update(fields)
+    for name, option in options.items():
+        # argparse's dest: the name without "--" and with "-" as "_"
+        setattr(args, name[2:].replace("-", "_"), given.get(name, option.default))
     return args
 
 

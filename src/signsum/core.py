@@ -14,31 +14,13 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
+from . import _SOURCES
+
 # The half-table kernel ``_halves`` is imported inside the two functions
 # that use it, so a request that builds no table (``weights``,
 # ``rademacher``) never compiles it.
 
-__all__ = [
-    "SignsumError",
-    "ParseError",
-    "PreconditionError",
-    "DegenerateVectorError",
-    "InternalCheckError",
-    "Scalar",
-    "SignVector",
-    "AlphaVector",
-    "PairSelection",
-    "GenericityReport",
-    "max_vector_length",
-    "parse_scalar",
-    "parse_vector",
-    "format_scalar",
-    "rational_vector",
-    "log_vector",
-    "check_generic",
-    "require_generic",
-    "orient_pair",
-]
+__all__ = list(_SOURCES["core"])
 
 
 class SignsumError(Exception):

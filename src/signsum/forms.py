@@ -9,6 +9,7 @@ extended count with one extra sign factor.
 
 from __future__ import annotations
 
+from . import _SOURCES
 from .core import (
     AlphaVector,
     PairSelection,
@@ -21,12 +22,7 @@ from .core import (
     require_generic,
 )
 
-__all__ = [
-    "closed_form_g",
-    "count_via_sign_sum",
-    "signed_count_even_via_sign_sum",
-    "extended_signed_count",
-]
+__all__ = list(_SOURCES["forms"])
 
 
 def closed_form_g(alpha: AlphaVector) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import _SOURCES
 from .core import (
     AlphaVector,
     InternalCheckError,
@@ -32,17 +33,7 @@ from .core import (
     require_generic,
 )
 
-__all__ = [
-    "SolutionSet",
-    "PairInvariants",
-    "InvariantReport",
-    "enumerate_solutions",
-    "pair_invariants",
-    "count_solutions",
-    "signed_count",
-    "parity",
-    "verify_invariance",
-]
+__all__ = list(_SOURCES["invariants"])
 
 class SolutionSet(namedtuple("SolutionSet", "pair solutions source signed")):
     """Materialized solution set for one pair, sorted ascending by bitmask,

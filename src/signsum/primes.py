@@ -14,6 +14,7 @@ from collections import namedtuple
 from itertools import accumulate
 from math import isqrt, prod
 
+from . import _SOURCES
 from .core import (
     InternalCheckError,
     PreconditionError,
@@ -24,14 +25,7 @@ from .core import (
 )
 from .invariants import signed_count, verify_invariance
 
-__all__ = [
-    "PRIMES_MAX_N",
-    "PrimeExample",
-    "PrimeReport",
-    "prime_alpha",
-    "mobius_sum",
-    "verify_prime_example",
-]
+__all__ = [*_SOURCES["primes"], "PRIMES_MAX_N"]
 
 PRIMES_MAX_N = 20
 

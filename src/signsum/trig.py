@@ -25,6 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _SOURCES
 from .core import (
     AlphaVector,
     InternalCheckError,
@@ -41,21 +42,7 @@ from .core import (
     require_generic,
 )
 
-__all__ = [
-    "BetaApproximation",
-    "QuadratureResult",
-    "rademacher",
-    "approximate_beta",
-    "integer_beta",
-    "kernel_pairing",
-    "kernel_pairing_quadrature",
-    "integral_N_odd",
-    "integral_N_even",
-    "integral_count",
-    "exact_formula_value",
-    "quadrature_check",
-    "minimum_gap",
-]
+__all__ = list(_SOURCES["trig"])
 
 
 def rademacher(i: int, t) -> int:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from . import _SOURCES
+from ._halves import char_signs, zero_masks
 from .core import (
     AlphaVector,
     InternalCheckError,
@@ -30,7 +32,7 @@ from .core import (
 )
 from .invariants import _scan
 
-__all__ = ["WallCrossing", "wall_crossing_check", "zero_sum_masks"]
+__all__ = list(_SOURCES["walls"])
 
 
 def zero_sum_masks(alpha: AlphaVector) -> tuple[int, ...]:
@@ -39,9 +41,7 @@ def zero_sum_masks(alpha: AlphaVector) -> tuple[int, ...]:
     Listed from the survey's cached zero groups on each call, so the cost
     is the number of vanishing sums; the genericity test never lists them.
     """
-    from . import _halves
-
-    return tuple(_halves.zero_masks(_survey(alpha)[0]))
+    return tuple(zero_masks(_survey(alpha)[0]))
 
 
 class WallCrossing(
@@ -57,12 +57,6 @@ class WallCrossing(
     """
 
     __slots__ = ()
-
-
-def _char_total(masks, char: int) -> int:
-    """Sum of (-1)^popcount(mask & char) over ``masks``."""
-    odd = sum((mask & char).bit_count() & 1 for mask in masks)
-    return len(masks) - 2 * odd
 
 
 def wall_crossing_check(
@@ -134,7 +128,7 @@ def wall_crossing_check(
     full = (1 << alpha.m) - 1
 
     def wall_sum(s):
-        return sum(_char_total(am, s) * _char_total(bm, s) for am, bm in groups)
+        return sum(sum(char_signs(am, s)) * sum(char_signs(bm, s)) for am, bm in groups)
 
     pred_count = -wall_sum((1 << small) | (1 << l0))
     if alpha.m % 2:

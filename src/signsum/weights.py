@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from . import _SOURCES
 from .core import (
     AlphaVector,
     PairSelection,
@@ -21,14 +22,7 @@ from .core import (
     SignVector,
 )
 
-__all__ = [
-    "WeightFunction",
-    "WEIGHTS_MAX_M",
-    "solve_weight_space",
-    "check_condition_star",
-    "parity_product_weight",
-    "weighted_count",
-]
+__all__ = [*_SOURCES["weights"], "WEIGHTS_MAX_M"]
 
 # bounds check_condition_star's walk of 2^(m-1) sign vectors against the
 # m(m-1) ordered pairs, and the 2^(m-2) table entries a basis prints

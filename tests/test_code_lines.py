@@ -3,7 +3,11 @@
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "code_lines.py"
+
+# ceiling on the code-only lines of src/signsum (tools/code_lines.py)
+PACKAGE_LINES = 1930
 
 # 6 code-only lines: the docstrings, comments and blank lines are left
 # out, and the two lines of the bracketed call both count
@@ -52,3 +56,12 @@ def test_missing_path_or_option_exits_two(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("usage: ")
+
+
+def test_package_stays_within_its_line_budget():
+    tool = _tool()
+    total = sum(
+        tool.code_lines(path.read_text(encoding="utf-8"))
+        for path in (ROOT / "src" / "signsum").glob("*.py")
+    )
+    assert total <= PACKAGE_LINES

@@ -49,6 +49,7 @@ from signsum._halves import (
     _log_moves,
     _plain_moves,
     _table,
+    char_signs,
     coordinates,
     first_zero,
 )
@@ -751,6 +752,14 @@ def test_log_cut_matches_the_products(seed, side):
 def test_coordinates_scale_to_common_denominator():
     values, den = coordinates([Fraction(1, 2), Fraction(2, 3), Fraction(5)], False)
     assert (values, den) == ([3, 4, 30], 6)
+
+
+def test_char_signs_count_the_bits_in_the_character():
+    masks = list(range(64))
+    for char in (-1, 0, 0b101, 0b111111, 1 << 9):
+        expected = [(-1) ** bin(m & char).count("1") for m in masks]
+        assert char_signs(masks, char) == expected
+    assert char_signs(masks) == char_signs(masks, 0b111111)
 
 
 # ---------------------------------------------------------------------------

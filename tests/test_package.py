@@ -105,6 +105,32 @@ def test_module_all_is_its_sources_entry(module):
     )
 
 
+def test_only_the_cli_spells_out_its_names():
+    """``_SOURCES`` is the one list of public names: no module but ``cli``
+    assigns ``__all__`` a display of strings, or names in it by hand a
+    public name that the table lists."""
+    hand_written = []
+    for path in sorted(Path(signsum.__file__).parent.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if not any(getattr(t, "id", None) == "__all__" for t in targets):
+                continue
+            value = node.value
+            strings = {
+                n.value
+                for n in ast.walk(value)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            }
+            literal = isinstance(value, (ast.List, ast.Tuple, ast.Set)) and all(
+                isinstance(n, ast.Constant) for n in value.elts
+            )
+            if literal or strings & set(signsum._MODULE_OF):
+                hand_written.append((path.name, node.lineno))
+    assert hand_written == []
+
+
 def test_package_imports_only_the_standard_library():
     """Every absolute import in the package, lazy ones included, names a
     standard-library module: the package declares no dependencies, and

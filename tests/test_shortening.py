@@ -1,5 +1,6 @@
 """Shortened vectors and the splitting identities."""
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -49,11 +50,35 @@ class TestShorten:
         assert s.base.ratios() == [3, Fraction(35, 2)]
 
     def test_result_stays_generic(self, rng):
-        for _ in range(10):
-            v = rational_vector(random_generic_values(rng, 5))
-            for sign in ("+", "-"):
-                s = shorten(v, 1, 2, sign)
-                assert s.base.m == 4
+        """``shorten`` runs no survey of the result, so the test runs one
+        for every (j, k, sign) of generic vectors in both realizations."""
+        vectors = [rational_vector(random_generic_values(rng, 5)) for _ in range(4)]
+        while len(vectors) < 8:
+            v = log_vector(rng.sample(range(2, 40), 5))
+            if check_generic(v).generic:
+                vectors.append(v)
+        for v in vectors:
+            for j, k in itertools.permutations(range(1, 6), 2):
+                for sign in ("+", "-"):
+                    if sign == "-" and v.components[j - 1] == v.components[k - 1]:
+                        continue
+                    s = shorten(v, j, k, sign)
+                    assert s.base.m == 4
+                    assert check_generic(s.base).generic
+
+    def test_builds_only_the_source_table(self, rng, monkeypatch):
+        from signsum import _halves
+
+        built = []
+        init = _halves.HalfTables.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_halves.HalfTables, "__init__", counting)
+        shorten(rational_vector(random_generic_values(rng, 12)), 3, 7, "-")
+        assert len(built) == 1
 
     def test_preconditions(self):
         v = rational_vector([2, 3, 4])
