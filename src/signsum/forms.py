@@ -68,8 +68,8 @@ def extended_signed_count(
     A sign-sum closed form.  Let T_c sum c(e) over the sign vectors e
     with <e, a> > 0, for a product c of signs, chi be the product of all
     m signs and I the larger pair member (``orient_pair``).  The window
-    step of ``invariants._moment_rows`` with chi e_h in place of chi (h
-    avoids the pair, so e_h rides along) gives ext = (T_{chi e_h e_I} -
+    step of ``invariants.verify_invariance`` with chi e_h in place of chi
+    (h avoids the pair, so e_h rides along) gives ext = (T_{chi e_h e_I} -
     T_{chi e_h}) / 2.  Negating e maps the sums above zero onto the sums below
     it, none vanishing on a generic vector, and multiplies a product of
     k signs by (-1)^k.  So T_c = 0 for a nonempty c of even size, and

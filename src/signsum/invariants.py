@@ -28,7 +28,6 @@ from .core import (
     _parse_pair,
     _sign_rows,
     format_scalar,
-    orient_pair,
     parse_vector,
     require_generic,
 )
@@ -151,108 +150,84 @@ class InvariantReport(
     __slots__ = ()
 
 
-def _moment_rows(alpha: AlphaVector) -> list[PairInvariants]:
-    """Every pair's invariants from degree-1 moments of one table.
+def verify_invariance(alpha: AlphaVector) -> InvariantReport:
+    """Compute every pair from degree-1 moments of one table and check the
+    cross-pair laws.
 
     With T^w the sum of w(e) over the sign vectors e with <e, a> > 0 and
     T^w_k the same sum weighted by e_k, for w = 1 and w = chi (the sign
-    product), a pair with smaller member J and larger member I
-    (``orient_pair``) has count = T^1_J / 2 and N = (T^chi_I - T^chi) / 2.
-    On e_I = -1 the sums above zero are the rest sums above
-    a_I - a_J (e_J = +1) or above a_I + a_J (e_J = -1), so the window
-    count is the sum of e_J over them and N minus that of chi; e -> -e
-    turns the half e_I = +1 into the same numbers.  These are Chow
-    parameters of the threshold function sgn(<e, a>) (Chow 1961;
-    O'Donnell, "Analysis of Boolean Functions", 2014, ch. 5).
+    product), a pair with smaller member J and larger member I has
+    count = T^1_J / 2 and N = (T^chi_I - T^chi) / 2.  On e_I = -1 the sums
+    above zero are the rest sums above a_I - a_J (e_J = +1) or above
+    a_I + a_J (e_J = -1), so the window count is the sum of e_J over them
+    and N minus that of chi; e -> -e turns the half e_I = +1 into the
+    same numbers.  These are Chow parameters of the threshold function
+    sgn(<e, a>) (Chow 1961; O'Donnell, "Analysis of Boolean Functions",
+    2014, ch. 5).
 
-    The m - 1 pairs adjacent in (value, index) order are scanned as well:
-    together they use each moment a row reads exactly once, so a wrong
-    moment cannot pass unseen.
-    """
-    m = alpha.m
-    ones, chis, touched = alpha.half_tables().moments()
-    if touched:
-        raise InternalCheckError("generic vector produced a zero signed sum")
-    rows = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair = PairSelection(i + 1, j + 1)
-            small, large = orient_pair(alpha, pair)
-            count, odd = divmod(ones[small + 1], 2)
-            signed, odd_n = divmod(chis[large + 1] - chis[0], 2)
-            if odd or odd_n:
-                raise InternalCheckError("moment of a pair must be even")
-            rows.append(PairInvariants(pair, count, count & 1, signed))
-    by_pair = {row.pair: row for row in rows}
-    order = sorted(range(m), key=lambda pos: (alpha.components[pos], pos))
-    for p, q in zip(order, order[1:]):
-        pair = PairSelection(p + 1, q + 1)
-        if pair_invariants(alpha, pair) != by_pair[pair]:
-            raise InternalCheckError(
-                f"moment row disagrees with the scan of pair {pair.i},{pair.j}"
-            )
-    return rows
-
-
-def verify_invariance(alpha: AlphaVector) -> InvariantReport:
-    """Compute every pair and check the cross-pair laws.
-
-    The rows come from degree-1 moments of the vector's table, checked
-    against the scans of m - 1 adjacent pairs (``_moment_rows``).  On
-    that route two laws hold by construction, so their checks below can
-    only fail through a defect in the route itself: the count depends on
-    the smaller member alone, and for even m, where T^chi = 0, N depends
-    on the larger member alone.  Parity invariance, odd-m N invariance
-    (T^chi_k = 0 there) and the m = 4 |N| law still compare numbers.
-    A violation marks an implementation bug, not bad input; it is recorded
-    in the report rather than raised.
+    Members are ordered by (value, index), the tie rule of
+    ``orient_pair``, so one sort gives every pair's J and I by rank.  The
+    m - 1 pairs adjacent in that order are scanned as well: together they
+    use each moment a row reads exactly once, so a wrong moment cannot
+    pass unseen.  On this route two laws hold by construction, so their
+    checks can only fail through a defect in the route itself: the count
+    depends on the smaller member alone, and for even m, where T^chi = 0,
+    N depends on the larger member alone.  Parity invariance, odd-m N
+    invariance (T^chi_k = 0 there) and the m = 4 |N| law still compare
+    numbers.  A violation marks an implementation bug, not bad input; it
+    is recorded in the report rather than raised.
     """
     m = alpha.m
     if m < 3:
         raise PreconditionError("solution sets require at least 3 components")
     require_generic(alpha)
-    rows = _moment_rows(alpha)
+    ones, chis, touched = alpha.half_tables().moments()
+    if touched:
+        raise InternalCheckError("generic vector produced a zero signed sum")
+    comps = alpha.components
+    order = sorted(range(m), key=lambda pos: (comps[pos], pos))
+    rank = [0] * m
+    for r, pos in enumerate(order):
+        rank[pos] = r
+    rows, anchors = [], [None] * (m - 1)
+    count_by_min, n_by_max = {}, None if m % 2 else {}
+    count_misses = n_misses = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            small, large = (i, j) if rank[i] < rank[j] else (j, i)
+            count, odd = divmod(ones[small + 1], 2)
+            signed, odd_n = divmod(chis[large + 1] - chis[0], 2)
+            if odd or odd_n:
+                raise InternalCheckError("moment of a pair must be even")
+            row = PairInvariants(PairSelection(i + 1, j + 1), count, count & 1, signed)
+            rows.append(row)
+            if rank[large] == rank[small] + 1:
+                anchors[rank[small]] = row
+            count_misses += count_by_min.setdefault(comps[small], count) != count
+            if n_by_max is not None:
+                n_misses += n_by_max.setdefault(comps[large], signed) != signed
+    for row in anchors:
+        if pair_invariants(alpha, row.pair) != row:
+            raise InternalCheckError(
+                f"moment row disagrees with the scan of pair {row.pair.i},{row.pair.j}"
+            )
 
     violations = []
-    parities = {row.parity for row in rows}
-    parity_invariant = len(parities) == 1
+    parity_invariant = len({row.parity for row in rows}) == 1
     if not parity_invariant:
         violations.append("parity differs across pairs")
-    common_parity = rows[0].parity if parity_invariant else None
-
-    n_invariant = None
-    common_signed = None
-    n_by_max = None
+    n_invariant = common_signed = None
     if m % 2:
-        signs = {row.signed for row in rows}
-        n_invariant = len(signs) == 1
+        n_invariant = len({row.signed for row in rows}) == 1
         if n_invariant:
             common_signed = rows[0].signed
         else:
             violations.append("signed count differs across pairs (odd length)")
-    else:
-        n_by_max = {}
-        for row in rows:
-            small, large = orient_pair(alpha, row.pair)
-            key = alpha.components[large]
-            if key in n_by_max and n_by_max[key] != row.signed:
-                violations.append(
-                    "signed count not a function of the larger component"
-                )
-            n_by_max.setdefault(key, row.signed)
-
-    count_by_min = {}
-    for row in rows:
-        small, _ = orient_pair(alpha, row.pair)
-        key = alpha.components[small]
-        if key in count_by_min and count_by_min[key] != row.count:
-            violations.append("count not a function of the smaller component")
-        count_by_min.setdefault(key, row.count)
-
+    violations += ["signed count not a function of the larger component"] * n_misses
+    violations += ["count not a function of the smaller component"] * count_misses
     abs_n_invariant = None
     if m == 4:
-        abs_vals = {abs(row.signed) for row in rows}
-        abs_n_invariant = len(abs_vals) == 1
+        abs_n_invariant = len({abs(row.signed) for row in rows}) == 1
         if not abs_n_invariant:
             violations.append("absolute signed count differs across pairs (m=4)")
 
@@ -260,7 +235,7 @@ def verify_invariance(alpha: AlphaVector) -> InvariantReport:
         m=m,
         rows=rows,
         parity_invariant=parity_invariant,
-        parity=common_parity,
+        parity=rows[0].parity if parity_invariant else None,
         n_invariant=n_invariant,
         signed=common_signed,
         n_by_max_omitted=n_by_max,
@@ -286,9 +261,8 @@ def _cmd_compute(args):
         if args.solutions:
             out["solutions"] = _sign_rows(scan.masks, alpha.m - 2)
             out["coordinates"] = [
-                alpha.original_index(p)
-                for p in range(alpha.m)
-                if p not in (pair.i - 1, pair.j - 1)
+                alpha.original_index(pos)
+                for pos in _rest_positions(alpha.m, pair.i - 1, pair.j - 1)
             ]
         return out
 

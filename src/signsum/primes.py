@@ -150,10 +150,10 @@ def _cmd_primes(args):
     inputs = {"n": args.n, "pair": [pair.i, pair.j], "method": args.method}
 
     def execute():
+        # one refusal for every method, before prime_alpha's survey
+        pair.validate(_check_n(args.n))
         direct = via_mobius = None
         if args.method in ("direct", "both"):
-            # the pair is refused before prime_alpha's survey builds a table
-            pair.validate(_check_n(args.n))
             example = prime_alpha(args.n)
             direct = signed_count(example.alpha, pair)
         if args.method in ("moebius", "both"):

@@ -425,10 +425,14 @@ def exact_formula_value(
     vanishes, as the terms of e and -e cancel in pairs (the same argument
     makes ``closed_form_g`` 0); the window cross-check confirms the 0.
     One half table of beta, shared with ``integer_beta``
-    (``_integer_vector``), serves the value and its check.
+    (``_integer_vector``), serves the value and its check.  A beta with a
+    vanishing signed sum is refused by that vector's survey, which
+    ``integer_beta`` has already made on the CLI path.
     """
     sines, pref = _formula(beta.beta, formula, index)
-    tables = _integer_vector(beta.beta).half_tables()
+    alpha = _integer_vector(beta.beta)
+    require_generic(alpha)
+    tables = alpha.half_tables()
     a = sines.bit_count()
     if a % 2 == 0:
         value = 0

@@ -21,7 +21,6 @@ from .core import (
     PreconditionError,
     Scalar,
     _format_vector,
-    _pair_positions,
     _parse_pair,
     _parse_rational,
     _sign_rows,
@@ -76,11 +75,11 @@ def wall_crossing_check(
     """
     if alpha.is_log:
         raise PreconditionError("wall crossing requires the plain realization")
-    i0, j0 = _pair_positions(alpha, pair)
+    small, large = orient_pair(alpha, pair)
     if not 1 <= l <= alpha.m:
         raise PreconditionError("perturbed index out of range")
     l0 = l - 1
-    if l0 in (i0, j0):
+    if l0 in (small, large):
         raise PreconditionError("perturbed index must avoid the pair")
 
     refusal = "delta must be positive and below half the minimum nonzero gap"
@@ -124,7 +123,6 @@ def wall_crossing_check(
     # one mask per negation class serves.  A zero group pairs every A mask
     # with every B mask, on disjoint bits, so it adds (sum_A chi_S)(sum_B
     # chi_S).
-    small, large = orient_pair(alpha, pair)
     full = (1 << alpha.m) - 1
 
     def wall_sum(s):

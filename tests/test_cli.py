@@ -226,10 +226,13 @@ _DELTA = "delta must be positive and below half the minimum nonzero gap"
          "pair index 21 exceeds vector length 20"),
         (["primes", "--n", "20", "--pair", "2,25"],
          "pair index 25 exceeds vector length 20"),
+        (["primes", "--n", "5", "--pair", "1,7", "--method", "moebius"],
+         "pair index 7 exceeds vector length 5"),
     ],
     ids=["integral-no-index", "integral-index", "integral-tol",
          "integral-budget", "wall-cross-zero",
-         "wall-cross-negative", "verify-short", "primes-direct", "primes-both"],
+         "wall-cross-negative", "verify-short", "primes-direct", "primes-both",
+         "primes-moebius"],
 )
 def test_cheap_refusals_before_any_table(argv, message, no_tables):
     _, payload = roundtrip(argv)
@@ -565,7 +568,7 @@ COLD_LOG_REQUESTS = [
 
 
 # code-only lines a cold request may compile, by subcommand
-COLD_LINES = {"compute": 1000, "verify": 1000}
+COLD_LINES = {"compute": 974, "verify": 974}
 
 
 def test_cold_requests_cover_every_subcommand():

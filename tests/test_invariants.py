@@ -572,3 +572,125 @@ def test_moment_pass_with_a_shifted_run_start_is_caught(values, monkeypatch):
     monkeypatch.setattr(_halves.HalfTables, "_cut", late)
     with pytest.raises(InternalCheckError, match="moment row disagrees"):
         verify_invariance(alpha)
+
+
+@pytest.mark.parametrize("m", [9, 12])
+def test_verify_reads_one_moment_pass_and_the_adjacent_scans(m, monkeypatch):
+    """One ``moments()`` call, the m - 1 pairs adjacent in (value, index)
+    order scanned once each in that order, and no per-pair
+    ``orient_pair``."""
+    import random
+
+    from signsum import _halves, core, invariants
+
+    calls = {"moments": 0, "orient": 0}
+    scanned = []
+    moments, scan, orient = _halves.HalfTables.moments, invariants._scan, core.orient_pair
+
+    def counting_moments(self):
+        calls["moments"] += 1
+        return moments(self)
+
+    def counting_scan(alpha, pair, materialize=False):
+        scanned.append(pair)
+        return scan(alpha, pair, materialize)
+
+    def counting_orient(alpha, pair):
+        calls["orient"] += 1
+        return orient(alpha, pair)
+
+    monkeypatch.setattr(_halves.HalfTables, "moments", counting_moments)
+    monkeypatch.setattr(invariants, "_scan", counting_scan)
+    monkeypatch.setattr(core, "orient_pair", counting_orient)
+    monkeypatch.setattr(invariants, "orient_pair", counting_orient, raising=False)
+
+    rng = random.Random(m)
+    while True:
+        values = [rng.randint(1, 10**6) for _ in range(m - 1)]
+        values.append(values[0])  # a tie, ordered by index
+        if check_generic(rational_vector(values)).generic:
+            break
+    alpha = rational_vector(values)
+    report = verify_invariance(alpha)
+    assert calls == {"moments": 1, "orient": 0}
+    order = sorted(range(m), key=lambda pos: (values[pos], pos))
+    assert scanned == [
+        PairSelection(p + 1, q + 1) for p, q in zip(order, order[1:])
+    ]
+    assert report.rows == _rows_by_scan(alpha)
+
+
+def _laws_by_orient(alpha, rows):
+    """The cross-pair law maps and violations from the rows, one
+    ``orient_pair`` per row and law, in the report's order."""
+    m = alpha.m
+    violations = []
+    if len({row.parity for row in rows}) != 1:
+        violations.append("parity differs across pairs")
+    n_by_max = None
+    if m % 2:
+        if len({row.signed for row in rows}) != 1:
+            violations.append("signed count differs across pairs (odd length)")
+    else:
+        n_by_max = {}
+        for row in rows:
+            key = alpha.components[orient_pair(alpha, row.pair)[1]]
+            if key in n_by_max and n_by_max[key] != row.signed:
+                violations.append("signed count not a function of the larger component")
+            n_by_max.setdefault(key, row.signed)
+    count_by_min = {}
+    for row in rows:
+        key = alpha.components[orient_pair(alpha, row.pair)[0]]
+        if key in count_by_min and count_by_min[key] != row.count:
+            violations.append("count not a function of the smaller component")
+        count_by_min.setdefault(key, row.count)
+    if m == 4 and len({abs(row.signed) for row in rows}) != 1:
+        violations.append("absolute signed count differs across pairs (m=4)")
+    return n_by_max and list(n_by_max.items()), list(count_by_min.items()), violations
+
+
+class _Agrees:
+    """Equal to every row: stands in for the anchor scans."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_broken_moments_give_the_violations_in_law_order(seed, monkeypatch):
+    """Moments shifted by even amounts, with the anchor scans bypassed,
+    break the laws; the report lists each broken comparison once, in the
+    order parity, N (odd m) or N by the larger value (even m), count by
+    the smaller value, |N| at m = 4."""
+    import random
+
+    from signsum import _halves, invariants
+
+    rng = random.Random(seed)
+    m = rng.randint(3, 8)
+    while True:
+        values = [rng.randint(1, 12) for _ in range(m)]
+        if check_generic(rational_vector(values)).generic:
+            break
+    moments = _halves.HalfTables.moments
+
+    def shifted(self):
+        ones, chis, touched = moments(self)
+        ones, chis = list(ones), list(chis)
+        for k in rng.sample(range(1, m + 1), rng.randint(1, m)):
+            ones[k] += 2 * rng.choice((-1, 1))
+            chis[k] += 2 * rng.choice((-1, 1))
+        return ones, chis, touched
+
+    monkeypatch.setattr(_halves.HalfTables, "moments", shifted)
+    monkeypatch.setattr(invariants, "pair_invariants", lambda alpha, pair: _Agrees())
+    alpha = rational_vector(values)
+    report = verify_invariance(alpha)
+    n_by_max, count_by_min, violations = _laws_by_orient(alpha, report.rows)
+    assert (report.n_by_max_omitted and list(report.n_by_max_omitted.items())) == n_by_max
+    assert list(report.count_by_min_omitted.items()) == count_by_min
+    assert report.violations == violations
+    assert report.parity_invariant == ("parity differs across pairs" not in violations)

@@ -17,6 +17,7 @@ from signsum import (
     PairSelection,
     PreconditionError,
     approximate_beta,
+    check_generic,
     count_solutions,
     exact_formula_value,
     integer_beta,
@@ -198,6 +199,31 @@ class TestIntegerBeta:
     def test_nonpositive_rejected(self):
         with pytest.raises(PreconditionError):
             integer_beta([0, 2, 5])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: exact_formula_value(b, "result"),
+            lambda b: exact_formula_value(b, "result2", 1),
+            integral_N_odd,
+            lambda b: integral_count(b, 1),
+            lambda b: quadrature_check(b, "result"),
+        ],
+        ids=["exact-result", "exact-result2", "N-odd", "count", "quadrature"],
+    )
+    def test_degenerate_beta_is_a_precondition(self, call):
+        # built directly, so no integer_beta survey has refused it first
+        beta = BetaApproximation((1, 2, 3), 1, 1)
+        witness = check_generic(rational_vector([1, 2, 3])).witness
+        with pytest.raises(DegenerateVectorError) as exc:
+            call(beta)
+        assert exc.value.witness == witness
+
+    def test_degenerate_even_beta_is_a_precondition(self):
+        beta = BetaApproximation((1, 2, 3, 4), 1, 1)
+        with pytest.raises(DegenerateVectorError) as exc:
+            integral_N_even(beta, 4)
+        assert exc.value.witness == check_generic(rational_vector([1, 2, 3, 4])).witness
 
 
 class TestApproximateBeta:
