@@ -17,6 +17,7 @@ from math import isqrt, prod
 from . import _SOURCES
 from .core import (
     InternalCheckError,
+    PairSelection,
     PreconditionError,
     _parse_pair,
     check_generic,
@@ -71,8 +72,9 @@ def prime_alpha(n: int) -> PrimeExample:
 def mobius_sum(n: int, i: int, j: int) -> int:
     """Signed count via a Mobius sum over smooth numbers.
 
-    Sums the Mobius value over squarefree integers d whose prime factors
-    all lie among the first n primes, coprime to p_i * p_j, with
+    The pair is normalized to i < j, as ``PairSelection`` does.  Sums
+    the Mobius value over squarefree integers d whose prime factors all
+    lie among the first n primes, coprime to p_i * p_j, with
     sqrt(P)/p_i < d < sqrt(P) for P the primorial, then flips the sign
     for odd n.  P is squarefree, so sqrt(P) is irrational and, with
     r = isqrt(P), the window is exactly the integers r // p_i < d <= r
@@ -84,11 +86,9 @@ def mobius_sum(n: int, i: int, j: int) -> int:
     the sorted second half's prefix sums.
     """
     n = _check_n(n)
-    i, j = int(i), int(j)
-    if i == j:
-        raise PreconditionError("pair indices must differ")
-    if not 1 <= i < j <= n:
-        raise PreconditionError("pair indices must satisfy 1 <= i < j <= n")
+    pair = PairSelection(i, j)
+    pair.validate(n)
+    i, j = pair
     primes = _first_primes(n)
     root = isqrt(prod(primes))
     low = root // primes[i - 1]

@@ -6,7 +6,8 @@ quantity e_i * f(-e_j * e restricted away from the pair) does not depend on
 the ordered index pair (i, j): all terms e_i * x_a of one sign vector are
 equal.  The admissible weights are known in closed form (the multiples of
 the parity product for odd m, none for even m), so this module returns
-them without solving, and checks candidate weights exhaustively.
+them without solving, and checks a candidate weight against the two
+steps of that proof.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .core import (
 
 __all__ = [*_SOURCES["weights"], "WEIGHTS_MAX_M"]
 
-# bounds check_condition_star's walk of 2^(m-1) sign vectors against the
-# m(m-1) ordered pairs, and the 2^(m-2) table entries a basis prints
+# bounds the 2^(m-2) entries of a weight table, which a basis prints
 WEIGHTS_MAX_M = 12
 
 
@@ -48,45 +48,6 @@ def _check_m(m: int) -> None:
         raise PreconditionError(
             f"m must lie in [3, {WEIGHTS_MAX_M}] for the weight solver"
         )
-
-
-def _argument_masks(m: int, i0: int, j0: int, masks: range) -> list[int]:
-    """Bitmask of the weight argument -e_j * (e with the pair deleted), for
-    every sign vector mask e in ``masks``.
-
-    Deleting bits i0 and j0 keeps the bits below the pair, shifts the bits
-    between them down by one and those above by two.  A kept coordinate
-    lands at -1 exactly when its sign agrees with e_j, so the sliced mask
-    is complemented when e_j's bit is clear.
-    """
-    lo, hi = sorted((i0, j0))
-    below = (1 << lo) - 1
-    between = (1 << hi) - (1 << (lo + 1))
-    flip = ((1 << (m - 2)) - 1, 0)
-    return [
-        ((e & below) | ((e & between) >> 1) | ((e >> (hi + 1)) << (hi - 1)))
-        ^ flip[(e >> j0) & 1]
-        for e in masks
-    ]
-
-
-def _ordered_pairs(m: int):
-    return [(i0, j0) for i0 in range(m) for j0 in range(m) if i0 != j0]
-
-
-def _terms(m: int, pairs, masks: range) -> list[tuple[int, ...]]:
-    """Per sign vector mask e in ``masks``, the term e_i * x_a of each
-    ordered pair (i, j) of ``pairs``, in order.
-
-    A term is a key: the argument mask a, then a low bit set when e_i is
-    -1, so the table entry x_a is key >> 1 and its sign is read off the
-    low bit.
-    """
-    columns = [
-        [(x << 1) | ((e >> i0) & 1) for e, x in zip(masks, _argument_masks(m, i0, j0, masks))]
-        for i0, j0 in pairs
-    ]
-    return list(zip(*columns))
 
 
 def solve_weight_space(m: int) -> tuple[int, list[WeightFunction]]:
@@ -127,37 +88,33 @@ def solve_weight_space(m: int) -> tuple[int, list[WeightFunction]]:
 
 
 def check_condition_star(f: WeightFunction):
-    """Exhaustive admissibility check.
+    """Admissibility check by the steps of ``solve_weight_space``'s proof.
 
     Returns (True, None) or (False, (eps, (i, j), (i2, j2))) where the two
-    1-based ordered pairs give different values of the pair quantity on eps.
+    1-based ordered pairs give different values of the pair quantity on
+    eps: the first violation in the proof's order.  Each step compares
+    two table entries, so no ordered pair's term is evaluated.
 
-    Only the masks with the top bit clear are walked.  Negating eps
-    leaves every argument -e_j * e_ij as it is and negates every e_i, so
-    it negates every term: a mask fails exactly when its complement
-    does.  A mask with the top bit set has its complement below it, so
-    the first failing mask of the full walk has the top bit clear, and
-    the verdict and the witness are those of the full walk.
+    Step 1, f is odd: on eps = (1, -1, r) the pairs (1, 2) and (2, 1)
+    give f(r) and -f(-r).  Step 2, f is odd in every coordinate: for
+    x > 0 with lowest set bit k (0-based), eps = (1, 1, x) has
+    coordinates k+1 and k+2 at 1 and k+3 at -1 (1-based), with all below
+    them at 1, and the pairs (k+1, k+2) and (k+2, k+3) give f(-x), which
+    is -f(x) once step 1 holds, and f(x with bit k cleared).  A weight
+    that passes both is f(0) times the parity product, and for even m
+    step 1 at r = 0 forces f(0) = 0.
     """
     m = f.m
     _check_m(m)
-    pairs = _ordered_pairs(m)
-    # a term key reads its entry's value, negated when the low bit is set,
-    # as a (numerator, denominator) pair: a Fraction is kept in lowest
-    # terms, so pairs are equal exactly when the values are, and compare
-    # as int tuples
-    value = [v for n, d in map(Fraction.as_integer_ratio, f.table) for v in ((n, d), (-n, d))]
-    ref_pair = (pairs[0][0] + 1, pairs[0][1] + 1)
-    # doubling blocks [0, 1), [1, 2), [2, 4), ...: a failing weight stops
-    # in the block of its first failing mask, a passing one builds each
-    # mask's terms once
-    for top in range(m):
-        masks = range((1 << top) >> 1, 1 << top)
-        for eps_mask, keys in zip(masks, _terms(m, pairs, masks)):
-            ref = value[keys[0]]
-            for (i0, j0), key in zip(pairs, keys):
-                if value[key] != ref:
-                    return False, (SignVector(m, eps_mask), ref_pair, (i0 + 1, j0 + 1))
+    t = f.table
+    full = len(t) - 1
+    for r in range(full + 1):
+        if t[r] != -t[full ^ r]:
+            return False, (SignVector(m, 0b10 | r << 2), (1, 2), (2, 1))
+    for x in range(1, full + 1):
+        if t[x] != -t[x & (x - 1)]:
+            k = (x & -x).bit_length() - 1
+            return False, (SignVector(m, x << 2), (k + 1, k + 2), (k + 2, k + 3))
     return True, None
 
 

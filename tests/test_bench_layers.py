@@ -26,6 +26,15 @@ def test_small_run_writes_the_schema(tmp_path):
     assert record["runs"] == 5
     assert isinstance(record["cpu_count"], int) and record["cpu_count"] >= 1
     assert re.fullmatch(r"\d+\.\d+\.\d+\S*", record["python"])
+    assert tool.LAYERS == (
+        "table_build",
+        "survey",
+        "moments",
+        "pair_scan",
+        "anchor_scans",
+        "closed_form",
+        "verify",
+    )
     assert [(r["m"], r["input"], r["layer"]) for r in record["layers"]] == [
         (m, kind, layer)
         for m in (6, 10)

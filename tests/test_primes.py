@@ -79,17 +79,19 @@ class TestMobiusSum:
         assert mobius_sum(6, 3, 6) == -2
 
     def test_index_validation(self):
-        with pytest.raises(PreconditionError):
+        # the messages of PairSelection, like every other pair route
+        with pytest.raises(PreconditionError, match="^pair indices must differ$"):
             mobius_sum(5, 2, 2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^pair indices are 1-based$"):
             mobius_sum(5, 0, 2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(
+            PreconditionError, match="^pair index 6 exceeds vector length 5$"
+        ):
             mobius_sum(5, 2, 6)
 
-    def test_order_insensitive_arguments_rejected(self):
-        # the signature fixes i < j
-        with pytest.raises(PreconditionError):
-            mobius_sum(5, 3, 1)
+    def test_order_insensitive_arguments(self):
+        assert mobius_sum(5, 3, 1) == mobius_sum(5, 1, 3)
+        assert mobius_sum(6, 6, 3) == mobius_sum(6, 3, 6) == -2
 
     @pytest.mark.parametrize("n", range(3, 17))
     def test_window_count_matches_the_walk_on_every_pair(self, n):

@@ -84,9 +84,12 @@ def first_disagreement(f):
 
 
 def candidate_tables(rng, m):
-    """Random tables, scaled parity products (zero included) and scaled
-    parity products with one entry's sign flipped."""
+    """Random tables, scaled parity products (zero included), scaled
+    parity products with one entry's sign flipped, random odd tables, and
+    for odd m scaled parity products with an entry and its negated
+    argument's entry both flipped, which keeps them odd."""
     size = 1 << (m - 2)
+    full = size - 1
     parity = parity_product_weight(m).table
     tables = [tuple(Fraction(0) for _ in range(size))]
     for _ in range(6):
@@ -100,14 +103,61 @@ def candidate_tables(rng, m):
         flip = rng.randrange(size)
         scaled[flip] = -scaled[flip]
         tables.append(tuple(scaled))
+    for _ in range(3):
+        odd = [Fraction(rng.randint(-3, 3)) for _ in range(size)]
+        for r in range(size >> 1):
+            odd[full ^ r] = -odd[r]
+        tables.append(tuple(odd))
+        if m % 2:
+            scaled = [p * rng.randint(1, 5) for p in parity]
+            flip = rng.randrange(size)
+            scaled[flip] = -scaled[flip]
+            scaled[full ^ flip] = -scaled[full ^ flip]
+            tables.append(tuple(scaled))
     return tables
 
 
-@pytest.mark.parametrize("m", range(3, 9))
+def sign_vector(signs):
+    return SignVector(len(signs), sum(1 << k for k, s in enumerate(signs) if s < 0))
+
+
+def proof_candidates(m):
+    """The comparisons of ``solve_weight_space``'s proof steps, in order,
+    as (eps, pair, pair) with eps spelled out sign by sign.
+
+    Step 1 takes eps = (1, -1, r) with the pairs (1, 2) and (2, 1), for
+    every rest r.  Step 2, for every nonzero argument x with lowest -1
+    at coordinate k (0-based): eps has 1 at coordinates 1 to k+2, -1 at
+    k+3 and x's coordinates above k after that (1-based), with the pairs
+    (k+1, k+2) and (k+2, k+3).
+    """
+    n = m - 2
+
+    def signs(mask):
+        return [-1 if mask >> k & 1 else 1 for k in range(n)]
+
+    for r in range(1 << n):
+        yield sign_vector([1, -1] + signs(r)), (1, 2), (2, 1)
+    for x in range(1, 1 << n):
+        rest = signs(x)
+        k = rest.index(-1)
+        yield sign_vector([1] * (k + 2) + [-1] + rest[k + 1:]), (k + 1, k + 2), (k + 2, k + 3)
+
+
+def proof_witness(f):
+    """The first proof candidate whose two pair quantities differ."""
+    for eps, pair_a, pair_b in proof_candidates(f.m):
+        if pair_quantity(f, eps, pair_a) != pair_quantity(f, eps, pair_b):
+            return eps, pair_a, pair_b
+    return None
+
+
+@pytest.mark.parametrize("m", range(3, weights.WEIGHTS_MAX_M + 1))
 def test_exhaustive_check_agrees_with_the_closed_form(m):
     rng = random.Random(0x9A7E + m)
     parity = parity_product_weight(m).table
     verdicts = set()
+    steps = set()
     for table in candidate_tables(rng, m):
         f = WeightFunction(m, table)
         ok, witness = check_condition_star(f)
@@ -116,12 +166,18 @@ def test_exhaustive_check_agrees_with_the_closed_form(m):
         c = table[0]
         in_space = all(x == c * p for x, p in zip(table, parity))
         assert ok == (in_space and (m % 2 == 1 or c == 0)), table
-        assert witness == first_disagreement(f), table
-        if not ok:
-            eps, pair_a, pair_b = witness
-            assert pair_quantity(f, eps, pair_a) != pair_quantity(f, eps, pair_b)
+        # the first disagreement in the proof's order, recomputed from
+        # the definition
+        assert witness == proof_witness(f), table
+        if m <= 8:
+            # and the walk over every sign vector and ordered pair agrees
+            assert ok == (first_disagreement(f) is None), table
+        if witness is not None:
+            steps.add(1 if witness[2] == (2, 1) else 2)
         verdicts.add(ok)
     assert verdicts == {True, False}
+    # at m = 3 every odd table is a multiple of the parity product (1, -1)
+    assert steps == ({1, 2} if m > 3 else {1})
 
 
 def test_parity_product_values():
@@ -167,10 +223,11 @@ def test_cap():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the literal term generator, the all-pairs rows, the Fraction
-# elimination and the signed union-find, the two solvers the library used
-# before it returned the weight space in closed form.  A term is the
-# library's key: the entry mask, then a low bit set for a minus sign.
+# Oracles: the literal term generator and its bitwise form (``_terms``),
+# the all-pairs rows, the Fraction elimination and the signed union-find,
+# two solvers of the term sets for the weight space the library gives in
+# closed form.  A term is a key: the entry mask, then a low bit set for a
+# minus sign.
 
 
 def key(sign: int, entry: int) -> int:
@@ -347,6 +404,45 @@ def union_find_nullspace(n: int, term_sets) -> list[tuple[int, ...]]:
     return basis
 
 
+def _argument_masks(m: int, i0: int, j0: int, masks: range) -> list[int]:
+    """Bitmask of the weight argument -e_j * (e with the pair deleted), for
+    every sign vector mask e in ``masks``.
+
+    Deleting bits i0 and j0 keeps the bits below the pair, shifts the bits
+    between them down by one and those above by two.  A kept coordinate
+    lands at -1 exactly when its sign agrees with e_j, so the sliced mask
+    is complemented when e_j's bit is clear.
+    """
+    lo, hi = sorted((i0, j0))
+    below = (1 << lo) - 1
+    between = (1 << hi) - (1 << (lo + 1))
+    flip = ((1 << (m - 2)) - 1, 0)
+    return [
+        ((e & below) | ((e & between) >> 1) | ((e >> (hi + 1)) << (hi - 1)))
+        ^ flip[(e >> j0) & 1]
+        for e in masks
+    ]
+
+
+def _ordered_pairs(m: int):
+    return [(i0, j0) for i0 in range(m) for j0 in range(m) if i0 != j0]
+
+
+def _terms(m: int, pairs, masks: range) -> list[tuple[int, ...]]:
+    """Per sign vector mask e in ``masks``, the term e_i * x_a of each
+    ordered pair (i, j) of ``pairs``, in order.
+
+    A term is a key: the argument mask a, then a low bit set when e_i is
+    -1, so the table entry x_a is key >> 1 and its sign is read off the
+    low bit.
+    """
+    columns = [
+        [(x << 1) | ((e >> i0) & 1) for e, x in zip(masks, _argument_masks(m, i0, j0, masks))]
+        for i0, j0 in pairs
+    ]
+    return list(zip(*columns))
+
+
 def random_term_sets(rng, n: int) -> list[set[int]]:
     """A few term sets over n entries: several components, some sets
     holding an entry with both signs, some closing a cycle with an odd
@@ -366,7 +462,7 @@ def adjacent_term_sets(m: int):
     that ``solve_weight_space``'s proof uses."""
     adjacent = [(k, k + 1) for k in range(m - 1)]
     pairs = adjacent + [(j, i) for i, j in adjacent]
-    return weights._terms(m, pairs, range(1 << (m - 1)))
+    return _terms(m, pairs, range(1 << (m - 1)))
 
 
 def test_argument_masks_match_the_positional_loop():
@@ -375,7 +471,7 @@ def test_argument_masks_match_the_positional_loop():
             for j0 in range(m):
                 if i0 == j0:
                     continue
-                got = weights._argument_masks(m, i0, j0, range(1 << m))
+                got = _argument_masks(m, i0, j0, range(1 << m))
                 assert got == [
                     _argument_mask(e, m, i0, j0) for e in range(1 << m)
                 ]
@@ -383,7 +479,7 @@ def test_argument_masks_match_the_positional_loop():
 
 def test_terms_match_the_literal_term_sets():
     for m in range(3, 9):
-        got = weights._terms(m, weights._ordered_pairs(m), range(1 << m))
+        got = _terms(m, _ordered_pairs(m), range(1 << m))
         assert [set(keys) for keys in got] == all_pair_term_sets(m)
 
 
@@ -410,7 +506,7 @@ def test_adjacent_pairs_give_the_all_pairs_weight_space(m):
     closed_form = solve_weight_space(m)
     assert closed_form[0] == m % 2
     for terms in (
-        weights._terms(m, weights._ordered_pairs(m), range(1 << (m - 1))),
+        _terms(m, _ordered_pairs(m), range(1 << (m - 1))),
         adjacent_term_sets(m),
     ):
         basis = union_find_nullspace(1 << (m - 2), terms)
@@ -480,19 +576,20 @@ def test_large_m_dimension(m):
 
 @pytest.mark.parametrize("m", range(4, 9))
 def test_block_walk_keeps_the_full_walks_witness(m):
-    # The check builds terms in doubling blocks of sign vector masks.  A
-    # weight admissible on the masks below 2^top, but not on all, first
-    # fails in the block [2^top, 2^(top+1)) or later; the masks below
-    # 2^(m-2) already force the closed form, so the last block a failure
-    # can start in is [2^(m-3), 2^(m-2)), and mask 0 never fails.
+    # Weights admissible on the sign vector masks below 2^top, for each
+    # doubling block [2^(top-1), 2^top), but not on all.  The full walk
+    # first fails at a mask at or above 2^top; the masks below 2^(m-2)
+    # already force the closed form, so the last block a failure can
+    # start in is [2^(m-3), 2^(m-2)), and mask 0 never fails.  The
+    # check's verdict is the full walk's and its witness the proof's.
     first_failures = set()
     for top in range(m - 2):
-        terms = weights._terms(m, weights._ordered_pairs(m), range(1 << top))
+        terms = _terms(m, _ordered_pairs(m), range(1 << top))
         basis = union_find_nullspace(1 << (m - 2), terms)
         for vec in basis[:3] + basis[-3:]:
             f = WeightFunction(m, vec)
             witness = first_disagreement(f)
-            assert check_condition_star(f) == (witness is None, witness), vec
+            assert check_condition_star(f) == (witness is None, proof_witness(f)), vec
             if witness is not None:
                 assert witness[0].bits >= 1 << top
                 first_failures.add(witness[0].bits.bit_length())

@@ -1,4 +1,4 @@
-"""Time the layers of ``verify`` in process and write BENCH_<sha>.json.
+"""Time the layers of ``verify`` and a closed form in process; write BENCH_<sha>.json.
 
 For each size m in SIZES and each input kind, every layer is timed over
 RUNS runs, each on a freshly built vector:
@@ -6,8 +6,11 @@ RUNS runs, each on a freshly built vector:
 - ``table_build``: ``AlphaVector.half_tables()``, the one half table;
 - ``survey``: ``check_generic`` on that built table;
 - ``moments``: ``HalfTables.moments()``, the degree-1 moments;
+- ``pair_scan``: one ``pair_invariants``, on the first pair adjacent in
+  (value, index) order;
 - ``anchor_scans``: ``pair_invariants`` over the m - 1 pairs adjacent
   in (value, index) order;
+- ``closed_form``: one ``count_via_sign_sum``, on that first pair;
 - ``verify``: ``verify_invariance`` end to end on another fresh vector
   (table, survey, moments, rows, scans and laws).
 
@@ -45,6 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from signsum import (  # noqa: E402
     PairSelection,
     check_generic,
+    count_via_sign_sum,
     log_vector,
     pair_invariants,
     rational_vector,
@@ -53,7 +57,15 @@ from signsum import (  # noqa: E402
 
 SIZES = (16, 20, 24, 28, 30)
 RUNS = 5
-LAYERS = ("table_build", "survey", "moments", "anchor_scans", "verify")
+LAYERS = (
+    "table_build",
+    "survey",
+    "moments",
+    "pair_scan",
+    "anchor_scans",
+    "closed_form",
+    "verify",
+)
 
 
 def plain_values(m: int) -> list[int]:
@@ -94,9 +106,15 @@ def time_layers(build, pairs) -> dict[str, float]:
     tables.moments()
     seconds["moments"] = time.perf_counter() - start
     start = time.perf_counter()
+    pair_invariants(alpha, pairs[0])
+    seconds["pair_scan"] = time.perf_counter() - start
+    start = time.perf_counter()
     for pair in pairs:
         pair_invariants(alpha, pair)
     seconds["anchor_scans"] = time.perf_counter() - start
+    start = time.perf_counter()
+    count_via_sign_sum(alpha, pairs[0])
+    seconds["closed_form"] = time.perf_counter() - start
     alpha = build()
     start = time.perf_counter()
     verify_invariance(alpha)
