@@ -7,6 +7,10 @@ input, 3 precondition violation (including a degenerate vector, with the
 witness sign vector in the error object), 4 failed internal assertion.
 Output bytes are deterministic for identical inputs.
 
+Each subcommand's handler, ``_cmd_<command>(args, inputs)`` in its
+operation module, fills ``inputs`` once its fields parse and returns the
+outputs; an error raised before the fill echoes null inputs.
+
 ``run(argv)`` returns the envelope and ``main(argv)`` writes it and
 returns the exit code; neither freezes the heap.  The process entry,
 ``signsum.__main__.entry``, calls ``main()`` and then ``gc.freeze()``,
@@ -40,14 +44,7 @@ class CommandResult(
     __slots__ = ()
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "error": self.error,
-            "exit_code": self.exit_code,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
 
 # One option of a subcommand: the converter of its value (None keeps the
@@ -62,10 +59,11 @@ _Option = namedtuple(
 )
 
 # One subcommand: the operation module that holds its handler, and its
-# options by name.  The handler, ``_cmd_<command>`` with "-" as "_", takes
-# the parsed fields to the inputs and the operation; it is looked up only
-# when the command runs, so a cold process compiles just that module and
-# what it imports.
+# options by name.  The handler, ``_cmd_<command>(args, inputs)`` with "-"
+# as "_", parses the fields, fills the empty ``inputs`` dict with their
+# normalized echo, then runs the operation and returns its outputs; it is
+# looked up only when the command runs, so a cold process compiles just
+# that module and what it imports.
 _Command = namedtuple("_Command", "module options")
 
 _ALPHA = {"--alpha": _Option(required=True)}
@@ -95,15 +93,10 @@ _COMMANDS = {
         "shortening",
         {
             **_ALPHA,
-            # each identity: its index count and its verifier in shortening
+            # the names of shortening._IDENTITIES, which holds each verifier
             "--identity": _Option(
                 required=True,
-                choices={
-                    "count-split": (3, "verify_count_split"),
-                    "signed-even": (3, "verify_signed_split_even"),
-                    "count-general": (4, "verify_count_split_general"),
-                    "signed-odd": (3, "verify_signed_split_odd"),
-                },
+                choices=("count-split", "signed-even", "count-general", "signed-odd"),
             ),
             "--indices": _Option(required=True),
         },
@@ -263,6 +256,18 @@ def _parse_args(argv, args=None) -> SimpleNamespace:
     return args
 
 
+# The envelope's error type and exit code of each error class, the first
+# row that matches winning: a degenerate vector is a precondition failure
+# that also names its witness, and the last row takes InternalCheckError
+# and any other bug.
+_ERRORS = {
+    ParseError: ("parse", 2),
+    DegenerateVectorError: ("degenerate", 3),
+    PreconditionError: ("precondition", 3),
+    SignsumError: ("internal", 4),
+}
+
+
 def run(argv) -> CommandResult:
     """Parse, dispatch, serialize, and fold any failure into the result
     envelope, whose command is the one the arguments resolved, else None.
@@ -276,14 +281,13 @@ def run(argv) -> CommandResult:
 def _envelope(argv) -> tuple[CommandResult, str]:
     """``run``'s result and its JSON text, serialized once."""
     args = SimpleNamespace(command=None)
-    inputs = None
+    inputs = {}
     try:
         _parse_args(list(argv), args)
         module = import_module(f".{_COMMANDS[args.command].module}", __package__)
         handler = getattr(module, "_cmd_" + args.command.replace("-", "_"))
-        inputs, execute = handler(args)
         try:
-            result = CommandResult(args.command, inputs, execute(), None, 0)
+            result = CommandResult(args.command, inputs, handler(args, inputs), None, 0)
             return result, result.to_json()
         except ValueError as exc:
             if "integer string conversion" not in str(exc):
@@ -292,29 +296,12 @@ def _envelope(argv) -> tuple[CommandResult, str]:
                 "an output exceeds the"
                 f" {sys.get_int_max_str_digits()}-digit integer limit"
             ) from None
-    except ParseError as exc:
-        result = CommandResult(
-            args.command, inputs, None, {"type": "parse", "message": str(exc)}, 2
-        )
-    except DegenerateVectorError as exc:
-        error = {
-            "type": "degenerate",
-            "message": str(exc),
-            "witness": list(exc.witness.signs()),
-        }
-        result = CommandResult(args.command, inputs, None, error, 3)
-    except PreconditionError as exc:
-        result = CommandResult(
-            args.command,
-            inputs,
-            None,
-            {"type": "precondition", "message": str(exc)},
-            3,
-        )
-    except SignsumError as exc:  # InternalCheckError and any other bug
-        result = CommandResult(
-            args.command, inputs, None, {"type": "internal", "message": str(exc)}, 4
-        )
+    except SignsumError as exc:
+        kind, code = next(row for cls, row in _ERRORS.items() if isinstance(exc, cls))
+        error = {"type": kind, "message": str(exc)}
+        if kind == "degenerate":
+            error["witness"] = list(exc.witness.signs())
+        result = CommandResult(args.command, inputs or None, None, error, code)
     return result, result.to_json()
 
 

@@ -96,23 +96,18 @@ def extended_signed_count(
     return -_half_sign_sum(alpha.half_tables(), char)
 
 
-def _cmd_closed_form(args):
+def _cmd_closed_form(args, inputs):
     alpha = parse_vector(args.alpha)
     pair = _parse_pair(args.pair) if args.pair else None
-    inputs = {"alpha": _format_vector(alpha)}
+    inputs.update(alpha=_format_vector(alpha))
     if pair is not None:
         inputs["pair"] = [pair.i, pair.j]
-
-    def execute():
-        if pair is not None:  # refused before the survey builds a table
-            pair.validate(alpha.m)
-        outputs = {"g": closed_form_g(alpha)}
-        if pair is not None:
-            outputs["count_via_sign_sum"] = count_via_sign_sum(alpha, pair)
-            if alpha.m % 2 == 0:
-                outputs["N_via_sign_sum"] = signed_count_even_via_sign_sum(
-                    alpha, pair
-                )
-        return outputs
-
-    return inputs, execute
+        pair.validate(alpha.m)  # refused before the survey builds a table
+    outputs = {"g": closed_form_g(alpha)}
+    if pair is not None:
+        outputs["count_via_sign_sum"] = count_via_sign_sum(alpha, pair)
+        if alpha.m % 2 == 0:
+            outputs["N_via_sign_sum"] = signed_count_even_via_sign_sum(
+                alpha, pair
+            )
+    return outputs

@@ -245,59 +245,52 @@ def verify_invariance(alpha: AlphaVector) -> InvariantReport:
     )
 
 
-def _cmd_compute(args):
+def _cmd_compute(args, inputs):
     alpha = parse_vector(args.alpha)
     pair = _parse_pair(args.pair)
-    inputs = {
-        "alpha": _format_vector(alpha),
-        "pair": [pair.i, pair.j],
-        "solutions": bool(args.solutions),
-    }
+    inputs.update(
+        alpha=_format_vector(alpha),
+        pair=[pair.i, pair.j],
+        solutions=bool(args.solutions),
+    )
 
-    def execute():
-        # one scan, materialized only when the rows are asked for
-        scan = _scan(alpha, pair, materialize=args.solutions)
-        out = {"N": scan.signed, "count": scan.count, "parity": scan.count & 1}
-        if args.solutions:
-            out["solutions"] = _sign_rows(scan.masks, alpha.m - 2)
-            out["coordinates"] = [
-                alpha.original_index(pos)
-                for pos in _rest_positions(alpha.m, pair.i - 1, pair.j - 1)
-            ]
-        return out
-
-    return inputs, execute
+    # one scan, materialized only when the rows are asked for
+    scan = _scan(alpha, pair, materialize=args.solutions)
+    out = {"N": scan.signed, "count": scan.count, "parity": scan.count & 1}
+    if args.solutions:
+        out["solutions"] = _sign_rows(scan.masks, alpha.m - 2)
+        out["coordinates"] = [
+            alpha.original_index(pos)
+            for pos in _rest_positions(alpha.m, pair.i - 1, pair.j - 1)
+        ]
+    return out
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, inputs):
     alpha = parse_vector(args.alpha)
-    inputs = {"alpha": _format_vector(alpha)}
-
-    def execute():
-        report = verify_invariance(alpha)
-        return {
-            "m": report.m,
-            "parity_invariant": report.parity_invariant,
-            "parity": report.parity,
-            "N_invariant": report.n_invariant,
-            "N": report.signed,
-            "N_by_max_omitted": None
-            if report.n_by_max_omitted is None
-            else {format_scalar(k): v for k, v in report.n_by_max_omitted.items()},
-            "count_by_min_omitted": {
-                format_scalar(k): v for k, v in report.count_by_min_omitted.items()
-            },
-            "abs_N_invariant": report.abs_n_invariant,
-            "violations": list(report.violations),
-            "rows": [
-                {
-                    "pair": [row.pair.i, row.pair.j],
-                    "count": row.count,
-                    "parity": row.parity,
-                    "N": row.signed,
-                }
-                for row in report.rows
-            ],
-        }
-
-    return inputs, execute
+    inputs.update(alpha=_format_vector(alpha))
+    report = verify_invariance(alpha)
+    return {
+        "m": report.m,
+        "parity_invariant": report.parity_invariant,
+        "parity": report.parity,
+        "N_invariant": report.n_invariant,
+        "N": report.signed,
+        "N_by_max_omitted": None
+        if report.n_by_max_omitted is None
+        else {format_scalar(k): v for k, v in report.n_by_max_omitted.items()},
+        "count_by_min_omitted": {
+            format_scalar(k): v for k, v in report.count_by_min_omitted.items()
+        },
+        "abs_N_invariant": report.abs_n_invariant,
+        "violations": list(report.violations),
+        "rows": [
+            {
+                "pair": [row.pair.i, row.pair.j],
+                "count": row.count,
+                "parity": row.parity,
+                "N": row.signed,
+            }
+            for row in report.rows
+        ],
+    }

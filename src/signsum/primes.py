@@ -145,28 +145,25 @@ def verify_prime_example(n: int) -> PrimeReport:
     return PrimeReport(n, example.primes, tuple(rows), report.signed, by_larger)
 
 
-def _cmd_primes(args):
+def _cmd_primes(args, inputs):
     pair = _parse_pair(args.pair)
-    inputs = {"n": args.n, "pair": [pair.i, pair.j], "method": args.method}
+    inputs.update(n=args.n, pair=[pair.i, pair.j], method=args.method)
 
-    def execute():
-        # one refusal for every method, before prime_alpha's survey
-        pair.validate(_check_n(args.n))
-        direct = via_mobius = None
-        if args.method in ("direct", "both"):
-            example = prime_alpha(args.n)
-            direct = signed_count(example.alpha, pair)
-        if args.method in ("moebius", "both"):
-            via_mobius = mobius_sum(args.n, pair.i, pair.j)
-        agree = None
-        if direct is not None and via_mobius is not None:
-            agree = direct == via_mobius
-        return {
-            "n": args.n,
-            "pair": [pair.i, pair.j],
-            "N_direct": direct,
-            "N_moebius": via_mobius,
-            "agree": agree,
-        }
-
-    return inputs, execute
+    # one refusal for every method, before prime_alpha's survey
+    pair.validate(_check_n(args.n))
+    direct = via_mobius = None
+    if args.method in ("direct", "both"):
+        example = prime_alpha(args.n)
+        direct = signed_count(example.alpha, pair)
+    if args.method in ("moebius", "both"):
+        via_mobius = mobius_sum(args.n, pair.i, pair.j)
+    agree = None
+    if direct is not None and via_mobius is not None:
+        agree = direct == via_mobius
+    return {
+        "n": args.n,
+        "pair": [pair.i, pair.j],
+        "N_direct": direct,
+        "N_moebius": via_mobius,
+        "agree": agree,
+    }

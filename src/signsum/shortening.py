@@ -307,50 +307,42 @@ def verify_signed_split_odd(
     return "stated", lhs == minus_term - plus_term
 
 
-def _cmd_shorten(args):
+def _cmd_shorten(args, inputs):
     alpha = parse_vector(args.alpha)
-    inputs = {
-        "alpha": _format_vector(alpha),
-        "j": args.j,
-        "k": args.k,
-        "sign": args.sign,
+    inputs.update(alpha=_format_vector(alpha), j=args.j, k=args.k, sign=args.sign)
+    shortened = shorten(alpha, args.j, args.k, args.sign)
+    base = shortened.base
+    return {
+        "gamma": _format_vector(base),
+        "coordinates": [base.original_index(p) for p in range(base.m)],
+        "replaced_index": shortened.replaced_index,
+        "deleted_index": shortened.deleted_index,
+        "sign": shortened.sign,
+        "new_component": format_scalar(shortened.new_scalar),
     }
 
-    def execute():
-        shortened = shorten(alpha, args.j, args.k, args.sign)
-        base = shortened.base
-        return {
-            "gamma": _format_vector(base),
-            "coordinates": [base.original_index(p) for p in range(base.m)],
-            "replaced_index": shortened.replaced_index,
-            "deleted_index": shortened.deleted_index,
-            "sign": shortened.sign,
-            "new_component": format_scalar(shortened.new_scalar),
-        }
 
-    return inputs, execute
+# each identity that verify-shortening takes: its index count and its
+# verifier; the command line's --identity choices list the same names
+_IDENTITIES = {
+    "count-split": (3, verify_count_split),
+    "signed-even": (3, verify_signed_split_even),
+    "count-general": (4, verify_count_split_general),
+    "signed-odd": (3, verify_signed_split_odd),
+}
 
 
-def _cmd_verify_shortening(args):
-    from .cli import _COMMANDS  # the identity table is the option's choices
-
+def _cmd_verify_shortening(args, inputs):
     alpha = parse_vector(args.alpha)
     indices = _parse_int_list(args.indices, "indices")
-    identities = _COMMANDS[args.command].options["--identity"].choices
-    arity, verifier = identities[args.identity]
+    arity, verifier = _IDENTITIES[args.identity]
     if len(indices) != arity:
         raise ParseError(f"identity {args.identity} takes {arity} indices")
-    inputs = {
-        "alpha": _format_vector(alpha),
-        "identity": args.identity,
-        "indices": indices,
-    }
-
-    def execute():
-        holds = globals()[verifier](alpha, *indices)
-        outputs = {"identity": args.identity, "holds": holds}
-        if isinstance(holds, tuple):  # signed-odd also names its orientation
-            outputs["orientation"], outputs["holds"] = holds
-        return outputs
-
-    return inputs, execute
+    inputs.update(
+        alpha=_format_vector(alpha), identity=args.identity, indices=indices
+    )
+    holds = verifier(alpha, *indices)
+    outputs = {"identity": args.identity, "holds": holds}
+    if isinstance(holds, tuple):  # signed-odd also names its orientation
+        outputs["orientation"], outputs["holds"] = holds
+    return outputs

@@ -591,61 +591,49 @@ def kernel_pairing_quadrature(s: int, tolerance: float = 1e-8) -> QuadratureResu
     return QuadratureResult(numeric, exact, abs(numeric - exact) < limit)
 
 
-def _cmd_integral(args):
+def _cmd_integral(args, inputs):
     beta_list = _parse_int_list(args.beta, "beta")
     if not math.isfinite(args.tol):
         raise ParseError(f"argument --tol: must be finite, got {args.tol!r}")
-    inputs = {"beta": beta_list, "formula": args.formula}
+    inputs.update(beta=beta_list, formula=args.formula)
     if args.pair_index is not None:
         inputs["pair_index"] = args.pair_index
     if args.quadrature:
-        inputs["quadrature"] = True
-        inputs["tolerance"] = args.tol
+        inputs.update(quadrature=True, tolerance=args.tol)
 
-    def execute():
-        # every refusal that reads only the integers comes before the
-        # survey builds a table
-        _formula(beta_list, args.formula, args.pair_index)
-        values = _positive_integers(beta_list)
-        if args.quadrature:
-            _quadrature_plan(values, args.formula, args.tol, args.pair_index)
-        beta = integer_beta(values)
-        if not args.quadrature:
-            exact = exact_formula_value(beta, args.formula, args.pair_index)
-            return {"formula": args.formula, "exact": exact}
-        check = quadrature_check(beta, args.formula, args.tol, args.pair_index)
-        return {
-            "formula": args.formula,
-            "exact": check.exact,
-            "numeric": check.numeric,
-            "agree": check.agree,
-            "tolerance": args.tol,
-        }
-
-    return inputs, execute
+    # every refusal that reads only the integers comes before the
+    # survey builds a table
+    _formula(beta_list, args.formula, args.pair_index)
+    values = _positive_integers(beta_list)
+    if args.quadrature:
+        _quadrature_plan(values, args.formula, args.tol, args.pair_index)
+    beta = integer_beta(values)
+    if not args.quadrature:
+        exact = exact_formula_value(beta, args.formula, args.pair_index)
+        return {"formula": args.formula, "exact": exact}
+    check = quadrature_check(beta, args.formula, args.tol, args.pair_index)
+    return {
+        "formula": args.formula,
+        "exact": check.exact,
+        "numeric": check.numeric,
+        "agree": check.agree,
+        "tolerance": args.tol,
+    }
 
 
-def _cmd_approx_beta(args):
+def _cmd_approx_beta(args, inputs):
     alpha = parse_vector(args.alpha)
-    inputs = {"alpha": _format_vector(alpha)}
-
-    def execute():
-        approx = approximate_beta(alpha)
-        return {
-            "m": approx.m,
-            "beta": list(approx.beta),
-            "q": str(approx.q),
-            "bound": str(approx.bound),
-        }
-
-    return inputs, execute
+    inputs.update(alpha=_format_vector(alpha))
+    approx = approximate_beta(alpha)
+    return {
+        "m": approx.m,
+        "beta": list(approx.beta),
+        "q": str(approx.q),
+        "bound": str(approx.bound),
+    }
 
 
-def _cmd_rademacher(args):
+def _cmd_rademacher(args, inputs):
     t = _parse_rational(args.t, "t")
-    inputs = {"i": args.i, "t": str(t)}
-
-    def execute():
-        return {"value": rademacher(args.i, t)}
-
-    return inputs, execute
+    inputs.update(i=args.i, t=str(t))
+    return {"value": rademacher(args.i, t)}

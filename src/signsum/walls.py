@@ -152,29 +152,21 @@ def wall_crossing_check(
     )
 
 
-def _cmd_wall_cross(args):
+def _cmd_wall_cross(args, inputs):
     alpha = parse_vector(args.alpha)
     pair = _parse_pair(args.pair)
     delta = None
     if args.delta is not None:
         delta = _parse_rational(args.delta, "delta")
-    inputs = {
-        "alpha": _format_vector(alpha),
-        "l": args.l,
-        "pair": [pair.i, pair.j],
-    }
+    inputs.update(alpha=_format_vector(alpha), l=args.l, pair=[pair.i, pair.j])
     if delta is not None:
         inputs["delta"] = str(delta)
-
-    def execute():
-        crossing = wall_crossing_check(alpha, args.l, pair, delta)
-        return {
-            "jump_N": crossing.jump_signed,
-            "jump_count": crossing.jump_count,
-            "predicted_N": crossing.predicted_signed,
-            "predicted_count": crossing.predicted_count,
-            "delta": str(crossing.delta),
-            "wall_solutions": _sign_rows(crossing.wall_masks, alpha.m),
-        }
-
-    return inputs, execute
+    crossing = wall_crossing_check(alpha, args.l, pair, delta)
+    return {
+        "jump_N": crossing.jump_signed,
+        "jump_count": crossing.jump_count,
+        "predicted_N": crossing.predicted_signed,
+        "predicted_count": crossing.predicted_count,
+        "delta": str(crossing.delta),
+        "wall_solutions": _sign_rows(crossing.wall_masks, alpha.m),
+    }

@@ -142,15 +142,11 @@ def weighted_count(
     return sum((f.table[mask] for mask in masks), Fraction(0))
 
 
-def _cmd_weights(args):
-    inputs = {"m": args.m}
-
-    def execute():
-        dimension, basis = solve_weight_space(args.m)
-        return {
-            "m": args.m,
-            "dimension": dimension,
-            "basis": [[str(v) for v in f.table] for f in basis],
-        }
-
-    return inputs, execute
+def _cmd_weights(args, inputs):
+    inputs.update(m=args.m)
+    dimension, basis = solve_weight_space(args.m)
+    return {
+        "m": args.m,
+        "dimension": dimension,
+        "basis": [[str(v) for v in f.table] for f in basis],
+    }

@@ -3,7 +3,10 @@
 import importlib.util
 import json
 import re
+import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 
@@ -19,7 +22,7 @@ def test_small_run_writes_the_schema(tmp_path):
     tool = _tool()
     record = tool.bench(sizes=(6, 10), runs=5)
     path = tool.write(record, tmp_path)
-    assert re.fullmatch(r"BENCH_[0-9a-f]{7,}(-dirty)?\.json", path.name)
+    assert re.fullmatch(r"BENCH_([0-9a-f]{7,}(-dirty)?|nogit-dirty)\.json", path.name)
     assert json.loads(path.read_text()) == record
     assert set(record) == {"sha", "dirty", "python", "cpu_count", "runs", "layers"}
     assert path.name == f"BENCH_{record['sha']}{'-dirty' * record['dirty']}.json"
@@ -44,6 +47,23 @@ def test_small_run_writes_the_schema(tmp_path):
     for row in record["layers"]:
         assert set(row) == {"layer", "input", "m", "median_s", "iqr_s"}
         assert row["median_s"] > 0 and row["iqr_s"] >= 0
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [OSError("no git"), subprocess.CalledProcessError(128, ["git", "rev-parse"])],
+    ids=["git-missing", "not-a-checkout"],
+)
+def test_revision_outside_a_checkout_is_nogit_dirty(monkeypatch, tmp_path, failure):
+    tool = _tool()
+
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(tool.subprocess, "run", fail)
+    assert tool.revision() == ("nogit", True)
+    record = {"sha": "nogit", "dirty": True}
+    assert tool.write(record, tmp_path).name == "BENCH_nogit-dirty.json"
 
 
 def test_plain_inputs_are_seeded_nine_digit_and_generic():

@@ -15,7 +15,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from signsum import InternalCheckError, ParseError, invariants
+from signsum import (
+    DegenerateVectorError,
+    InternalCheckError,
+    ParseError,
+    PreconditionError,
+    SignVector,
+    invariants,
+    shortening,
+    weights,
+)
 from signsum.cli import _COMMANDS, _parse_args, main, run
 
 from conftest import child_env
@@ -410,6 +419,73 @@ def test_internal_error_maps_to_four(monkeypatch, validator):
     validator.validate(payload)
 
 
+# each error class a handler may raise: the envelope's type and exit code
+ERROR_TABLE = [
+    (ParseError("bad"), "parse", 2),
+    (DegenerateVectorError("flat", SignVector(3, 0b101)), "degenerate", 3),
+    (PreconditionError("refused"), "precondition", 3),
+    (InternalCheckError("broken"), "internal", 4),
+]
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["before-fill", "after-fill"])
+@pytest.mark.parametrize(
+    "exc,kind,code", ERROR_TABLE, ids=[kind for _, kind, _ in ERROR_TABLE]
+)
+def test_error_table_maps_each_class(monkeypatch, validator, exc, kind, code, filled):
+    """A handler's error gives its row's type and exit code, a witness only
+    when degenerate, and the inputs only once the handler filled them."""
+
+    def stub(args, inputs):
+        if filled:
+            inputs.update(m=args.m)
+        raise exc
+
+    monkeypatch.setattr(weights, "_cmd_weights", stub)
+    result, payload = roundtrip(["weights", "--m", "4"])
+    assert result.exit_code == code
+    expected = {"type": kind, "message": str(exc)}
+    if kind == "degenerate":
+        expected["witness"] = [-1, 1, -1]
+    assert payload["error"] == expected
+    assert payload["inputs"] == ({"m": 4} if filled else None)
+    assert payload["command"] == "weights" and payload["outputs"] is None
+    validator.validate(payload)
+
+
+def test_digit_limit_value_error_is_a_precondition(monkeypatch, validator):
+    """A ValueError from the interpreter's digit limit, raised by the
+    operation, is a precondition failure; any other ValueError is a bug
+    that propagates."""
+
+    def stub(args, inputs):
+        inputs.update(m=args.m)
+        return {"value": str(10 ** (sys.get_int_max_str_digits() + 1))}
+
+    monkeypatch.setattr(weights, "_cmd_weights", stub)
+    result, payload = roundtrip(["weights", "--m", "4"])
+    assert result.exit_code == 3
+    assert payload["error"]["type"] == "precondition"
+    limit = sys.get_int_max_str_digits()
+    assert f"{limit}-digit integer limit" in payload["error"]["message"]
+    assert payload["inputs"] == {"m": 4}
+    validator.validate(payload)
+
+    def other(args, inputs):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(weights, "_cmd_weights", other)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        run(["weights", "--m", "4"])
+
+
+def test_identity_choices_are_the_verifier_table():
+    """The command line offers the identities that ``shortening`` holds
+    verifiers for, in the table's order."""
+    choices = _COMMANDS["verify-shortening"].options["--identity"].choices
+    assert choices == tuple(shortening._IDENTITIES)
+
+
 def test_one_window_per_request(monkeypatch):
     """``compute`` asks the kernel for one window, with or without
     ``--solutions``, whichever half it scans; ``closed-form`` asks for
@@ -486,7 +562,7 @@ def signsum_lines(*extra):
 
 # code-only lines that ``import signsum.cli`` may compile: the option
 # table, the parser, the envelope and the core records and grammar
-CLI_IMPORT_LINES = 650
+CLI_IMPORT_LINES = 565
 
 
 def test_cli_import_skips_mpmath_and_thread_pool():
@@ -568,7 +644,7 @@ COLD_LOG_REQUESTS = [
 
 
 # code-only lines a cold request may compile, by subcommand
-COLD_LINES = {"compute": 974, "verify": 974, "weights": 666}
+COLD_LINES = {"compute": 946, "verify": 946, "weights": 640}
 
 
 def test_cold_requests_cover_every_subcommand():

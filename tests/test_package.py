@@ -94,6 +94,26 @@ def test_library_modules_never_load_the_cli():
     assert json.loads(proc.stdout) is None
 
 
+def test_only_the_entry_point_imports_the_cli():
+    """No module of the package but ``__main__`` imports ``signsum.cli``,
+    lazily inside a function or not: the operations hold what the
+    command line dispatches to, and never reach back for its tables."""
+    importers = []
+    for path in sorted(Path(signsum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                package = "signsum" if node.level else ""
+                module = ".".join(filter(None, (package, node.module)))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "signsum.cli" in names:
+                importers.append(path.name)
+    assert importers == ["__main__.py"]
+
+
 @pytest.mark.parametrize("module", list(signsum._SOURCES))
 def test_module_all_is_its_sources_entry(module):
     """Each module exports exactly the public names the package resolves

@@ -26,7 +26,8 @@ directory, and the file is written to that directory's parent, named
 after ``git rev-parse --short HEAD``.  When files under ``src`` differ
 from HEAD, the measured code is not that commit's, so the name gets a
 ``-dirty`` suffix (as ``git describe --dirty`` does) and ``dirty`` is
-true.  Measuring the parent and a change: run the script in each
+true.  Outside a git checkout the file is ``BENCH_nogit-dirty.json``.
+Measuring the parent and a change: run the script in each
 checkout (copy it into one that has none) and compare the two files.
 """
 
@@ -147,13 +148,20 @@ def measure(sizes=SIZES, runs=RUNS) -> list[dict]:
 
 
 def revision() -> tuple[str, bool]:
-    """HEAD's short SHA, and whether files under src differ from it."""
+    """HEAD's short SHA, and whether files under src differ from it;
+    ``("nogit", True)`` outside a git checkout, such as an export made
+    by ``git archive``, or where git is missing."""
     def git(*args):
         return subprocess.run(
             ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
         ).stdout.strip()
 
-    return git("rev-parse", "--short", "HEAD"), bool(git("status", "--porcelain", "--", "src"))
+    try:
+        return git("rev-parse", "--short", "HEAD"), bool(
+            git("status", "--porcelain", "--", "src")
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "nogit", True
 
 
 def bench(sizes=SIZES, runs=RUNS) -> dict:
