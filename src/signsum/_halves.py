@@ -13,27 +13,34 @@ the closest approach to zero thus cost O(2^(n/2) n) instead of O(2^n).
 Reference: Horowitz and Sahni, "Computing partitions with applications to the knapsack problem",
 J. ACM 21(2), 1974.
 
-Plain coordinates are integers (see ``coordinates``).  A log coordinate
-is a rational r > 1 standing for log r.  A log table entry is the
-integer x collecting the numerator of every plus coordinate and the
-denominator of every minus coordinate.  The opposite collection is P/x,
-with P the product of every numerator and denominator in the table, so
-the entry's signed sum is log(x^2/P), increasing in x.  Both halves key
-an entry by 2 x^2, so A and B trade places unchanged.  Keys, bounds and
-thresholds are integers in both realizations, and every decision is an
-exact integer comparison.
+A plain coordinate is a rational, scaled with the others to an integer
+over their least common denominator.  A log coordinate is a rational
+r > 1 standing for log r.  A log table entry is the integer x
+collecting the numerator of every plus coordinate and the denominator
+of every minus coordinate.  The opposite collection is P/x, with P the
+product of every numerator and denominator in the table, so the entry's
+signed sum is log(x^2/P), increasing in x.  Both halves key an entry by
+2 x^2, so A and B trade places unchanged.  Keys, bounds and thresholds
+are integers in both realizations, and every decision is an exact
+integer comparison.
 
-A vector's tables are built once, over all of its coordinates, and every
-route reads them through ``restrict(mask)``: the entries whose mask has
-the given bits clear, i.e. the sums with those coordinates pinned to
-plus.  A restricted entry still carries the pinned coordinates, so a
-question about the sums over the other coordinates moves its bounds by
-the pinned plus values.  For a pair (i, j), the window |v_i - v_j| <
-s < v_i + v_j on the sum s over the rest becomes 2 max(v_i, v_j) < s +
-v_i + v_j < 2 (v_i + v_j) in the plain realization; in the log
-realization, where the bounds are ratios and sums multiply, both bounds
-are multiplied by r_i r_j, giving max(r_i, r_j)^2 and (r_i r_j)^2.  The
-survey and the sign sums pin one coordinate and keep the zero bound.
+A vector's tables are built once, over all of its coordinates, and its
+callers ask them questions; the key form, the bounds and the pinned
+coordinates stay in this module:
+
+- ``survey()``: the vanishing sums and the closest approach to zero;
+- ``pair_window(i, j, materialize)``: a pair's solution count, signed
+  count and masks over the other n - 2 coordinates;
+- ``sign_sum(char)``: a quarter of the character-weighted sign sum;
+- ``moments()``: the degree-0 and degree-1 moments above zero;
+- ``edge_window()``: the parity-signed count of |t| < B, with B the
+  last coordinate.
+
+All but the survey cut the tables at a bound that no full sum of a
+generic vector meets; ``_cut`` raises ``InternalCheckError`` when one
+does.  Internally a question ``restrict``s the tables to the sums with
+one or two coordinates pinned to plus, which still carry the pinned
+values, so it moves its bounds by them.
 """
 
 from __future__ import annotations
@@ -45,17 +52,7 @@ from functools import partial
 from itertools import accumulate, compress, groupby, repeat
 from operator import add, eq
 
-
-def coordinates(ratios, is_log: bool):
-    """(values, den): the kernel form of a vector's components.
-
-    Plain: the rationals as integers over their least common denominator
-    ``den``.  Log: the ratios themselves, with den 1.
-    """
-    if is_log:
-        return list(ratios), 1
-    den = math.lcm(*(r.denominator for r in ratios))
-    return [r.numerator * (den // r.denominator) for r in ratios], den
+from .core import InternalCheckError
 
 
 def _table(moves, base, width):
@@ -124,25 +121,26 @@ def _coordinate_moments(by_mask, width):
 
 
 class HalfTables:
-    """The signed sums over ``values``, one per sign mask.
+    """The signed sums over the components ``ratios``, one per sign mask.
 
     Mask bit k marks coordinate k as minus.  A holds the first n // 2
     coordinates and B the rest, so every mask bit of A lies below every
-    mask bit of B.  Values and ``den`` come from ``coordinates``.
-    ``restrict`` keeps the sums with given coordinates at plus.
+    mask bit of B.  Plain components are scaled to the integers
+    ``values`` over their least common denominator ``den``; log ones
+    are kept as they are, with den 1.
     """
 
-    def __init__(self, values, is_log=False, den=1):
+    def __init__(self, ratios, is_log=False):
         self.is_log = is_log
-        self.den = den
-        self.values = values = list(values)
-        n = len(values)
+        ratios = list(ratios)
+        n = len(ratios)
         half = n // 2
         if is_log:
+            self.den, self.values = 1, ratios
             p = 1
-            for r in values:
+            for r in ratios:
                 p *= r.numerator * r.denominator
-            moves = [_log_moves(r, 1 << k, n) for k, r in enumerate(values)]
+            moves = [_log_moves(r, 1 << k, n) for k, r in enumerate(ratios)]
             xa, self.a_masks = _table(moves[:half], 1, n)
             xb, self.b_masks = _table(moves[half:], 1, n)
             # full sum a + b = log(x_a^2 x_b^2 / P); keys are doubled, so
@@ -152,7 +150,9 @@ class HalfTables:
             self.b_keys = [2 * x * x for x in xb]
             self._zero = Fraction(1)
         else:
-            moves = [_plain_moves(v, 1 << k, n) for k, v in enumerate(values)]
+            self.den = den = math.lcm(*(r.denominator for r in ratios))
+            self.values = [r.numerator * (den // r.denominator) for r in ratios]
+            moves = [_plain_moves(v, 1 << k, n) for k, v in enumerate(self.values)]
             self.a_keys, self.a_masks = _table(moves[:half], 0, n)
             self.b_keys, self.b_masks = _table(moves[half:], 0, n)
             self._zero = 0
@@ -217,36 +217,40 @@ class HalfTables:
         return [bound - a for a in self.a_keys]
 
     def _cut(self, bound, side):
-        """(ends, hit): per A entry, where ``bound`` cuts B.
+        """Per A entry, where ``bound`` cuts B.
 
         ``side`` is ``bisect_right``, leaving B[end:] above the bound, or
-        ``bisect_left``, leaving B[:end] below it.  ``hit`` tells whether
-        some full sum equals the bound, which shows in the B key beside
-        an end: the one before it for ``bisect_right``, the one at it for
-        ``bisect_left``.  Index -1 (end 0) and the wrap of end n to 0
-        read a key beyond the bound, which never matches.
+        ``bisect_left``, leaving B[:end] below it.  A full sum equal to
+        the bound shows in the B key beside an end: the one before it
+        for ``bisect_right``, the one at it for ``bisect_left``.  Index
+        -1 (end 0) and the wrap of end n to 0 read a key beyond the
+        bound, which never matches.  Every bound a question cuts at is
+        met only by a vanishing signed sum of the whole vector, which a
+        generic vector does not have, so a sum on it raises
+        ``InternalCheckError``, the one refusal of a sum on a bound.
         """
         ts = self._thresholds(bound)
         keys = self.b_keys
         ends = list(map(side, repeat(keys), ts))
         shift = 1 if side is bisect_right else len(keys)
         beside = map(keys.__getitem__, [e - shift for e in ends])
-        return ends, any(map(eq, beside, ts))
+        if any(map(eq, beside, ts)):
+            raise InternalCheckError("a signed sum sits on a table bound")
+        return ends
 
     def window(self, lo, hi, materialize=False):
         """Counts of the full sums strictly between lo < hi.
 
-        Returns (count, signed, masks, touched).  ``signed`` weights each
-        sum by its stored parity sign, (-1)^popcount(mask).  ``masks``
-        lists the masks inside the window, unordered, when
-        ``materialize`` is set, else None.  ``touched`` tells whether
-        some full sum equals lo or hi.  One cut per bound: per A entry
-        the window is B[start:end].
+        Returns (count, signed, masks).  ``signed`` weights each sum by
+        its stored parity sign, (-1)^popcount(mask).  ``masks`` lists
+        the masks inside the window, unordered, when ``materialize`` is
+        set, else None.  One cut per bound: per A entry the window is
+        B[start:end].
         """
         if len(self.a_keys) > len(self.b_keys):
             return self._swapped().window(lo, hi, materialize)
-        starts, hit_lo = self._cut(lo, bisect_right)
-        ends, hit_hi = self._cut(hi, bisect_left)
+        starts = self._cut(lo, bisect_right)
+        ends = self._cut(hi, bisect_left)
         # lo < hi, so no run is reversed
         count = sum(ends) - sum(starts)
         prefix = list(accumulate(self.b_signs, initial=0))
@@ -258,23 +262,74 @@ class HalfTables:
             masks = [
                 a | b for a, s, e in zip(self.a_masks, starts, ends) for b in bm[s:e]
             ]
-        return count, signed, masks, hit_lo or hit_hi
+        return count, signed, masks
+
+    def pair_window(self, i, j, materialize=False):
+        """(count, signed, masks) of the sums s over the coordinates
+        other than i < j with |v_i - v_j| < s < v_i + v_j.
+
+        ``signed`` weights each by its parity sign; ``masks`` lists the
+        masks over the n - 2 other coordinates, ascending, when
+        ``materialize`` is set, else None.  The sums with i and j at
+        plus hold s as s + v_i + v_j, so the window is 2 max(v_i, v_j) <
+        s + v_i + v_j < 2 (v_i + v_j); in the log realization, where the
+        bounds are ratios and sums multiply, both bounds are multiplied
+        by r_i r_j, giving max(r_i, r_j)^2 and (r_i r_j)^2.  The pair
+        bits are clear in every entry, so the parity signs are those of
+        the rest, and dropping them keeps the other bits in order.
+        """
+        vi, vj = self.values[i], self.values[j]
+        if self.is_log:
+            lo, hi = max(vi, vj) ** 2, (vi * vj) ** 2
+        else:
+            lo, hi = 2 * max(vi, vj), 2 * (vi + vj)
+        pinned = self.restrict(1 << i | 1 << j)
+        count, signed, masks = pinned.window(lo, hi, materialize)
+        if materialize:
+            low, top = (1 << i) - 1, -1 << (j - 1)
+            mid = ~(low | top)
+            masks = tuple(sorted(x & low | x >> 1 & mid | x >> 2 & top for x in masks))
+        return count, signed, masks
+
+    def edge_window(self):
+        """The parity-signed count of the sums t over every coordinate
+        but the last, B, with |t| < B.
+
+        The sums with B at plus hold t as t + B, so the window is
+        0 < t + B < 2B; in the log realization 1 < ... < r^2 for the
+        last ratio r.  t = -B and t = B are full sums at zero.
+        """
+        n, last = len(self.values), self.values[-1]
+        hi = last * last if self.is_log else 2 * last
+        return self.restrict(1 << (n - 1)).window(self._zero, hi)[1]
 
     def sign_sum(self, char):
-        """Weighted total of the sign of every full sum.
+        """A quarter of the sum of (-1)^popcount(mask(e) & char) sgn(<e,v>)
+        over all sign vectors e.
 
-        Returns (total, touched): each sign weighted by
-        (-1)^popcount(mask & char), and whether some full sum vanishes.
+        Every closed form and kernel integral is plus or minus this
+        number.  For a character of odd weight each term is even under
+        e -> -e, so the sum over the vectors with coordinate 0 at plus
+        is half of it.  That half is a sum of 2^(n-1) signs, so for
+        n > 1 it is even, and an odd one raises ``InternalCheckError``.
+        """
+        total, odd = divmod(self.restrict(1)._sign_total(char), 2)
+        if odd:
+            raise InternalCheckError("half sign sum must be even")
+        return total
+
+    def _sign_total(self, char):
+        """Weighted total of the sign of every full sum, each weighted by
+        (-1)^popcount(mask & char).
+
         A char that covers every free coordinate reads the stored parity
         signs; any other takes its signs from ``char_signs``.  One cut at
-        zero: per A entry, B[g:] is above zero and B[:g] at or below it.
-        Callers refuse touched tables, so then no sum lies on zero and
-        B[:g] is below it, giving the entry w * (top - 2 prefix[g]).  It
-        scans A whatever the sizes: its caller ``core._half_sign_sum`` pins
-        coordinate 0, so A is no larger than B there, and the order of the
-        scan does not change the total.
+        zero: per A entry, B[g:] is above zero and B[:g] below it, giving
+        the entry w * (top - 2 prefix[g]).  It scans A whatever the
+        sizes: ``sign_sum`` pins coordinate 0, so A is no larger than B
+        there, and the order of the scan does not change the total.
         """
-        gt, touched = self._cut(self._zero, bisect_right)
+        gt = self._cut(self._zero, bisect_right)
         if (char & self.free) == self.free:
             wa, wb = self.a_signs, self.b_signs
         else:
@@ -282,26 +337,24 @@ class HalfTables:
         prefix = list(accumulate(wb, initial=0))
         top = prefix[-1]
         # weight above the zero bound minus weight below it
-        total = sum(w * (top - 2 * prefix[g]) for w, g in zip(wa, gt))
-        return total, touched
+        return sum(w * (top - 2 * prefix[g]) for w, g in zip(wa, gt))
 
     def moments(self):
         """Degree-0 and degree-1 moments of the sums above zero, read
         from unrestricted tables.
 
-        Returns (ones, chis, touched).  For w = 1 and for w = chi, the
-        parity sign, ``ones`` and ``chis`` are [T, T_0, ..., T_(n-1)]:
-        T sums w(e) over the full sums above zero and T_k sums w(e) e_k,
-        with e_k = -1 where mask bit k is set.  ``touched`` tells whether
-        some full sum vanishes.  One cut at zero: an A entry a sees
-        B[gt_a:] above zero and contributes c_a = w_a * (the weight of
-        that run) with its A coordinates' signs; a B entry at index j
+        Returns (ones, chis).  For w = 1 and for w = chi, the parity
+        sign, ``ones`` and ``chis`` are [T, T_0, ..., T_(n-1)]: T sums
+        w(e) over the full sums above zero and T_k sums w(e) e_k, with
+        e_k = -1 where mask bit k is set.  One cut at zero: an A entry a
+        sees B[gt_a:] above zero and contributes c_a = w_a * (the weight
+        of that run) with its A coordinates' signs; a B entry at index j
         sees the A entries with gt_a <= j and contributes
         d_j = w_j * (their weight) with its B coordinates' signs.  The
         thresholds fall as the A keys rise, so those A entries are a
         suffix of A, read off by bisection.  O(n 2^(n/2)) in all.
         """
-        gt, touched = self._cut(self._zero, bisect_right)
+        gt = self._cut(self._zero, bisect_right)
         rising = gt[::-1]
         # per B index, how many A entries from the end see it above zero
         seen = list(map(bisect_right, repeat(rising), range(len(self.b_keys))))
@@ -325,11 +378,19 @@ class HalfTables:
                     list(map(d.__getitem__, b_order)), len(self.values) - half
                 )
             )
-        return out[0], out[1], touched
+        return out[0], out[1]
 
     def survey(self):
         """(zero_groups, gap): the vanishing full sums and the closest
-        approach of a nonvanishing one to zero, from one pass.
+        approach of a nonvanishing one to zero, up to global negation.
+
+        Coordinate 0 is pinned to plus, so the restricted tables hold
+        one sum of each pair s, -s (see ``_survey``).
+        """
+        return self.restrict(1)._survey()
+
+    def _survey(self):
+        """(zero_groups, gap) of these tables' full sums, from one pass.
 
         ``zero_groups`` lists the vanishing sums as (a_masks, b_masks)
         groups: every A mask of a group vanishes with every B mask of it,

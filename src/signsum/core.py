@@ -233,12 +233,11 @@ class AlphaVector:
         """The signed sums over every coordinate as half tables, mask bit
         k marking position k as minus.  Built on first use and kept, so
         the survey, every pair scan and every sign sum of this vector
-        restrict one table."""
+        ask questions of one table."""
         if self._tables is None:
             from . import _halves
 
-            values, den = _halves.coordinates(self.ratios(), self.is_log)
-            self._tables = _halves.HalfTables(values, self.is_log, den)
+            self._tables = _halves.HalfTables(self.ratios(), self.is_log)
         return self._tables
 
     def __repr__(self):
@@ -348,13 +347,13 @@ def _sign_rows(masks, length: int) -> list[list[int]]:
 def _survey(alpha: AlphaVector):
     """(zero_groups, gap) of the vector's signed sums, cached on it.
 
-    Coordinate 1 is fixed to +1, covering all 2^m sign vectors up to
-    global negation.  The other coordinates split into two half tables
-    of about 2^((m-1)/2) sums each, and a vanishing sum is a collision
-    between them (``_halves.HalfTables.survey``).
+    The kernel fixes coordinate 1 to +1, covering all 2^m sign vectors
+    up to global negation.  The other coordinates split into two half
+    tables of about 2^((m-1)/2) sums each, and a vanishing sum is a
+    collision between them (``_halves.HalfTables.survey``).
     """
     if alpha._survey is None:
-        alpha._survey = alpha.half_tables().restrict(1).survey()
+        alpha._survey = alpha.half_tables().survey()
     return alpha._survey
 
 
@@ -379,22 +378,6 @@ def require_generic(alpha: AlphaVector) -> None:
         raise DegenerateVectorError(
             "vector has a vanishing signed sum", report.witness
         )
-
-
-def _half_sign_sum(tables, char: int) -> int:
-    """A quarter of the sum of (-1)^popcount(mask(e) & char) sgn(<e,v>)
-    over all sign vectors e, read from a vector's unrestricted tables.
-
-    For a character of odd weight each term is even under e -> -e, so
-    the sum over the vectors with coordinate 1 at +1 is half of it.
-    Every closed form and kernel integral is plus or minus this number.
-    """
-    total, touched = tables.restrict(1).sign_sum(char)
-    if touched:
-        raise InternalCheckError("generic vector produced a zero signed sum")
-    if total % 2:
-        raise InternalCheckError("half sign sum must be even")
-    return total // 2
 
 
 def _pair_positions(alpha: AlphaVector, pair: PairSelection) -> tuple[int, int]:

@@ -2,7 +2,7 @@
 
 Each form is plus or minus a quarter of the sum over all sign vectors e
 of chi(e) sgn(<e, a>), chi a product of signs, read from the vector's
-half tables by one ``core._half_sign_sum`` call: the closed form g (the
+half tables by one ``HalfTables.sign_sum`` call: the closed form g (the
 signed count at odd m), the count, the signed count at even m and the
 extended count with one extra sign factor.
 """
@@ -15,7 +15,6 @@ from .core import (
     PairSelection,
     PreconditionError,
     _format_vector,
-    _half_sign_sum,
     _parse_pair,
     orient_pair,
     parse_vector,
@@ -36,7 +35,7 @@ def closed_form_g(alpha: AlphaVector) -> int:
     require_generic(alpha)
     if alpha.m % 2 == 0:
         return 0
-    return -_half_sign_sum(alpha.half_tables(), (1 << alpha.m) - 1)
+    return -alpha.half_tables().sign_sum((1 << alpha.m) - 1)
 
 
 def count_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> int:
@@ -44,7 +43,7 @@ def count_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> int:
     smaller pair coordinate."""
     small, _ = orient_pair(alpha, pair)
     require_generic(alpha)
-    return _half_sign_sum(alpha.half_tables(), 1 << small)
+    return alpha.half_tables().sign_sum(1 << small)
 
 
 def signed_count_even_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> int:
@@ -55,7 +54,7 @@ def signed_count_even_via_sign_sum(alpha: AlphaVector, pair: PairSelection) -> i
     _, large = orient_pair(alpha, pair)
     require_generic(alpha)
     # e_j times the sign product is the sign product without e_j
-    return _half_sign_sum(alpha.half_tables(), ((1 << alpha.m) - 1) ^ (1 << large))
+    return alpha.half_tables().sign_sum(((1 << alpha.m) - 1) ^ (1 << large))
 
 
 def extended_signed_count(
@@ -74,12 +73,12 @@ def extended_signed_count(
     it, none vanishing on a generic vector, and multiplies a product of
     k signs by (-1)^k.  So T_c = 0 for a nonempty c of even size, and
     for odd size T_c is half of sum_e c(e) sgn(<e, a>), i.e. twice
-    ``_half_sign_sum``.  chi e_h has m - 1 signs and chi e_h e_I has
+    ``HalfTables.sign_sum``.  chi e_h has m - 1 signs and chi e_h e_I has
     m - 2, hence:
 
-    - even m: ext = -_half_sign_sum(chi e_h), the same for every pair
+    - even m: ext = -sign_sum(chi e_h), the same for every pair
       avoiding h;
-    - odd m: ext = _half_sign_sum(chi e_h e_I), the same for every pair
+    - odd m: ext = sign_sum(chi e_h e_I), the same for every pair
       with larger member I.
     """
     if alpha.m < 4:
@@ -92,8 +91,8 @@ def extended_signed_count(
     require_generic(alpha)
     char = ((1 << alpha.m) - 1) ^ (1 << (h - 1))
     if alpha.m % 2:
-        return _half_sign_sum(alpha.half_tables(), char ^ (1 << large))
-    return -_half_sign_sum(alpha.half_tables(), char)
+        return alpha.half_tables().sign_sum(char ^ (1 << large))
+    return -alpha.half_tables().sign_sum(char)
 
 
 def _cmd_closed_form(args, inputs):

@@ -52,46 +52,19 @@ def _rest_positions(m: int, i0: int, j0: int) -> list[int]:
     return [pos for pos in range(m) if pos != i0 and pos != j0]
 
 
-def _rest_masks(masks, i0: int, j0: int) -> list[int]:
-    """Full masks with bits i0 < j0 clear, as masks over the m-2 rest
-    positions, ascending.  Dropping two clear bits keeps the order."""
-    low = (1 << i0) - 1
-    mid = ((1 << (j0 - 1)) - 1) ^ low
-    high = -1 << (j0 - 1)
-    return sorted((x & low) | (x >> 1 & mid) | (x >> 2 & high) for x in masks)
-
-
 def _scan(alpha, pair, materialize=False) -> ScanResult:
-    """Count and signed count of one pair's solutions.
+    """Count and signed count of one pair's solutions, from the window
+    the vector's half tables hold for the pair (``_halves``).
 
-    The vector's half tables, restricted to the sums with both pair
-    coordinates at plus, hold each rest sum s as s + v_i + v_j, so the
-    window moves by that much (see ``_halves``).  Each entry of the
-    smaller restricted half meets the window in one run of the sorted
-    other, found by bisection, so the scan costs about 2^((m-2)/2)
-    bisections plus one O(2^(m/2)) filtering pass instead of 2^(m-2)
-    steps.  The pair bits are clear in every entry, so the window's
-    parity signs are those of the rest.  A full sum on either bound
-    would mean a vanishing signed sum of the whole vector, impossible
-    once it is generic.
+    Each entry of the smaller half meets the window in one run of the
+    sorted other, found by bisection, so the scan costs about
+    2^((m-2)/2) bisections plus one O(2^(m/2)) filtering pass instead of
+    2^(m-2) steps.  A full sum on either bound would mean a vanishing
+    signed sum of the whole vector, impossible once it is generic.
     """
     i0, j0 = _pair_positions(alpha, pair)
     require_generic(alpha)
-    tables = alpha.half_tables()
-    vi, vj = tables.values[i0], tables.values[j0]
-    if alpha.is_log:
-        lo, hi = max(vi, vj) ** 2, (vi * vj) ** 2
-    else:
-        lo, hi = 2 * max(vi, vj), 2 * (vi + vj)
-    pinned = (1 << i0) | (1 << j0)
-    count, signed, masks, touched = tables.restrict(pinned).window(
-        lo, hi, materialize
-    )
-    if touched:
-        raise InternalCheckError("boundary equality on a generic vector")
-    if materialize:
-        masks = tuple(_rest_masks(masks, i0, j0))
-    return ScanResult(count, signed, masks)
+    return ScanResult(*alpha.half_tables().pair_window(i0, j0, materialize))
 
 
 def enumerate_solutions(alpha: AlphaVector, pair: PairSelection) -> SolutionSet:
@@ -181,9 +154,7 @@ def verify_invariance(alpha: AlphaVector) -> InvariantReport:
     if m < 3:
         raise PreconditionError("solution sets require at least 3 components")
     require_generic(alpha)
-    ones, chis, touched = alpha.half_tables().moments()
-    if touched:
-        raise InternalCheckError("generic vector produced a zero signed sum")
+    ones, chis = alpha.half_tables().moments()
     comps = alpha.components
     order = sorted(range(m), key=lambda pos: (comps[pos], pos))
     rank = [0] * m

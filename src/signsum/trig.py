@@ -32,7 +32,6 @@ from .core import (
     ParseError,
     PreconditionError,
     _format_vector,
-    _half_sign_sum,
     _parse_int_list,
     _parse_rational,
     _survey,
@@ -278,7 +277,7 @@ def _integer_vector(values: tuple[int, ...]) -> AlphaVector:
 
     ``integer_beta`` approximates it and ``exact_formula_value`` reads its
     value and checks from its half tables, so one request builds one
-    table.  Tables are never mutated (``restrict`` copies).
+    table.  Tables are never mutated: a question filters a copy.
     """
     return rational_vector(values)
 
@@ -324,22 +323,14 @@ def _check_window_forms(tables, value: int) -> None:
     """Cross-check the kernel value against a window count.
 
     Splitting off the last component B turns the sign sum into a count
-    of sign vectors whose partial sum t lies in the window |t| < B.  The
-    paper's second width, |t| <= B, adds only the partial sums t = +-B,
-    which are full sums at zero; the window reports those as touched,
-    and they cannot occur for a generic vector, so one window settles
-    both.  Its parity-signed count is -2 times the value.  ``tables``
-    are the unrestricted half tables of beta.
+    of sign vectors whose partial sum t lies in the window |t| < B
+    (``HalfTables.edge_window``).  The paper's second width, |t| <= B,
+    adds only the partial sums t = +-B, which are full sums at zero;
+    the kernel refuses those, and they cannot occur for a generic
+    vector, so one window settles both.  Its parity-signed count is -2
+    times the value.  ``tables`` are the half tables of beta.
     """
-    n = len(tables.values)
-    last = tables.values[-1]
-    # the sums with the last component at plus are t + B, so |t| < B is
-    # 0 < t + B < 2B, and t = -B, B are the full sums t + B = 0, t - B = 0
-    pinned = tables.restrict(1 << (n - 1))
-    _, s, _, touched = pinned.window(0, 2 * last)
-    if touched:
-        raise InternalCheckError("a partial sum sits on the window's edge")
-    if s != -2 * value:
+    if tables.edge_window() != -2 * value:
         raise InternalCheckError("window form disagrees with the kernel value")
 
 
@@ -420,7 +411,7 @@ def exact_formula_value(
     the sum over sign vectors e of prod_{sine k} e_k e^{i<e,beta>x}, and
     the kernel pairs each e^{isx} with i*sgn(s).  For odd a that is
     (-1)^((a-1)/2) / 2^m times the sign sum of the sines' character,
-    four times ``_half_sign_sum``, and the prefactor 2^(m-2) leaves
+    four times ``HalfTables.sign_sum``, and the prefactor 2^(m-2) leaves
     plus or minus that half.  For "result" on even length the sign sum
     vanishes, as the terms of e and -e cancel in pairs (the same argument
     makes ``closed_form_g`` 0); the window cross-check confirms the 0.
@@ -437,7 +428,7 @@ def exact_formula_value(
     if a % 2 == 0:
         value = 0
     else:
-        half = _half_sign_sum(tables, sines)
+        half = tables.sign_sum(sines)
         value = half if (pref > 0) == (a % 4 == 1) else -half
     if formula == "result":
         _check_window_forms(tables, value)

@@ -103,13 +103,11 @@ def integrand_calls(monkeypatch):
 
 @pytest.fixture
 def no_tables(monkeypatch):
-    """Any half-table build or sign sum fails the test: a cheap refusal
-    must come before them."""
-    from signsum import _halves, core, forms, trig
+    """Any half-table build fails the test: a cheap refusal must come
+    before it.  Every sign sum is a question to a built table."""
+    from signsum import _halves
 
     def forbidden(*args, **kwargs):
         raise AssertionError("table work before a cheap precondition")
 
     monkeypatch.setattr(_halves, "HalfTables", forbidden)
-    for module in (core, forms, trig):
-        monkeypatch.setattr(module, "_half_sign_sum", forbidden)

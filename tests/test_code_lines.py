@@ -7,7 +7,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "code_lines.py"
 
 # ceiling on the code-only lines of src/signsum (tools/code_lines.py)
-PACKAGE_LINES = 1837
+PACKAGE_LINES = 1823
 
 # 6 code-only lines: the docstrings, comments and blank lines are left
 # out, and the two lines of the bracketed call both count

@@ -39,6 +39,7 @@ from signsum import (
     orient_pair,
     pair_invariants,
     parity,
+    parse_vector,
     rational_vector,
     signed_count,
     signed_count_even_via_sign_sum,
@@ -50,11 +51,9 @@ from signsum._halves import (
     _plain_moves,
     _table,
     char_signs,
-    coordinates,
     first_zero,
 )
 from signsum.cli import run
-from signsum.core import _half_sign_sum
 from signsum.invariants import _rest_positions
 
 from conftest import random_generic_values
@@ -623,20 +622,22 @@ def test_approximate_beta_preserves_signs_log(ratios):
     st.integers(1, 20),
 )
 def test_window_counts_and_boundary_hits(values, lo, width):
-    """Any window, boundary hits included: the count and the parity-signed
-    count cover the open window, and ``touched`` reports a sum on either
-    bound."""
+    """Any window: the count and the parity-signed count cover the open
+    window, and a sum on either bound is refused."""
     hi = lo + width
     tables = HalfTables(values)
-    count, signed, masks, touched = tables.window(lo, hi, materialize=True)
     inside, on_bound = [], False
     for mask, s in _gray_walk(values):
         if lo < s < hi:
             inside.append(mask)
         on_bound = on_bound or s in (lo, hi)
+    if on_bound:
+        with pytest.raises(InternalCheckError):
+            tables.window(lo, hi, materialize=True)
+        return
+    count, signed, masks = tables.window(lo, hi, materialize=True)
     assert sorted(masks) == sorted(inside) and count == len(inside)
     assert signed == sum(-1 if mk.bit_count() & 1 else 1 for mk in inside)
-    assert touched == on_bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -649,35 +650,81 @@ def test_log_window_counts_and_boundary_hits(ratios, lo, step):
     """The log window compares products exactly, bounds hit or not."""
     hi = lo * step
     tables = HalfTables(ratios, is_log=True)
-    count, _, masks, touched = tables.window(lo, hi, materialize=True)
     inside, on_bound = [], False
     for mask, x, y in _product_walk(ratios):
         r = Fraction(x, y)
         if lo < r < hi:
             inside.append(mask)
         on_bound = on_bound or r in (lo, hi)
+    if on_bound:
+        with pytest.raises(InternalCheckError):
+            tables.window(lo, hi, materialize=True)
+        return
+    count, _, masks = tables.window(lo, hi, materialize=True)
     assert sorted(masks) == sorted(inside) and count == len(inside)
-    assert touched == on_bound
 
 
 def test_log_boundary_hit_is_exact():
     # 2 * 3 / 5 = 6/5 sits exactly on the lower bound
     tables = HalfTables([Fraction(2), Fraction(3), Fraction(5)], is_log=True)
-    *_, touched = tables.window(Fraction(6, 5), Fraction(100))
-    assert touched
-    *_, touched = tables.window(Fraction(6, 5) + Fraction(1, 10**30), Fraction(100))
-    assert not touched
+    with pytest.raises(InternalCheckError):
+        tables.window(Fraction(6, 5), Fraction(100))
+    tables.window(Fraction(6, 5) + Fraction(1, 10**30), Fraction(100))
+
+
+@pytest.mark.parametrize("text", ["1,2,3", "log:2,log:3,log:6"], ids=["plain", "log"])
+def test_every_question_refuses_a_sum_on_a_bound_alike(text):
+    """1 + 2 - 3 = 0 and log 2 + log 3 - log 6 = 0 sit on every bound a
+    question cuts at: the window of the pair (1, 2), the zero of the sign
+    sums and the moments, and the edge |t| = B.  Each question raises
+    the same error.  The CLI surveys the vector before any question, so
+    it answers with the degenerate envelope instead."""
+    tables = parse_vector(text).half_tables()
+    questions = (
+        lambda: tables.pair_window(0, 1),
+        lambda: tables.sign_sum(1),
+        tables.moments,
+        tables.edge_window,
+    )
+    messages = set()
+    for ask in questions:
+        with pytest.raises(InternalCheckError) as exc:
+            ask()
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    for command in ("verify", "closed-form"):
+        result = run([command, "--alpha", text])
+        assert result.exit_code == 3 and result.error["type"] == "degenerate"
+
+
+def test_sign_sum_refuses_an_odd_half():
+    """One component has sign sum 2 * sgn(v) for the character of its
+    one coordinate, whose quarter is no integer: the half over the sums
+    with coordinate 0 at plus is odd, and ``sign_sum`` refuses it rather
+    than round it."""
+    for ratios, is_log in (([5], False), ([Fraction(7, 2)], True)):
+        with pytest.raises(InternalCheckError, match="must be even"):
+            HalfTables(ratios, is_log).sign_sum(1)
+    assert HalfTables([5, 3]).sign_sum(1) == 1
 
 
 def _cut_oracle(keys, ts, side):
     """Per threshold, the keys at or below it (``bisect_right``) or below
-    it (``bisect_left``), counted one by one; and whether any key equals
+    it (``bisect_left``), counted one by one; "hit" when any key equals
     its threshold."""
+    if any(t in keys for t in ts):
+        return "hit"
     if side is bisect_right:
-        ends = [sum(k <= t for k in keys) for t in ts]
-    else:
-        ends = [sum(k < t for k in keys) for t in ts]
-    return ends, any(t in keys for t in ts)
+        return [sum(k <= t for k in keys) for t in ts]
+    return [sum(k < t for k in keys) for t in ts]
+
+
+def _cut_or_hit(tables, bound, side):
+    """``_cut``'s ends, or "hit" where it refuses a sum on the bound."""
+    try:
+        return tables._cut(bound, side)
+    except InternalCheckError:
+        return "hit"
 
 
 _SIDES = pytest.mark.parametrize(
@@ -703,9 +750,9 @@ def test_cut_matches_a_linear_scan(seed, side):
     tables.is_log, tables.b_keys = False, keys
     for t in ts:
         tables.a_keys = [bound - t]
-        assert tables._cut(bound, side) == _cut_oracle(keys, [t], side)
+        assert _cut_or_hit(tables, bound, side) == _cut_oracle(keys, [t], side)
     tables.a_keys = [bound - t for t in ts]
-    assert tables._cut(bound, side) == _cut_oracle(keys, ts, side)
+    assert _cut_or_hit(tables, bound, side) == _cut_oracle(keys, ts, side)
 
 
 def _ratio_of(ratios, mask):
@@ -744,14 +791,14 @@ def test_log_cut_matches_the_products(seed, side):
         else:
             ends = [sum(v < bound for v in row) for row in products]
         hit = any(bound in row for row in products)
-        assert tables._cut(bound, side) == (ends, hit)
-        assert tables._cut(bound, side) == _cut_oracle(tables.b_keys, ts, side)
+        assert _cut_or_hit(tables, bound, side) == ("hit" if hit else ends)
+        assert _cut_or_hit(tables, bound, side) == _cut_oracle(tables.b_keys, ts, side)
     assert odd
 
 
 def test_coordinates_scale_to_common_denominator():
-    values, den = coordinates([Fraction(1, 2), Fraction(2, 3), Fraction(5)], False)
-    assert (values, den) == ([3, 4, 30], 6)
+    tables = HalfTables([Fraction(1, 2), Fraction(2, 3), Fraction(5)])
+    assert (tables.values, tables.den) == ([3, 4, 30], 6)
 
 
 def test_char_signs_count_the_bits_in_the_character():
@@ -882,7 +929,7 @@ def per_pair_scan(alpha, pair, h1=None):
     weights the materialized masks."""
     i0, j0 = pair.i - 1, pair.j - 1
     rest = _rest_positions(alpha.m, i0, j0)
-    values, _ = coordinates(alpha.ratios(), alpha.is_log)
+    values = alpha.half_tables().values
     vi, vj = values[i0], values[j0]
     if alpha.is_log:
         lo, hi = max(vi, vj) / min(vi, vj), vi * vj
@@ -893,8 +940,7 @@ def per_pair_scan(alpha, pair, h1=None):
         [1 << k for k in range(len(rest))],
         is_log=alpha.is_log,
     )
-    count, signed, masks, touched = tables.window(lo, hi, True)
-    assert not touched
+    count, signed, masks = tables.window(lo, hi, True)
     ext = 0
     if h1 is not None:
         char = ((1 << len(rest)) - 1) ^ (1 << h1)
@@ -912,9 +958,8 @@ def _check_against_per_call_tables(alpha):
     The first m // 2 coordinates form the first half of the cached table,
     so the pairs cover both pair bits in one half and one in each.
     """
-    values, den = coordinates(alpha.ratios(), alpha.is_log)
-    survey = pinned(values, 0, alpha.is_log)
-    groups, gap = survey.survey()
+    values, den = alpha.half_tables().values, alpha.half_tables().den
+    groups, gap = pinned(values, 0, alpha.is_log)._survey()
     assert minimum_gap(alpha) == (gap if alpha.is_log else Fraction(gap, den))
     report = check_generic(alpha)
     expected_witness = first_zero(groups)
@@ -925,10 +970,10 @@ def _check_against_per_call_tables(alpha):
     full = (1 << alpha.m) - 1
     for pos in range(alpha.m):
         for char in {0, full, full ^ 1, full ^ (1 << (alpha.m - 1))}:
-            got = alpha.half_tables().restrict(1 << pos).sign_sum(char)
-            assert got == pinned(values, pos, alpha.is_log).sign_sum(char)
+            got = alpha.half_tables().restrict(1 << pos)._sign_total(char)
+            assert got == pinned(values, pos, alpha.is_log)._sign_total(char)
             if pos == 0 and alpha.m > 1:
-                assert 2 * _half_sign_sum(alpha.half_tables(), char) == got[0]
+                assert 2 * alpha.half_tables().sign_sum(char) == got
     if alpha.m < 3:
         return
     for pair in _pairs(alpha.m):
