@@ -958,7 +958,8 @@ def _check_against_per_call_tables(alpha):
     The first m // 2 coordinates form the first half of the cached table,
     so the pairs cover both pair bits in one half and one in each.
     """
-    values, den = alpha.half_tables().values, alpha.half_tables().den
+    tables = alpha.half_tables()
+    values, den = tables.values, tables.den
     groups, gap = pinned(values, 0, alpha.is_log)._survey()
     assert minimum_gap(alpha) == (gap if alpha.is_log else Fraction(gap, den))
     report = check_generic(alpha)
@@ -970,10 +971,10 @@ def _check_against_per_call_tables(alpha):
     full = (1 << alpha.m) - 1
     for pos in range(alpha.m):
         for char in {0, full, full ^ 1, full ^ (1 << (alpha.m - 1))}:
-            got = alpha.half_tables().restrict(1 << pos)._sign_total(char)
+            got = tables.restrict(1 << pos)._sign_total(char)
             assert got == pinned(values, pos, alpha.is_log)._sign_total(char)
             if pos == 0 and alpha.m > 1:
-                assert 2 * alpha.half_tables().sign_sum(char) == got
+                assert 2 * tables.sign_sum(char) == got
     if alpha.m < 3:
         return
     for pair in _pairs(alpha.m):
